@@ -48,10 +48,11 @@ namespace {
 
 std::map<i64, u64> fs_sweep(std::string_view source,
                             const workloads::Workload& w, bool optimize,
-                            const std::vector<i64>& blocks) {
+                            const std::vector<i64>& blocks,
+                            TraceCache& traces) {
   Compiled c =
       compile_source(source, options_for(w, w.fig3_procs, optimize, false));
-  TraceStudyResult study = run_trace_study(c, blocks);
+  TraceStudyResult study = replay_trace_study(traces.trace(c), c, blocks);
   std::map<i64, u64> out;
   for (i64 b : blocks) out[b] = study.at(b).false_sharing;
   return out;
@@ -100,10 +101,17 @@ int main(int argc, char** argv) {
                        "C(graph)", "S(search)", "P"});
   bool ok = true;
   std::vector<std::string> diffs;
+  u64 recordings = 0;
+  u64 relocations = 0;
   for (const auto& w : workloads::all()) {
+    // One trace cache per workload: both loops, the search and the N
+    // sweep compile the same program, so they record once per plan
+    // shape between them.
+    TraceCache traces;
     RepairLoopOptions popt;
     popt.block_size = block;
     popt.sweep_blocks = blocks;
+    popt.traces = &traces;
     RepairResult rp = repair_loop(
         w.natural, options_for(w, w.fig3_procs, true, false), popt);
 
@@ -130,14 +138,14 @@ int main(int argc, char** argv) {
     std::map<i64, u64> sw_unopt;
     std::string n_cell = "-";
     if (w.has_unopt()) {
-      sw_unopt = fs_sweep(w.unopt, w, false, blocks);
+      sw_unopt = fs_sweep(w.unopt, w, false, blocks, traces);
       n_cell = std::to_string(sw_unopt.at(block));
       json.add(w.name, "fs_unopt", static_cast<double>(sw_unopt.at(block)));
     }
     std::map<i64, u64> sw_prog;
     std::string p_cell = "-";
     if (w.has_prog()) {
-      sw_prog = fs_sweep(w.prog, w, false, blocks);
+      sw_prog = fs_sweep(w.prog, w, false, blocks, traces);
       p_cell = std::to_string(sw_prog.at(block));
       json.add(w.name, "fs_prog", static_cast<double>(sw_prog.at(block)));
     }
@@ -189,6 +197,12 @@ int main(int argc, char** argv) {
     json.add(w.name, "graph_iterations",
              static_cast<double>(rg.iterations.size()));
     json.add(w.name, "graph_converged", rg.converged ? 1.0 : 0.0);
+    json.add(w.name, "trace_recordings",
+             static_cast<double>(traces.recordings()));
+    json.add(w.name, "trace_relocations",
+             static_cast<double>(traces.relocations()));
+    recordings += traces.recordings();
+    relocations += traces.relocations();
 
     if (!rp.converged || !rg.converged) {
       std::fprintf(stderr,
@@ -278,6 +292,10 @@ int main(int argc, char** argv) {
   std::printf("--- false-sharing misses across the block sweep ---\n%s\n",
               sweep_tab.render().c_str());
   for (const std::string& d : diffs) std::printf("%s\n", d.c_str());
+  std::printf("traces: %llu interpreter recordings, %llu served by "
+              "relocation\n\n",
+              static_cast<unsigned long long>(recordings),
+              static_cast<unsigned long long>(relocations));
   json.write(bo.json_path);
   if (!ok) return 1;
   std::printf("repair-loop checks passed: converged everywhere, graph never "

@@ -64,7 +64,8 @@ DiagnosisReport diagnose(const Compiled& c, std::string workload,
   // attribution, the word-granularity conflict graph, and the pattern
   // summarizer all observe the same reference stream.
   AddressMap map = build_address_map(c);
-  EncodedTrace trace = record_encoded_trace(c);
+  EncodedTrace trace = opt.traces != nullptr ? opt.traces->trace(c)
+                                             : record_encoded_trace(c);
   rep.refs = trace.size();
 
   CacheParams params{c.nprocs(), opt.l1_bytes, opt.block_size,

@@ -25,6 +25,8 @@
 
 namespace fsopt {
 
+class TraceCache;
+
 /// One ranked suggestion for a datum.  `action` is the category the
 /// report's consumers key on; `kind` pins the exact transform when the
 /// suggestion is backed by a planner decision.
@@ -65,6 +67,10 @@ struct DiagnoseOptions {
   /// ("static", "profile" or "graph").
   std::string planner = "graph";
   PatternThresholds thresholds;
+  /// Take the compile's trace from this cache (driver/experiment.h) —
+  /// after a repair loop or search on the same program that is a
+  /// relocation, not a recording.  Null = record it.
+  TraceCache* traces = nullptr;
 };
 
 struct DiagnosisReport {

@@ -529,6 +529,33 @@ TraceStudyResult run_trace_study(const Compiled& c,
                             threads, shards, collect_conflicts);
 }
 
+EncodedTrace TraceCache::trace(const Compiled& c) {
+  if (relocate_) {
+    obs::Span span("trace", "relocate");
+    for (const Entry& e : entries_) {
+      std::shared_ptr<const AddressRelocation> rel =
+          relocation_between(e.code, c.code);
+      if (rel == nullptr) continue;
+      ++relocations_;
+      if (span.active()) {
+        span.arg("refs", static_cast<double>(e.trace.size()));
+        span.arg("words", static_cast<double>(rel->words()));
+      }
+      static obs::Counter& relocations =
+          obs::metric_counter("trace.relocations");
+      static obs::Counter& relocated =
+          obs::metric_counter("trace.relocated_refs");
+      relocations.inc();
+      relocated.inc(e.trace.size());
+      return e.trace.relocated(std::move(rel));
+    }
+  }
+  ++recordings_;
+  EncodedTrace t = record_encoded_trace(c);
+  if (relocate_) entries_.push_back({c.code, t});
+  return t;
+}
+
 FalseSharingProfile build_fs_profile(const TraceStudyResult& study,
                                      i64 block_size) {
   auto it = study.by_datum.find(block_size);
@@ -616,23 +643,20 @@ ConflictProfile build_conflict_profile(const ConflictGraph& graph,
   return out;
 }
 
-RepairResult repair_loop(std::string_view source, const CompileOptions& base,
-                         const RepairLoopOptions& opt) {
-  FSOPT_CHECK(base.plan == nullptr,
-              "repair_loop owns plan injection; base.plan must be unset");
-  const bool graph = opt.planner_name == "graph";
-  FSOPT_CHECK(graph || opt.planner_name == "profile",
-              "repair_loop planner must be 'profile' or 'graph', got '" +
-                  opt.planner_name + "'");
+namespace {
+
+/// The repair loop's compile options: optimize on, the repair block size.
+CompileOptions repair_compile_options(const CompileOptions& base,
+                                      const RepairLoopOptions& opt) {
   CompileOptions copt = base;
   copt.optimize = true;
   copt.block_size = opt.block_size;
+  return copt;
+}
 
-  // One shared parse+sema front serves the baseline and every recompile:
-  // the source and overrides never change, only the injected plan does —
-  // which also keeps symbol ids stable, so plans stay valid across
-  // iterations.
-  FrontHalf front = run_front(source, copt.overrides);
+/// The block sizes candidates are scored across (RepairLoopOptions::
+/// sweep_blocks), sorted, with the repair block size always included.
+std::vector<i64> swept_blocks(const RepairLoopOptions& opt, bool graph) {
   std::vector<i64> blocks = opt.sweep_blocks;
   if (blocks.empty())
     blocks = graph ? std::vector<i64>{32, 64, 128, 256}
@@ -640,14 +664,37 @@ RepairResult repair_loop(std::string_view source, const CompileOptions& base,
   if (std::find(blocks.begin(), blocks.end(), opt.block_size) == blocks.end())
     blocks.push_back(opt.block_size);
   std::sort(blocks.begin(), blocks.end());
+  return blocks;
+}
+
+/// repair_loop over an already-run front half, taking every trace from
+/// `traces` (search_plan shares both with its candidate evaluations).
+RepairResult repair_loop_with(const FrontHalf& front,
+                              const CompileOptions& base,
+                              const RepairLoopOptions& opt) {
+  TraceCache own;
+  TraceCache& traces = opt.traces != nullptr ? *opt.traces : own;
+  FSOPT_CHECK(base.plan == nullptr,
+              "repair_loop owns plan injection; base.plan must be unset");
+  const bool graph = opt.planner_name == "graph";
+  FSOPT_CHECK(graph || opt.planner_name == "profile",
+              "repair_loop planner must be 'profile' or 'graph', got '" +
+                  opt.planner_name + "'");
+  const CompileOptions copt = repair_compile_options(base, opt);
+  const std::vector<i64> blocks = swept_blocks(opt, graph);
+
+  // Study one compile across the sweep, its trace from the cache.
+  auto study_of = [&](const Compiled& c, const AddressMap& am) {
+    return replay_trace_study(traces.trace(c), c, blocks, opt.l1_bytes, &am,
+                              opt.threads, 0, graph);
+  };
 
   RepairResult out;
   Compiled current = run_back(front, copt);
   out.static_plan = current.transforms;
 
   AddressMap am = build_address_map(current);
-  TraceStudyResult study = run_trace_study(current, blocks, opt.l1_bytes,
-                                           &am, opt.threads, 0, graph);
+  TraceStudyResult study = study_of(current, am);
   out.baseline = study.at(opt.block_size);
   out.baseline_by_datum = study.by_datum[opt.block_size];
   for (i64 b : blocks) out.baseline_sweep[b] = study.at(b);
@@ -695,8 +742,7 @@ RepairResult repair_loop(std::string_view source, const CompileOptions& base,
 
     // Verify: re-trace under the new layout and re-attribute.
     AddressMap cand_am = build_address_map(cand);
-    TraceStudyResult cand_study = run_trace_study(
-        cand, blocks, opt.l1_bytes, &cand_am, opt.threads, 0, graph);
+    TraceStudyResult cand_study = study_of(cand, cand_am);
 
     if (graph) {
       // Multi-size acceptance: the candidate must strictly reduce the
@@ -732,27 +778,37 @@ RepairResult repair_loop(std::string_view source, const CompileOptions& base,
   return out;
 }
 
+}  // namespace
+
+RepairResult repair_loop(std::string_view source, const CompileOptions& base,
+                         const RepairLoopOptions& opt) {
+  // One shared parse+sema front serves the baseline and every recompile:
+  // the source and overrides never change, only the injected plan does —
+  // which also keeps symbol ids stable, so plans stay valid across
+  // iterations (and every compile has the same instructions, which is
+  // what lets one recording serve them all).
+  return repair_loop_with(run_front(source, base.overrides), base, opt);
+}
+
 SearchPlanResult search_plan(std::string_view source,
                              const CompileOptions& base,
                              const SearchPlanOptions& opt) {
   FSOPT_CHECK(base.plan == nullptr,
               "search_plan owns plan injection; base.plan must be unset");
+  // The seed loop and every candidate share one front and one trace
+  // cache: the candidates relocate the seed loop's recordings.
+  TraceCache own;
   RepairLoopOptions sopt = opt.seed;
   sopt.planner_name = "graph";
+  if (sopt.traces == nullptr) sopt.traces = &own;
+  TraceCache& traces = *sopt.traces;
 
+  FrontHalf front = run_front(source, base.overrides);
   SearchPlanResult out;
-  out.seed = repair_loop(source, base, sopt);
+  out.seed = repair_loop_with(front, base, sopt);
 
-  CompileOptions copt = base;
-  copt.optimize = true;
-  copt.block_size = sopt.block_size;
-  FrontHalf front = run_front(source, copt.overrides);
-  std::vector<i64> blocks = sopt.sweep_blocks;
-  if (blocks.empty()) blocks = {32, 64, 128, 256};
-  if (std::find(blocks.begin(), blocks.end(), sopt.block_size) ==
-      blocks.end())
-    blocks.push_back(sopt.block_size);
-  std::sort(blocks.begin(), blocks.end());
+  const CompileOptions copt = repair_compile_options(base, sopt);
+  const std::vector<i64> blocks = swept_blocks(sopt, true);
 
   // Planner inputs come from the seed loop's final compile — no
   // re-trace: the loop already kept its per-datum attribution and
@@ -807,16 +863,17 @@ SearchPlanResult search_plan(std::string_view source,
               });
   }
 
-  // Candidate evaluation: recompile against the shared front, record
-  // the trace once, replay every swept size in a single pass.  The
-  // replay engine is bit-identical for any thread count, so the whole
-  // search is too.
+  // Candidate evaluation: recompile against the shared front, take the
+  // trace from the cache (a relocation unless the shape is new), replay
+  // every swept size in a single pass.  The replay engine is
+  // bit-identical for any thread count, so the whole search is too.
   PlanEvaluator evaluate = [&](const TransformPlan& p) {
     CompileOptions cand_opt = copt;
     cand_opt.plan = std::make_shared<TransformPlan>(p);
     Compiled cand = run_back(front, cand_opt);
-    TraceStudyResult study = run_trace_study(
-        cand, blocks, sopt.l1_bytes, nullptr, sopt.threads, 0, false);
+    TraceStudyResult study =
+        replay_trace_study(traces.trace(cand), cand, blocks, sopt.l1_bytes,
+                           nullptr, sopt.threads, 0, false);
     PlanScore score;
     for (i64 b : blocks) {
       const MissStats& s = study.at(b);

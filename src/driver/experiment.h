@@ -121,6 +121,48 @@ TraceStudyResult run_trace_study(const Compiled& c,
                                  int threads = 0, int shards = 0,
                                  bool collect_conflicts = false);
 
+// ---------------------------------------------------------------------------
+// Relocatable traces: record once per plan shape.
+//
+// A layout is a function from datum elements to addresses, and in trace
+// mode every reference costs the same two cycles, so the interleaving
+// the interpreter records does not depend on the layout.  Two compiles
+// of one program whose plans differ only in where data lives — every
+// transformation except indirection, which adds pointer-slot loads —
+// therefore record the same stream up to a word-for-word relocation
+// (relocation_between, interp/bytecode.h).  TraceCache records each
+// distinct shape once and serves every later compile of that shape by
+// relocating the cached recording in the chunk decoder
+// (EncodedTrace::relocated): a candidate costs a replay, not a
+// re-recording, and its stats are bit-identical to a fresh recording's.
+// ---------------------------------------------------------------------------
+
+class TraceCache {
+ public:
+  /// `relocate` = false records every compile afresh and caches nothing
+  /// (the reference the relocated results are checked against).
+  explicit TraceCache(bool relocate = true) : relocate_(relocate) {}
+
+  /// The encoded trace of `c`: a relocated view of a cached recording of
+  /// the same shape when there is one, else a fresh recording (which is
+  /// then cached).  Not thread-safe.
+  EncodedTrace trace(const Compiled& c);
+
+  /// Interpreter recordings made / traces served by relocation.
+  u64 recordings() const { return recordings_; }
+  u64 relocations() const { return relocations_; }
+
+ private:
+  struct Entry {
+    CodeImage code;
+    EncodedTrace trace;
+  };
+  bool relocate_;
+  std::vector<Entry> entries_;  // one per distinct shape
+  u64 recordings_ = 0;
+  u64 relocations_ = 0;
+};
+
 /// Result of one sharded single-configuration replay.
 struct ShardedReplayResult {
   MissStats stats;
@@ -167,7 +209,9 @@ ShardedReplayResult replay_partitioned(const TracePartition& part,
 //   re-trace -> verify the attributed misses actually disappeared,
 //
 // iterating until the plan reaches a fixed point (ProfilePlanner only
-// ever adds decisions, so the loop converges) or max_iterations.
+// ever adds decisions, so the loop converges) or max_iterations.  The
+// re-trace is a relocation of the baseline recording whenever the new
+// plan keeps the baseline's shape (RepairLoopOptions::traces).
 // ---------------------------------------------------------------------------
 
 /// Distill one block size's per-datum attribution into the name-keyed
@@ -221,6 +265,13 @@ struct RepairLoopOptions {
   i64 l1_bytes = 32 * 1024;
   /// Worker threads for the replays (0 = experiment_threads()).
   int threads = 0;
+  /// Where every compile's trace comes from: the interpreter records
+  /// once per plan shape and every other candidate replays a relocated
+  /// recording.  Null = a private cache for this call; pass one to share
+  /// recordings across calls on the same program (it must outlive them),
+  /// or a TraceCache(false) to re-record every candidate.  Results are
+  /// identical either way.
+  TraceCache* traces = nullptr;
 };
 
 /// One profile->replan->reverify round.
@@ -280,8 +331,9 @@ RepairResult repair_loop(std::string_view source, const CompileOptions& base,
 // planner at any swept block size — per-block winners are argmins over
 // evaluated candidates and the seed is always evaluated.  Every further
 // candidate is compiled against the same shared front half (symbol ids
-// stay stable, so plans remain valid), its trace recorded once, and all
-// swept block sizes replayed in a single pass (replay_multi).
+// stay stable, so plans remain valid), its trace taken from the
+// TraceCache the seed loop filled (recorded only when its shape is new),
+// and all swept block sizes replayed in a single pass (replay_multi).
 // ---------------------------------------------------------------------------
 
 struct SearchPlanOptions {

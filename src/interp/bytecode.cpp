@@ -1,6 +1,9 @@
 #include "interp/bytecode.h"
 
+#include <algorithm>
 #include <sstream>
+
+#include "trace/encode.h"
 
 namespace fsopt {
 
@@ -112,6 +115,86 @@ std::string CodeImage::disassemble() const {
     os << "\n";
   }
   return os.str();
+}
+
+namespace {
+
+/// Same instructions, functions and access-plan shapes: the two images
+/// then issue the same reference sequence, addresses aside.
+bool same_shape(const CodeImage& a, const CodeImage& b) {
+  if (a.nprocs != b.nprocs || a.main_func != b.main_func ||
+      a.code != b.code || a.funcs.size() != b.funcs.size() ||
+      a.plans.size() != b.plans.size())
+    return false;
+  for (size_t i = 0; i < a.funcs.size(); ++i) {
+    const FuncInfo& fa = a.funcs[i];
+    const FuncInfo& fb = b.funcs[i];
+    if (fa.entry_pc != fb.entry_pc || fa.nlocals != fb.nlocals ||
+        fa.nparams != fb.nparams)
+      return false;
+  }
+  for (size_t i = 0; i < a.plans.size(); ++i) {
+    const AccessPlan& pa = a.plans[i];
+    const AccessPlan& pb = b.plans[i];
+    if (pa.extents != pb.extents || pa.size != pb.size ||
+        pa.dims.size() != pb.dims.size() ||
+        pa.indirection.has_value() != pb.indirection.has_value())
+      return false;
+    if (pa.indirection.has_value() &&
+        pa.indirection->ptr_dims.size() != pb.indirection->ptr_dims.size())
+      return false;
+  }
+  return true;
+}
+
+/// Map the `bytes`-byte scalar at `from` onto the one at `to`, word by
+/// word.
+bool map_scalar(AddressRelocation& rel, i64 from, i64 to, i64 bytes) {
+  for (i64 off = 0; off < bytes; off += 4)
+    if (!rel.map_word(from + off, to + off)) return false;
+  return true;
+}
+
+/// Advance `idx` to the next index tuple within `extents` (row-major
+/// odometer); false once every tuple has been visited.
+bool next_index(std::vector<i64>& idx, const std::vector<i64>& extents) {
+  for (size_t d = idx.size(); d-- > 0;) {
+    if (++idx[d] < extents[d]) return true;
+    idx[d] = 0;
+  }
+  return false;
+}
+
+}  // namespace
+
+std::shared_ptr<const AddressRelocation> relocation_between(
+    const CodeImage& from, const CodeImage& to) {
+  if (!same_shape(from, to)) return nullptr;
+  auto rel = std::make_shared<AddressRelocation>();
+  for (i64 k = 0; k < CodeImage::kBarrierWords; ++k)
+    if (!rel->map_word(from.barrier_base + k * from.barrier_stride,
+                       to.barrier_base + k * to.barrier_stride))
+      return nullptr;
+  constexpr i64 kPtrBytes = 8;  // pointer-slot loads (interp/machine.cpp)
+  std::vector<i64> idx;
+  for (size_t p = 0; p < from.plans.size(); ++p) {
+    const AccessPlan& a = from.plans[p];
+    const AccessPlan& b = to.plans[p];
+    if (std::any_of(a.extents.begin(), a.extents.end(),
+                    [](i64 e) { return e <= 0; }))
+      continue;
+    idx.assign(a.extents.size(), 0);
+    do {
+      if (!map_scalar(*rel, a.address(idx.data()), b.address(idx.data()),
+                      a.size))
+        return nullptr;
+      if (a.indirection.has_value() &&
+          !map_scalar(*rel, a.pointer_slot(idx.data()),
+                      b.pointer_slot(idx.data()), kPtrBytes))
+        return nullptr;
+    } while (next_index(idx, a.extents));
+  }
+  return rel;
 }
 
 }  // namespace fsopt

@@ -7,12 +7,15 @@
 // programmer-optimized) by swapping the plan table.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "layout/layout.h"
 
 namespace fsopt {
+
+class AddressRelocation;
 
 enum class Op : u8 {
   kPushI,   // a = integer value
@@ -47,6 +50,7 @@ const char* op_name(Op op);
 struct Instr {
   Op op;
   i64 a = 0;
+  bool operator==(const Instr&) const = default;
 };
 
 /// Layout-resolved addressing for one (symbol, field) pair.
@@ -83,10 +87,28 @@ struct CodeImage {
   i64 nprocs = 1;
   i64 globals_bytes = 0;   // bytes of laid-out shared data
   i64 barrier_base = 0;    // runtime barrier block (lock, count, sense)
-  i64 barrier_stride = 4;  // byte stride between the three barrier words
+  i64 barrier_stride = 4;  // byte stride between the barrier words
+  static constexpr i64 kBarrierWords = 3;
   i64 total_bytes = 0;     // globals + runtime region
 
   std::string disassemble() const;
 };
+
+/// The word-for-word relocation that turns a trace recorded from `from`
+/// into the trace `to` would record, or null when no such relocation
+/// exists.
+///
+/// In trace mode every reference costs the same two cycles, so the
+/// interpreter's interleaving does not depend on addresses: two images of
+/// one program with the same *shape* — identical instructions and
+/// functions, and access plans that agree on extents, scalar size and
+/// the presence of an indirection pointer slot — issue the same stream
+/// up to where the layouts put each datum element.  The relocation maps
+/// every element of every access plan (and pointer slot, and barrier
+/// word) from its `from` address to its `to` address.  Null when the
+/// shapes differ (an added or dropped indirection adds or drops pointer
+/// loads) or when the two layouts do not place the elements one-to-one.
+std::shared_ptr<const AddressRelocation> relocation_between(
+    const CodeImage& from, const CodeImage& to);
 
 }  // namespace fsopt

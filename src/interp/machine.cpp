@@ -1,5 +1,6 @@
 #include "interp/machine.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -22,7 +23,6 @@ i64 as_bits(double v) { return std::bit_cast<i64>(v); }
 Machine::Machine(const CodeImage& img, const MachineOptions& opt)
     : img_(img),
       opt_(opt),
-      memsys_(opt.memsys != nullptr ? opt.memsys : &uniform_),
       mem_(static_cast<size_t>(img.total_bytes), 0) {
   FSOPT_CHECK(img.main_func >= 0, "code image has no main");
   if (opt_.sink != nullptr) {
@@ -35,12 +35,9 @@ Machine::Machine(const CodeImage& img, const MachineOptions& opt)
     Proc& pr = procs_[p];
     pr.id = static_cast<int>(p);
     pr.pc = mf.entry_pc;
-    Frame f;
-    f.func = img.main_func;
-    f.ret_pc = -1;
-    f.locals.assign(static_cast<size_t>(mf.nlocals), 0);
-    if (mf.nparams >= 1) f.locals[0] = static_cast<i64>(p);  // pid
-    pr.frames.push_back(std::move(f));
+    pr.locals.assign(static_cast<size_t>(mf.nlocals), 0);
+    if (mf.nparams >= 1) pr.locals[0] = static_cast<i64>(p);  // pid
+    pr.frames.push_back({img.main_func, -1, 0});
   }
 }
 
@@ -73,18 +70,20 @@ double Machine::load_real(i64 addr) const {
   return as_real(load_scalar(addr, 8));
 }
 
-i64 Machine::ref(Proc& p, i64 addr, i64 size, bool is_write) {
+i64 Machine::ref(int proc, i64 addr, i64 size, bool is_write, i64 now) {
   ++refs_;
   if (opt_.sink != nullptr) {
     // Stage rather than dispatch: one virtual on_batch call per
     // opt_.sink_batch references instead of one on_ref per reference.
     // The global scheduler order *is* the trace order, so a single
     // staging buffer preserves the exact per-reference stream.
-    stage_.push_back({addr, static_cast<u8>(size), static_cast<u8>(p.id),
+    stage_.push_back({addr, static_cast<u8>(size), static_cast<u8>(proc),
                       is_write ? RefType::kWrite : RefType::kRead});
     if (stage_.size() >= opt_.sink_batch) flush_stage();
   }
-  return memsys_->access(p.id, addr, size, is_write, p.time);
+  return opt_.memsys != nullptr
+             ? opt_.memsys->access(proc, addr, size, is_write, now)
+             : MachineOptions::kTraceRefCycles;
 }
 
 void Machine::flush_stage() {
@@ -94,6 +93,10 @@ void Machine::flush_stage() {
 }
 
 void Machine::exec_sync(Proc& p, const Instr& in) {
+  // Every synchronization reference is one 4-byte word at the clock.
+  auto sync_ref = [this, &p](i64 addr, bool is_write) {
+    p.time += ref(p.id, addr, 4, is_write, p.time);
+  };
   // Exponential poll backoff shared by lock and barrier spins.
   auto spin_wait = [this, &p]() {
     if (p.backoff == 0) p.backoff = opt_.spin_interval;
@@ -109,10 +112,10 @@ void Machine::exec_sync(Proc& p, const Instr& in) {
           p.wait = Wait::kBarrier;
         }
         i64 lock_addr = img_.barrier_base + kBarLock * img_.barrier_stride;
-        p.time += ref(p, lock_addr, 4, false);
+        sync_ref(lock_addr, false);
         if (load_scalar(lock_addr, 4) == 0) {
           store_scalar(lock_addr, 4, 1);
-          p.time += ref(p, lock_addr, 4, true);
+          sync_ref(lock_addr, true);
           p.bar_stage = 1;
           p.backoff = 0;
         } else {
@@ -123,18 +126,18 @@ void Machine::exec_sync(Proc& p, const Instr& in) {
       case 1: {  // lock held: bump the count, maybe release everyone
         i64 count_addr = img_.barrier_base + kBarCount * img_.barrier_stride;
         i64 lock_addr = img_.barrier_base + kBarLock * img_.barrier_stride;
-        p.time += ref(p, count_addr, 4, false);
+        sync_ref(count_addr, false);
         i64 c = load_scalar(count_addr, 4) + 1;
         bool last = c == img_.nprocs;
         store_scalar(count_addr, 4, last ? 0 : c);
-        p.time += ref(p, count_addr, 4, true);
+        sync_ref(count_addr, true);
         if (last) {
           i64 sense_addr = img_.barrier_base + kBarSense * img_.barrier_stride;
           store_scalar(sense_addr, 4, p.bar_sense);
-          p.time += ref(p, sense_addr, 4, true);
+          sync_ref(sense_addr, true);
         }
         store_scalar(lock_addr, 4, 0);
-        p.time += ref(p, lock_addr, 4, true);
+        sync_ref(lock_addr, true);
         if (last) {
           p.bar_stage = 0;
           p.wait = Wait::kNone;
@@ -146,7 +149,7 @@ void Machine::exec_sync(Proc& p, const Instr& in) {
       }
       case 2: {  // spin on the sense word
         i64 sense_addr = img_.barrier_base + kBarSense * img_.barrier_stride;
-        p.time += ref(p, sense_addr, 4, false);
+        sync_ref(sense_addr, false);
         if (load_scalar(sense_addr, 4) == p.bar_sense) {
           p.bar_stage = 0;
           p.wait = Wait::kNone;
@@ -173,10 +176,10 @@ void Machine::exec_sync(Proc& p, const Instr& in) {
       p.stack.resize(p.stack.size() - n);
       p.wait = Wait::kLockSpin;
     }
-    p.time += ref(p, p.lock_addr, 4, false);
+    sync_ref(p.lock_addr, false);
     if (load_scalar(p.lock_addr, 4) == 0) {
       store_scalar(p.lock_addr, 4, 1);
-      p.time += ref(p, p.lock_addr, 4, true);
+      sync_ref(p.lock_addr, true);
       p.wait = Wait::kNone;
       p.backoff = 0;
       ++p.pc;
@@ -191,27 +194,40 @@ void Machine::exec_sync(Proc& p, const Instr& in) {
   i64 addr = plan.address(p.stack.data() + (p.stack.size() - n));
   p.stack.resize(p.stack.size() - n);
   store_scalar(addr, 4, 0);
-  p.time += ref(p, addr, 4, true);
+  sync_ref(addr, true);
   ++p.pc;
 }
 
 void Machine::step(Proc& p) {
   // Execute instructions until this processor spends simulated time on a
   // memory reference / sync, or halts.  Plain ALU work costs 1 cycle per
-  // instruction.
+  // instruction.  The hot state — pc, clock, instruction count, frame
+  // base — stays in locals for the whole step (stores to the i64 operand
+  // stack could otherwise alias the clock and the counter in memory) and
+  // is written back before every exit.
+  const Instr* const code = img_.code.data();
+  std::vector<i64>& st = p.stack;
+  int pc = p.pc;
+  i64 time = p.time;
+  u64 executed = instructions_;
+  size_t fp = p.frames.back().base;  // the current frame's first local
+  auto leave = [&] {
+    p.pc = pc;
+    p.time = time;
+    instructions_ = executed;
+  };
+  auto pop = [&st]() {
+    FSOPT_CHECK(!st.empty(), "operand stack underflow");
+    i64 v = st.back();
+    st.pop_back();
+    return v;
+  };
+  auto push = [&st](i64 v) { st.push_back(v); };
   for (int batch = 0; batch < 256; ++batch) {
-    FSOPT_CHECK(instructions_ < opt_.max_instructions,
+    FSOPT_CHECK(executed < opt_.max_instructions,
                 "instruction budget exceeded (runaway program?)");
-    ++instructions_;
-    const Instr& in = img_.code[static_cast<size_t>(p.pc)];
-    auto& st = p.stack;
-    auto pop = [&st]() {
-      FSOPT_CHECK(!st.empty(), "operand stack underflow");
-      i64 v = st.back();
-      st.pop_back();
-      return v;
-    };
-    auto push = [&st](i64 v) { st.push_back(v); };
+    ++executed;
+    const Instr& in = code[pc];
 
     switch (in.op) {
       case Op::kPushI:
@@ -219,10 +235,10 @@ void Machine::step(Proc& p) {
         push(in.a);
         break;
       case Op::kLoadL:
-        push(p.frames.back().locals[static_cast<size_t>(in.a)]);
+        push(p.locals[fp + static_cast<size_t>(in.a)]);
         break;
       case Op::kStoreL:
-        p.frames.back().locals[static_cast<size_t>(in.a)] = pop();
+        p.locals[fp + static_cast<size_t>(in.a)] = pop();
         break;
       case Op::kLoadG:
       case Op::kStoreG: {
@@ -237,18 +253,19 @@ void Machine::step(Proc& p) {
         if (plan.indirection.has_value()) {
           // Extra pointer-slot load: the run-time cost of indirection.
           i64 slot = plan.pointer_slot(idx);
-          p.time += ref(p, slot, 8, false);
+          time += ref(p.id, slot, 8, false, time);
         }
         st.resize(st.size() - n);
         if (is_store) {
           store_scalar(addr, plan.size, value);
-          p.time += ref(p, addr, plan.size, true);
+          time += ref(p.id, addr, plan.size, true, time);
         } else {
           i64 v = load_scalar(addr, plan.size);
           push(v);
-          p.time += ref(p, addr, plan.size, false);
+          time += ref(p.id, addr, plan.size, false, time);
         }
-        ++p.pc;
+        ++pc;
+        leave();
         return;  // spent simulated time; yield to the scheduler
       }
       case Op::kAddI: { i64 b = pop(); push(pop() + b); break; }
@@ -326,40 +343,38 @@ void Machine::step(Proc& p) {
         break;
       }
       case Op::kJmp:
-        p.pc = static_cast<int>(in.a);
-        p.time += 1;
+        pc = static_cast<int>(in.a);
+        time += 1;
         continue;
       case Op::kJz:
-        p.pc = pop() == 0 ? static_cast<int>(in.a) : p.pc + 1;
-        p.time += 1;
+        pc = pop() == 0 ? static_cast<int>(in.a) : pc + 1;
+        time += 1;
         continue;
       case Op::kCall: {
         const FuncInfo& f = img_.funcs[static_cast<size_t>(in.a)];
-        Frame fr;
-        fr.func = static_cast<int>(in.a);
-        fr.ret_pc = p.pc + 1;
-        fr.locals.assign(static_cast<size_t>(f.nlocals), 0);
+        fp = p.locals.size();
+        p.locals.resize(fp + static_cast<size_t>(f.nlocals), 0);
         for (int i = f.nparams - 1; i >= 0; --i)
-          fr.locals[static_cast<size_t>(i)] = pop();
-        p.frames.push_back(std::move(fr));
-        p.pc = f.entry_pc;
-        p.time += 1;
+          p.locals[fp + static_cast<size_t>(i)] = pop();
+        p.frames.push_back({static_cast<int>(in.a), pc + 1, fp});
+        pc = f.entry_pc;
+        time += 1;
         continue;
       }
       case Op::kRet: {
-        const FuncInfo& f =
-            img_.funcs[static_cast<size_t>(p.frames.back().func)];
-        int ret_pc = p.frames.back().ret_pc;
         // The return value (if any) is already on the shared operand
         // stack; frames only hold locals.
-        (void)f;
+        int ret_pc = p.frames.back().ret_pc;
+        p.locals.resize(p.frames.back().base);
         p.frames.pop_back();
         if (p.frames.empty()) {
           p.halted = true;
+          leave();
           return;
         }
-        p.pc = ret_pc;
-        p.time += 1;
+        fp = p.frames.back().base;
+        pc = ret_pc;
+        time += 1;
         continue;
       }
       case Op::kPop:
@@ -368,6 +383,7 @@ void Machine::step(Proc& p) {
       case Op::kBarrier:
       case Op::kLock:
       case Op::kUnlock:
+        leave();
         exec_sync(p, in);
         return;  // sync ops always spend time
       case Op::kLcg: {
@@ -394,26 +410,43 @@ void Machine::step(Proc& p) {
       case Op::kSqrt: push(as_bits(std::sqrt(as_real(pop())))); break;
       case Op::kHalt:
         p.halted = true;
+        leave();
         return;
     }
-    ++p.pc;
-    p.time += 1;
+    ++pc;
+    time += 1;
   }
+  leave();
 }
 
 void Machine::run() {
-  size_t live = procs_.size();
-  while (live > 0) {
-    // Advance the processor with the smallest local clock (ties: lowest
-    // id) — deterministic event-driven interleaving.
-    Proc* next = nullptr;
-    for (Proc& p : procs_) {
-      if (p.halted) continue;
-      if (next == nullptr || p.time < next->time) next = &p;
+  // Always advance the processor with the smallest local clock (ties:
+  // lowest id) — deterministic event-driven interleaving.  The runnable
+  // processors form a binary min-heap on (time, id); a step only moves
+  // the top processor's clock, so one sift-down restores the heap.
+  auto before = [](const Proc* a, const Proc* b) {
+    return a->time != b->time ? a->time < b->time : a->id < b->id;
+  };
+  std::vector<Proc*> ready;
+  for (Proc& p : procs_)
+    if (!p.halted) ready.push_back(&p);
+  std::sort(ready.begin(), ready.end(), before);  // sorted = a valid heap
+  while (!ready.empty()) {
+    Proc& top = *ready.front();
+    step(top);
+    if (top.halted) {
+      ready.front() = ready.back();
+      ready.pop_back();
     }
-    FSOPT_CHECK(next != nullptr, "no runnable processor");
-    step(*next);
-    if (next->halted) --live;
+    const size_t n = ready.size();
+    for (size_t i = 0;;) {
+      size_t c = 2 * i + 1;
+      if (c >= n) break;
+      if (c + 1 < n && before(ready[c + 1], ready[c])) ++c;
+      if (!before(ready[c], ready[i])) break;
+      std::swap(ready[i], ready[c]);
+      i = c;
+    }
   }
   flush_stage();
 }

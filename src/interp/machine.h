@@ -2,8 +2,9 @@
 //
 // P logical processors execute the same bytecode (SPMD) over one simulated
 // shared memory.  The scheduler always advances the processor with the
-// smallest local clock, so lock handoffs, barrier arrivals and memory
-// contention resolve in simulated-time order and runs are deterministic.
+// smallest local clock (ties to the lowest id; a binary heap finds it in
+// O(log P)), so lock handoffs, barrier arrivals and memory contention
+// resolve in simulated-time order and runs are deterministic.
 // Locks are test-and-test-and-set spins on shared words; the barrier is a
 // central sense-reversing barrier — both generate real coherence traffic,
 // which is what lock padding (§3.2) acts on.
@@ -16,8 +17,9 @@
 namespace fsopt {
 
 struct MachineOptions {
-  /// Timing model; null = uniform 2-cycle references (trace mode).
+  /// Timing model; null = uniform kTraceRefCycles references (trace mode).
   MemorySystem* memsys = nullptr;
+  static constexpr i64 kTraceRefCycles = 2;
   /// Optional trace sink receiving every shared-memory reference.
   /// References are staged internally and delivered in batches (in exact
   /// global emission order); the final partial batch is flushed when run()
@@ -59,7 +61,7 @@ class Machine {
   struct Frame {
     int func = -1;
     int ret_pc = 0;
-    std::vector<i64> locals;
+    size_t base = 0;  // first local slot in Proc::locals
   };
   enum class Wait : u8 { kNone, kLockSpin, kBarrier };
   struct Proc {
@@ -68,6 +70,9 @@ class Machine {
     int pc = 0;
     bool halted = false;
     std::vector<i64> stack;
+    /// Every live frame's locals, innermost last (one allocation per
+    /// processor instead of one per call).
+    std::vector<i64> locals;
     std::vector<Frame> frames;
     Wait wait = Wait::kNone;
     i64 lock_addr = 0;
@@ -78,16 +83,15 @@ class Machine {
 
   void step(Proc& p);
   void exec_sync(Proc& p, const Instr& in);
-  /// Issue one shared-memory reference; returns its latency.
-  i64 ref(Proc& p, i64 addr, i64 size, bool is_write);
+  /// Issue one shared-memory reference by `proc` at local time `now`;
+  /// returns its latency.
+  i64 ref(int proc, i64 addr, i64 size, bool is_write, i64 now);
   void flush_stage();
   void store_scalar(i64 addr, i64 size, i64 bits);
   i64 load_scalar(i64 addr, i64 size) const;
 
   const CodeImage& img_;
   MachineOptions opt_;
-  UniformMemory uniform_{2};
-  MemorySystem* memsys_;
   std::vector<u8> mem_;
   std::vector<Proc> procs_;
   std::vector<MemRef> stage_;  // staged refs awaiting sink delivery

@@ -1,8 +1,9 @@
 // Memory-system timing interface for the execution-driven interpreter.
 //
-// In trace mode a UniformMemory gives every reference the same cost and
-// timing does not matter; in KSR mode (sim/ksr.h) each reference goes
-// through a coherent cache and pays hit/miss/ring-contention latencies.
+// In trace mode the interpreter runs without one and every reference
+// costs the same (MachineOptions::kTraceRefCycles), so timing does not
+// matter; in KSR mode (sim/ksr.h) each reference goes through a coherent
+// cache and pays hit/miss/ring-contention latencies.
 #pragma once
 
 #include "support/common.h"
@@ -17,16 +18,6 @@ class MemorySystem {
   /// latency in cycles.
   virtual i64 access(int proc, i64 addr, i64 size, bool is_write,
                      i64 now) = 0;
-};
-
-/// Every reference costs the same (trace-generation mode).
-class UniformMemory : public MemorySystem {
- public:
-  explicit UniformMemory(i64 cycles = 2) : cycles_(cycles) {}
-  i64 access(int, i64, i64, bool, i64) override { return cycles_; }
-
- private:
-  i64 cycles_;
 };
 
 }  // namespace fsopt

@@ -1140,12 +1140,23 @@ MultiReplayResult replay_multi(const EncodedTrace& trace,
                                const std::vector<CacheParams>& params,
                                const AddressMap* attribution, int threads,
                                std::vector<ConflictGraph>* conflicts) {
-  // Encoded input goes through the pipelined replay: on a multi-core
-  // host the varint decode of the next chunk overlaps the simulation
-  // of the current one (and on a single core it degrades to the serial
-  // replay, same stream either way).
+  // A single plane group goes through the pipelined replay: on a
+  // multi-core host the varint decode of the next chunk overlaps the
+  // simulation of the current one (on a single core it degrades to the
+  // serial replay, same stream either way).  When the planes are split
+  // across workers every core already simulates, so each group decodes
+  // inline instead of adding a decoder thread (and its allocator arena)
+  // per group.
+  if (threads == 0) threads = default_thread_count();
+  const bool one_group = threads <= 1 || params.size() <= 1;
   return replay_multi_impl(
-      trace.size(), [&](TraceSink& sink) { trace.replay_pipelined(sink); },
+      trace.size(),
+      [&](TraceSink& sink) {
+        if (one_group)
+          trace.replay_pipelined(sink);
+        else
+          trace.replay(sink);
+      },
       params, attribution, threads, conflicts);
 }
 

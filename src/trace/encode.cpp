@@ -56,9 +56,50 @@ inline u8 pack_meta(const MemRef& r) {
 
 }  // namespace
 
+bool AddressRelocation::map_word(i64 from, i64 to) {
+  if (from < 0 || to < 0 || from % 4 != 0 || to % 4 != 0) return false;
+  const size_t fw = static_cast<size_t>(from / 4);
+  const size_t tw = static_cast<size_t>(to / 4);
+  FSOPT_CHECK(tw < 0xFFFFFFFFu, "relocation target beyond 16 GiB");
+  if (fw >= to_.size()) to_.resize(fw + 1, 0);
+  if (tw >= claimed_.size()) claimed_.resize(tw + 1, 0);
+  if (to_[fw] != 0) return to_[fw] == tw + 1;
+  if (claimed_[tw] != 0) return false;
+  to_[fw] = static_cast<u32>(tw + 1);
+  claimed_[tw] = 1;
+  ++words_;
+  return true;
+}
+
+void AddressRelocation::apply(MemRef* refs, size_t n) const {
+  const u32* to = to_.data();
+  const u64 words = to_.size();
+  for (size_t i = 0; i < n; ++i) {
+    const u64 w = static_cast<u64>(refs[i].addr) >> 2;
+    const u32 t = w < words ? to[w] : 0;
+    if (t == 0)
+      throw InternalError("relocated trace references unmapped address " +
+                          std::to_string(refs[i].addr));
+    refs[i].addr = (static_cast<i64>(t - 1) << 2) | (refs[i].addr & 3);
+  }
+}
+
+const std::vector<EncodedChunk>& EncodedTrace::chunks() const {
+  static const std::vector<EncodedChunk> kNone;
+  return chunks_ != nullptr ? *chunks_ : kNone;
+}
+
+EncodedTrace EncodedTrace::relocated(
+    std::shared_ptr<const AddressRelocation> reloc) const {
+  FSOPT_CHECK(reloc_ == nullptr, "trace is already relocated");
+  EncodedTrace out = *this;
+  out.reloc_ = std::move(reloc);
+  return out;
+}
+
 u64 EncodedTrace::memory_bytes() const {
   u64 total = 0;
-  for (const EncodedChunk& c : chunks_)
+  for (const EncodedChunk& c : chunks())
     total += sizeof(EncodedChunk) + c.meta.size() + c.addr.size();
   return total;
 }
@@ -139,6 +180,13 @@ struct ChunkCursor {
                   "trailing bytes in encoded trace chunk");
     return n;
   }
+
+  /// next(), then relocate what was decoded (reloc may be null).
+  size_t next(MemRef* out, size_t cap, const AddressRelocation* reloc) {
+    const size_t n = next(out, cap);
+    if (reloc != nullptr) reloc->apply(out, n);
+    return n;
+  }
 };
 
 }  // namespace
@@ -161,20 +209,20 @@ size_t replay_batch_refs() {
 }
 
 void EncodedTrace::decode_chunk(size_t k, std::vector<MemRef>& out) const {
-  const EncodedChunk& c = chunks_[k];
+  const EncodedChunk& c = chunks()[k];
   out.resize(c.refs);
   ChunkCursor cur(c);
-  const size_t n = cur.next(out.data(), c.refs);
+  const size_t n = cur.next(out.data(), c.refs, reloc_.get());
   FSOPT_CHECK(n == c.refs && cur.done(),
               "corrupt run length in encoded trace chunk");
 }
 
 void EncodedTrace::replay(TraceSink& sink) const {
   std::vector<MemRef> scratch(replay_batch_refs());
-  for (const EncodedChunk& c : chunks_) {
+  for (const EncodedChunk& c : chunks()) {
     ChunkCursor cur(c);
     while (!cur.done()) {
-      const size_t n = cur.next(scratch.data(), scratch.size());
+      const size_t n = cur.next(scratch.data(), scratch.size(), reloc_.get());
       if (n != 0) sink.on_batch(scratch.data(), n);
     }
   }
@@ -184,8 +232,9 @@ void EncodedTrace::replay_pipelined(TraceSink& sink) const {
   const char* env = std::getenv("FSOPT_PIPELINE");
   const bool forced_off = env != nullptr && env[0] == '0' && env[1] == '\0';
   const bool forced_on = env != nullptr && env[0] == '1' && env[1] == '\0';
+  const std::vector<EncodedChunk>& chunks = this->chunks();
   const bool threaded =
-      !forced_off && chunks_.size() >= 2 &&
+      !forced_off && chunks.size() >= 2 &&
       (forced_on || std::thread::hardware_concurrency() >= 2);
   if (!threaded) {
     // Nothing to overlap (or no spare hardware thread to decode on):
@@ -215,7 +264,7 @@ void EncodedTrace::replay_pipelined(TraceSink& sink) const {
   std::thread decoder([&] {
     try {
       size_t which = 0;
-      for (const EncodedChunk& c : chunks_) {
+      for (const EncodedChunk& c : chunks) {
         Slot& s = slots[which];
         {
           std::unique_lock<std::mutex> lk(mu);
@@ -225,7 +274,7 @@ void EncodedTrace::replay_pipelined(TraceSink& sink) const {
         obs::Span span("replay", "decode_chunk");
         s.refs.resize(c.refs);
         ChunkCursor cur(c);
-        const size_t n = cur.next(s.refs.data(), c.refs);
+        const size_t n = cur.next(s.refs.data(), c.refs, reloc_.get());
         FSOPT_CHECK(n == c.refs && cur.done(),
                     "corrupt run length in encoded trace chunk");
         s.n = n;
@@ -249,7 +298,7 @@ void EncodedTrace::replay_pipelined(TraceSink& sink) const {
   });
 
   size_t which = 0;
-  size_t chunks_left = chunks_.size();
+  size_t chunks_left = chunks.size();
   try {
     while (chunks_left > 0) {
       Slot& s = slots[which];
@@ -316,11 +365,11 @@ void TraceEncoder::append(const MemRef* refs, size_t n) {
       flush_run();
       cur_.meta.shrink_to_fit();
       cur_.addr.shrink_to_fit();
-      out_.chunks_.push_back(std::move(cur_));
+      chunks_.push_back(std::move(cur_));
       cur_ = EncodedChunk{};
       std::memset(last_addr_, 0, sizeof(last_addr_));
     }
-    ++out_.size_;
+    ++size_;
   }
 }
 
@@ -329,13 +378,17 @@ EncodedTrace TraceEncoder::take() {
   if (cur_.refs > 0) {
     cur_.meta.shrink_to_fit();
     cur_.addr.shrink_to_fit();
-    out_.chunks_.push_back(std::move(cur_));
+    chunks_.push_back(std::move(cur_));
     cur_ = EncodedChunk{};
   }
   std::memset(last_addr_, 0, sizeof(last_addr_));
-  EncodedTrace done = std::move(out_);
+  EncodedTrace done;
+  done.chunks_ =
+      std::make_shared<const std::vector<EncodedChunk>>(std::move(chunks_));
+  done.size_ = size_;
   done.chunk_refs_ = chunk_refs_;
-  out_ = EncodedTrace{};
+  chunks_.clear();
+  size_ = 0;
   return done;
 }
 

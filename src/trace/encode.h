@@ -24,8 +24,14 @@
 // TraceEncoder is a TraceSink, so the interpreter can record straight
 // into the compressed form (driver record_encoded_trace) — the raw
 // 16-byte stream never exists in memory.
+//
+// A recorded trace is also *relocatable*: EncodedTrace::relocated wraps
+// the same chunks with an AddressRelocation the decoder applies to every
+// reference it emits, so one recording can stand in for the recording of
+// any other layout of the same program (driver TraceCache).
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "trace/trace.h"
@@ -39,16 +45,49 @@ struct EncodedChunk {
   std::vector<u8> addr;  // per-proc delta, zigzag varint
 };
 
+/// A word-granular address map from one layout of a program to another:
+/// each 4-byte word of the recorded layout maps to the word holding the
+/// same datum element in the target layout.  The map must be a bijection
+/// on the words it covers (map_word refuses anything else), so a stream
+/// passed through it is exactly the stream the target layout would have
+/// recorded whenever the two layouts issue the same references
+/// (interp relocation_between decides when they do).
+class AddressRelocation {
+ public:
+  /// Map the word at `from` to the one at `to`.  Returns false when an
+  /// address is negative or not 4-byte aligned, when `from` already maps
+  /// elsewhere, or when `to` is already the image of another word; the
+  /// relocation is then unusable.
+  bool map_word(i64 from, i64 to);
+  /// Words mapped so far.
+  size_t words() const { return words_; }
+  /// Rewrite each reference's address in place.  Throws InternalError
+  /// on an address outside every mapped word.
+  void apply(MemRef* refs, size_t n) const;
+
+ private:
+  std::vector<u32> to_;      // by source word: target word + 1, 0 = none
+  std::vector<u8> claimed_;  // by target word: already an image
+  size_t words_ = 0;
+};
+
 /// A compressed recorded trace: decode-only once built (use TraceEncoder
 /// or encode_trace to build one).  Replay is const — concurrent replays
-/// and per-chunk decodes into independent sinks are safe.
+/// and per-chunk decodes into independent sinks are safe.  Copies share
+/// the encoded chunks.
 class EncodedTrace {
  public:
   u64 size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  size_t chunk_count() const { return chunks_.size(); }
+  size_t chunk_count() const { return chunks().size(); }
   /// References in chunk `k`.
-  size_t chunk_size(size_t k) const { return chunks_[k].refs; }
+  size_t chunk_size(size_t k) const { return chunks()[k].refs; }
+
+  /// This trace with every decoded address passed through `reloc`.  The
+  /// result shares the encoded chunks (nothing is copied or re-encoded);
+  /// decode_chunk, replay and replay_pipelined all deliver relocated
+  /// references, so every consumer sees the relocated stream.
+  EncodedTrace relocated(std::shared_ptr<const AddressRelocation> reloc) const;
 
   /// Heap bytes held by the encoded columns.
   u64 memory_bytes() const;
@@ -85,7 +124,10 @@ class EncodedTrace {
 
  private:
   friend class TraceEncoder;
-  std::vector<EncodedChunk> chunks_;
+  const std::vector<EncodedChunk>& chunks() const;
+
+  std::shared_ptr<const std::vector<EncodedChunk>> chunks_;
+  std::shared_ptr<const AddressRelocation> reloc_;  // null: as recorded
   u64 size_ = 0;
   size_t chunk_refs_ = 0;
 };
@@ -100,7 +142,7 @@ class TraceEncoder : public TraceSink {
   void on_ref(const MemRef& ref) override { append(&ref, 1); }
   void on_batch(const MemRef* refs, size_t n) override { append(refs, n); }
 
-  u64 size() const { return out_.size_; }
+  u64 size() const { return size_; }
 
   /// Finalize and return the encoded trace; the encoder is left empty
   /// and may be reused.
@@ -114,7 +156,8 @@ class TraceEncoder : public TraceSink {
   void append(const MemRef* refs, size_t n);
   void flush_run();
 
-  EncodedTrace out_;
+  std::vector<EncodedChunk> chunks_;
+  u64 size_ = 0;
   EncodedChunk cur_;
   size_t chunk_refs_;
   i64 last_addr_[kMaxProcs];

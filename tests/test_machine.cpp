@@ -4,6 +4,7 @@
 
 #include "driver/compiler.h"
 #include "driver/experiment.h"
+#include "workloads/workloads.h"
 
 namespace fsopt {
 namespace {
@@ -303,6 +304,75 @@ TEST_P(TransformSafety, SameResultsUnderAllLayouts) {
 
 INSTANTIATE_TEST_SUITE_P(Procs, TransformSafety,
                          ::testing::Values(1, 2, 4, 8));
+
+// The interpreter's exact behaviour on every workload, N and C: the
+// recorded reference stream (count + FNV-1a over every field of every
+// reference, in order) and the KSR2 model's cycles and instruction count.
+// Any change to the scheduler's interleaving, the calling convention or
+// reference timing moves these; speed-ups of the interpreter must not.
+TEST(MachineGolden, StreamsAndKsrCyclesMatchCapturedValues) {
+  struct Golden {
+    const char* workload;
+    bool optimize;
+    u64 refs;
+    u64 stream_hash;
+    i64 ksr_cycles;
+    u64 instructions;
+  };
+  static const Golden kGolden[] = {
+      {"maxflow", false, 111757u, 0x9126979773240df3ull, 1644532, 2316440u},
+      {"maxflow", true, 111757u, 0x3aa6f907c721e55eull, 1445070, 2326633u},
+      {"pverify", false, 224363u, 0xdb7c8dd415d39568ull, 2757241, 1888414u},
+      {"pverify", true, 298846u, 0x240e152814b9075aull, 822013, 1887910u},
+      {"topopt", false, 237797u, 0x8dd3c6b099303176ull, 1416815, 4788527u},
+      {"topopt", true, 254501u, 0x85a0287c82481ba2ull, 683981, 4788577u},
+      {"fmm", false, 348890u, 0x1bb9f78f6efe0fbeull, 4273784, 9454663u},
+      {"fmm", true, 348890u, 0xde654e93ecd3411dull, 1736314, 9451367u},
+      {"radiosity", false, 109637u, 0xdd91d3a95e1321bbull, 2680804, 9759934u},
+      {"radiosity", true, 109637u, 0x85da4cfb81b99d28ull, 1650222, 9759630u},
+      {"raytrace", false, 421445u, 0x3f5c3f839a8238b2ull, 1095951, 4937425u},
+      {"raytrace", true, 421445u, 0x728e32c707059b7aull, 696666, 4937639u},
+      {"locusroute", false, 56048u, 0xd289e61402d09e7dull, 456525, 2763831u},
+      {"locusroute", true, 56048u, 0x74f03aafda57b441ull, 369232, 2764017u},
+      {"mp3d", false, 81869u, 0x2a8161d19727191dull, 1593462, 2069974u},
+      {"mp3d", true, 81869u, 0x03574bb89fbaccc1ull, 852819, 2072345u},
+      {"pthor", false, 46815u, 0x141af240953909bbull, 1014567, 1881074u},
+      {"pthor", true, 59008u, 0x8a25f86978954e75ull, 554440, 1880633u},
+      {"water", false, 125012u, 0x3aab7b2300b66d3aull, 2141497, 8233453u},
+      {"water", true, 125012u, 0x06da8bd70bce483eull, 909833, 8232819u},
+  };
+  for (const Golden& g : kGolden) {
+    const workloads::Workload& w = workloads::get(g.workload);
+    CompileOptions o;
+    o.overrides = w.sim_overrides;
+    o.overrides["NPROCS"] = w.fig3_procs;
+    o.optimize = g.optimize;
+    Compiled c = compile_source(w.natural, o);
+    u64 h = 1469598103934665603ull;
+    u64 n = 0;
+    auto mix = [&h](u64 v) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+      }
+    };
+    CallbackSink sink([&](const MemRef& r) {
+      mix(static_cast<u64>(r.addr));
+      mix(r.size);
+      mix(r.proc);
+      mix(static_cast<u64>(r.type));
+      ++n;
+    });
+    run_program(c, &sink);
+    TimingResult t = run_ksr(c);
+    const std::string what =
+        std::string(g.workload) + (g.optimize ? "/C" : "/N");
+    EXPECT_EQ(n, g.refs) << what;
+    EXPECT_EQ(h, g.stream_hash) << what;
+    EXPECT_EQ(t.cycles, g.ksr_cycles) << what;
+    EXPECT_EQ(t.instructions, g.instructions) << what;
+  }
+}
 
 }  // namespace
 }  // namespace fsopt

@@ -23,6 +23,7 @@
 #include "driver/experiment.h"
 #include "lang/sema.h"
 #include "support/json.h"
+#include "workloads/workloads.h"
 
 namespace fsopt {
 namespace {
@@ -120,21 +121,31 @@ struct SearchHarness {
     return in;
   }
 
+  Compiled compile_with(const TransformPlan& p) const {
+    CompileOptions o = options;
+    o.plan = std::make_shared<TransformPlan>(p);
+    return compile_source(source, o);
+  }
+
+  /// Score one candidate from its trace, as the driver's evaluator does.
+  PlanScore score(const Compiled& c, const EncodedTrace& trace) const {
+    TraceStudyResult st = replay_trace_study(trace, c, blocks, 32 * 1024,
+                                             nullptr, threads, 0, false);
+    PlanScore s;
+    for (i64 b : blocks) {
+      s.fs[b] = st.at(b).false_sharing;
+      s.cold_capacity[b] = st.at(b).cold + st.at(b).replacement;
+    }
+    s.footprint = c.layout.total_bytes();
+    return s;
+  }
+
   PlanEvaluator evaluator() {
     return [this](const TransformPlan& p) {
       auto it = memo->find(key_of(p));
       if (it != memo->end()) return it->second;
-      CompileOptions o = options;
-      o.plan = std::make_shared<TransformPlan>(p);
-      Compiled c = compile_source(source, o);
-      TraceStudyResult st =
-          run_trace_study(c, blocks, 32 * 1024, nullptr, threads, 0, false);
-      PlanScore s;
-      for (i64 b : blocks) {
-        s.fs[b] = st.at(b).false_sharing;
-        s.cold_capacity[b] = st.at(b).cold + st.at(b).replacement;
-      }
-      s.footprint = c.layout.total_bytes();
+      Compiled c = compile_with(p);
+      PlanScore s = score(c, record_encoded_trace(c));
       (*memo)[key_of(p)] = s;
       return s;
     };
@@ -337,6 +348,85 @@ TEST(SearchDeterminism, BitIdenticalAcrossThreadsAndRuns) {
   }
   EXPECT_EQ(docs[0], docs[1]) << "threads=1 vs threads=4";
   EXPECT_EQ(docs[0], docs[2]) << "repeated run";
+}
+
+// ---------------------------------------------------------------------------
+// Relocated candidate traces: every candidate takes its trace from a
+// TraceCache.  Each relocated trace must equal a fresh recording of the
+// candidate reference for reference, the cache must record once per plan
+// shape (no candidate here adds indirection, so exactly once), and the
+// search must land on a byte-identical result.
+// ---------------------------------------------------------------------------
+
+TEST(SearchRelocation, EveryCandidateTraceEqualsAFreshRecording) {
+  struct Case {
+    const char* src;
+    i64 nprocs;
+  };
+  for (const Case& k : {Case{kTwoArrays, 4}, Case{kReorder, 8}}) {
+    SearchHarness h = SearchHarness::make(k.src, k.nprocs);
+    TraceCache cache;
+    u64 evaluated = 0;
+    PlanEvaluator relocating = [&](const TransformPlan& p) {
+      Compiled c = h.compile_with(p);
+      EncodedTrace trace = cache.trace(c);
+      VectorSink got, want;
+      trace.replay(got);
+      record_encoded_trace(c).replay(want);
+      EXPECT_EQ(got.refs(), want.refs()) << key_of(p);
+      ++evaluated;
+      return h.score(c, trace);
+    };
+    SearchBudget budget;
+    budget.max_replays = 40;
+    SearchResult r =
+        SearchPlanner(budget, h.blocks, relocating).search(h.inputs());
+    SearchResult ref =
+        SearchPlanner(budget, h.blocks, h.evaluator()).search(h.inputs());
+    EXPECT_EQ(search_result_to_json(r, *h.compiled.prog),
+              search_result_to_json(ref, *h.compiled.prog));
+    EXPECT_EQ(evaluated, r.replays);
+    EXPECT_GE(r.replays, 3u);
+    EXPECT_EQ(cache.recordings(), 1u);
+    EXPECT_EQ(cache.relocations(), evaluated - 1);
+  }
+}
+
+// search_plan end to end on a workload whose plans indirect (pointer
+// loads change the shape): relocating and re-recording every candidate
+// must agree byte for byte, with far fewer recordings.
+TEST(SearchRelocation, SearchPlanIdenticalWithAndWithoutRelocation) {
+  const workloads::Workload& w = workloads::get("pthor");
+  CompileOptions base;
+  base.overrides = w.sim_overrides;
+  base.overrides["NPROCS"] = w.fig3_procs;
+  SearchPlanOptions so;
+  so.budget.max_replays = 12;
+  TraceCache relocating;
+  so.seed.traces = &relocating;
+  SearchPlanResult relocated = search_plan(w.natural, base, so);
+  TraceCache recording(false);
+  so.seed.traces = &recording;
+  SearchPlanResult recorded = search_plan(w.natural, base, so);
+
+  const Program& prog = *relocated.final_compiled.prog;
+  EXPECT_EQ(search_result_to_json(relocated.search, prog),
+            search_result_to_json(recorded.search, prog));
+  EXPECT_EQ(relocated.seed.baseline_sweep, recorded.seed.baseline_sweep);
+  ASSERT_EQ(relocated.seed.iterations.size(),
+            recorded.seed.iterations.size());
+  for (size_t i = 0; i < relocated.seed.iterations.size(); ++i) {
+    EXPECT_EQ(relocated.seed.iterations[i].sweep,
+              recorded.seed.iterations[i].sweep);
+    EXPECT_EQ(relocated.seed.iterations[i].by_datum,
+              recorded.seed.iterations[i].by_datum);
+  }
+  // The same trace requests, served by relocation instead of recording.
+  EXPECT_EQ(recording.relocations(), 0u);
+  EXPECT_GT(recording.recordings(), recorded.search.replays);
+  EXPECT_EQ(relocating.recordings() + relocating.relocations(),
+            recording.recordings());
+  EXPECT_LT(relocating.recordings(), recording.recordings() / 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -297,15 +297,25 @@ int main(int argc, char** argv) {
 
     PipelineMetrics metrics;
     Compiled c;
+    // Every trace below (planner candidates, --diagnose, --miss) comes
+    // from one cache: recorded once per plan shape, relocated otherwise.
+    TraceCache traces;
+    // --diagnose=json owns stdout; narrate the planners on stderr there.
+    FILE* narrate = cli.diagnose_json ? stderr : stdout;
+    auto narrate_traces = [&] {
+      std::fprintf(narrate,
+                   "traces: %llu recording(s), %llu served by relocation\n",
+                   static_cast<unsigned long long>(traces.recordings()),
+                   static_cast<unsigned long long>(traces.relocations()));
+    };
     if (cli.planner == "profile" || cli.planner == "graph") {
       // The detect -> transform -> verify loop (driver/experiment.h).
       RepairLoopOptions rl;
       rl.block_size = cli.options.block_size;
       rl.planner_name = cli.planner;
+      rl.traces = &traces;
       RepairResult rr = repair_loop(source, cli.options, rl);
       c = std::move(rr.final_compiled);
-      // --diagnose=json owns stdout; narrate the loop on stderr there.
-      FILE* narrate = cli.diagnose_json ? stderr : stdout;
       std::fprintf(
           narrate,
           "repair loop (%s): %zu iteration(s)%s, false-sharing misses "
@@ -327,6 +337,7 @@ int main(int argc, char** argv) {
                            rr.baseline_sweep.at(b).false_sharing),
                        static_cast<unsigned long long>(s.false_sharing));
       }
+      narrate_traces();
       if (!cli.conflict_graph_out.empty()) {
         AddressMap am = build_address_map(c);
         std::string doc = "[\n";
@@ -350,9 +361,9 @@ int main(int argc, char** argv) {
       so.seed.block_size = cli.options.block_size;
       so.budget = search_budget_from_env();
       if (cli.search_budget >= 0) so.budget.max_replays = cli.search_budget;
+      so.seed.traces = &traces;
       SearchPlanResult sr = search_plan(source, cli.options, so);
       c = std::move(sr.final_compiled);
-      FILE* narrate = cli.diagnose_json ? stderr : stdout;
       std::fprintf(
           narrate,
           "plan search: %llu candidate replay(s) (%llu generated, %llu "
@@ -369,6 +380,7 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(
                          sr.seed.baseline_sweep.at(b).false_sharing),
                      static_cast<unsigned long long>(fs));
+      narrate_traces();
       if (!cli.pareto_out.empty())
         write_file(cli.pareto_out,
                    search_result_to_json(sr.search, *c.prog));
@@ -425,6 +437,7 @@ int main(int argc, char** argv) {
     if (cli.diagnose) {
       DiagnoseOptions dopt;
       dopt.block_size = cli.options.block_size;
+      dopt.traces = &traces;
       std::string name =
           !cli.workload.empty() ? cli.workload : display_name;
       DiagnosisReport diag = diagnose(c, name, dopt);
@@ -442,7 +455,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(m->refs()));
     }
     if (cli.miss) {
-      auto st = run_trace_study(c, cli.blocks);
+      auto st = replay_trace_study(traces.trace(c), c, cli.blocks);
       std::printf("block   miss-rate   false-sharing   (cold/repl/true/false)\n");
       for (i64 b : cli.blocks) {
         const MissStats& s = st.at(b);
