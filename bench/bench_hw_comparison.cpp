@@ -16,7 +16,7 @@ namespace {
 
 // Every hardware configuration replays the same recorded trace — the
 // interpreter runs once per program version, not once per configuration.
-MissStats replay_with(const TraceBuffer& trace, const Compiled& c,
+MissStats replay_with(const EncodedTrace& trace, const Compiled& c,
                       i64 block, i64 assoc, bool word_inv) {
   CacheParams p{c.nprocs(), 32 * 1024, block, c.code.total_bytes, assoc,
                 word_inv};
@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
         w.unopt, options_for(w, w.fig3_procs, false, false));
     Compiled c = compile_source(
         w.natural, options_for(w, w.fig3_procs, true, false));
-    TraceBuffer nt = record_trace(n);
-    TraceBuffer ct = record_trace(c);
+    EncodedTrace nt = record_encoded_trace(n);
+    EncodedTrace ct = record_encoded_trace(c);
     MissStats base, hw, sw;
     parallel_for_each(experiment_threads(), 3, [&](size_t j) {
       if (j == 0) base = replay_with(nt, n, 128, 1, false);
@@ -70,8 +70,8 @@ int main(int argc, char** argv) {
                               options_for(w, w.fig3_procs, false, false));
   Compiled c = compile_source(w.natural,
                               options_for(w, w.fig3_procs, true, false));
-  TraceBuffer nt = record_trace(n);
-  TraceBuffer ct = record_trace(c);
+  EncodedTrace nt = record_encoded_trace(n);
+  EncodedTrace ct = record_encoded_trace(c);
   const std::vector<i64> assocs = {1, 2, 4, 8};
   std::vector<MissStats> sn(assocs.size()), sc(assocs.size());
   parallel_for_each(experiment_threads(), assocs.size() * 2, [&](size_t j) {

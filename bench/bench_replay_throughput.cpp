@@ -1,34 +1,31 @@
-// Replay-throughput microbench: how fast does one cache configuration
-// chew through a recorded trace, and how does that scale across trace
-// shards?
+// Replay-throughput microbench: how fast do the replay engines chew
+// through a recorded trace?
 //
-// Four comparisons, all on the same replicated workload trace:
+// All comparisons run on the same replicated workload trace:
 //   1. flat-state simulator (sim/cache.h) vs. the pre-flattening
 //      hash-map baseline (baseline_cache.h), single thread;
 //   2. the same pair with per-datum attribution enabled (dense slots vs.
 //      the old string-keyed map on every reference);
-//   3. shard scaling: one configuration split across K trace shards
-//      (driver replay_partitioned), K = 1,2,4,8, with the reusable
-//      partitioning pass timed separately;
 //   4. compressed traces (trace/encode.h): encoded vs raw footprint and
 //      decode throughput, then the block-size sweep run as N dedicated
 //      per-configuration passes vs one single-pass multi-plane walk
-//      (sim/multi.h).
+//      (sim/multi.h), across workloads (4b), with pipelined chunk decode
+//      (4e), and composed with region sharding (4f);
+//   4c. address-map lookup.
 // Every timed replay is cross-checked against the others — the bench
 // fails loudly if any pair of implementations disagrees on a single
 // counter.
 //
 // Extra flags (on top of the shared --threads/--json):
 //   --workload NAME   trace source (default fmm)
-//   --block N         block size for the shard-scaling sweep (default 64)
 //   --target-refs N   replicate the recorded trace to at least N refs
 //                     (default 4000000)
 //   --repeats N       best-of-N timing (default 3)
 //
 // The bench also audits the observability layer (src/obs/): it hard-fails
 // if replay stats differ with tracing on vs. off, or if the cost of the
-// *disabled* instrumentation on a sharded replay exceeds 2% of the replay
-// itself.
+// *disabled* instrumentation on a composed sharded sweep exceeds 2% of
+// the replay itself.
 #include <cmath>
 #include <cstdlib>
 #include <thread>
@@ -36,7 +33,6 @@
 #include "baseline_cache.h"
 #include "bench_util.h"
 #include "obs/obs.h"
-#include "support/simd.h"
 #include "support/timing.h"
 
 using namespace fsopt;
@@ -56,35 +52,11 @@ std::string human(double refs_per_sec) {
   return fixed(refs_per_sec / 1e6, 1) + " Mref/s";
 }
 
-/// Order-sensitive FNV-1a over every counter of every plane, reduced to
-/// 32 bits so it round-trips exactly through the JSON doubles.  CI runs
-/// the bench once with FSOPT_SIMD=0 and once with it unset and diffs
-/// this fingerprint — any engine-path-dependent counter changes it.
-u32 fingerprint_stats(const std::vector<MissStats>& v) {
-  u64 h = 1469598103934665603ull;
-  auto mix = [&h](u64 x) {
-    h ^= x;
-    h *= 1099511628211ull;
-  };
-  for (const MissStats& s : v) {
-    mix(s.refs);
-    mix(s.hits);
-    mix(s.cold);
-    mix(s.replacement);
-    mix(s.true_sharing);
-    mix(s.false_sharing);
-    mix(s.upgrades);
-    mix(s.invalidations);
-  }
-  return static_cast<u32>(h ^ (h >> 32));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   BenchOptions bo = parse_bench_args(argc, argv, /*allow_unknown=*/true);
   std::string workload = "fmm";
-  i64 scale_block = 64;
   u64 target_refs = 4'000'000;
   int repeats = 3;
   for (int i = 1; i < argc; ++i) {
@@ -99,8 +71,6 @@ int main(int argc, char** argv) {
     };
     if (a == "--workload") {
       workload = next();
-    } else if (a == "--block") {
-      scale_block = std::atoll(next());
     } else if (a == "--target-refs") {
       target_refs = static_cast<u64>(std::atoll(next()));
     } else if (a == "--repeats") {
@@ -108,7 +78,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--json PATH] [--workload NAME]"
-                   " [--block N] [--target-refs N] [--repeats N]\n",
+                   " [--target-refs N] [--repeats N]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -118,7 +88,8 @@ int main(int argc, char** argv) {
   Compiled c =
       compile_source(w.unopt, options_for(w, w.fig3_procs, false, false));
   AddressMap amap = build_address_map(c);
-  TraceBuffer base = record_trace(c);
+  TraceBuffer base;
+  run_program(c, &base);
 
   // Replicate the recorded stream until it is big enough that per-replay
   // timing noise is small; state carries across repetitions, which is
@@ -135,19 +106,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(trace.size() / base.size()),
               repeats);
 
-  // Scaling numbers are only interpretable against the cores actually
-  // available: K shards on an N<K-core machine can at best tie the
-  // N-shard wall clock, so the efficiency metric below normalises by
-  // min(K, cpus).
+  // K shards on an N<K-core machine can at best tie the N-shard wall
+  // clock, so the pipeline and composed sections below only mean
+  // something next to the core count of the host that produced them.
   int cpus = std::max(1u, std::thread::hardware_concurrency());
 
   JsonReport json;
   json.add(workload, "refs", refs);
   json.add(workload, "cpus", static_cast<double>(cpus));
-  // The simd / pipeline / composed sections below are schedule-dependent:
-  // their ratios only mean something next to the vector features and the
-  // core count of the host that produced them.
-  json.meta("cpu_features", simd::cpu_features());
   json.meta("cpus", static_cast<double>(cpus));
   if (cpus == 1)
     json.meta("note",
@@ -220,58 +186,6 @@ int main(int argc, char** argv) {
   std::printf("--- serial: flat-state vs hash-map baseline ---\n%s\n",
               serial.render().c_str());
 
-  // --- 3: shard scaling at one block size ------------------------------
-  // The partition is a reusable record-once artifact (it depends only on
-  // block size and shard count), so it is timed separately from the
-  // parallel replay it feeds.
-  CacheParams sp{c.nprocs(), 32 * 1024, scale_block, c.code.total_bytes};
-  std::string sblk = std::to_string(scale_block);
-
-  MissStats serial_stats;
-  double t1 = best_of(repeats, [&] {
-    CacheSim sim(sp);
-    trace.replay(sim);
-    serial_stats = sim.stats();
-  });
-
-  TextTable scaling({"shards", "partition", "replay", "refs/s", "scaling",
-                     "efficiency"});
-  scaling.add_row({"1", "-", fixed(t1, 3) + "s", human(refs / t1), "1.00x",
-                   "1.00"});
-  json.add(workload, "shard1_refs_per_sec_b" + sblk, refs / t1);
-  for (int k : {2, 4, 8}) {
-    int eff = effective_shard_count(k, sp);
-    if (eff != k) {
-      std::printf("(skipping %d shards: clamped to %d for this config)\n",
-                  k, eff);
-      continue;
-    }
-    double t_part = 0;
-    TracePartition part;
-    t_part = time_once(
-        [&] { part = partition_trace(trace, scale_block, k); });
-    ShardedReplayResult r;
-    double t_replay = best_of(
-        repeats, [&] { r = replay_partitioned(part, sp, nullptr, k); });
-    if (r.stats != serial_stats)
-      mismatch("serial and sharded stats", scale_block);
-    std::string ks = std::to_string(k);
-    double speedup = t1 / t_replay;
-    double efficiency = speedup / std::min(k, cpus);
-    scaling.add_row({ks, fixed(t_part, 3) + "s", fixed(t_replay, 3) + "s",
-                     human(refs / t_replay), fixed(speedup, 2) + "x",
-                     fixed(efficiency, 2)});
-    json.add(workload, "shard" + ks + "_refs_per_sec_b" + sblk,
-             refs / t_replay);
-    json.add(workload, "shard" + ks + "_scaling_b" + sblk, speedup);
-    json.add(workload, "shard" + ks + "_efficiency_b" + sblk, efficiency);
-    json.add(workload, "partition_sec_shard" + ks + "_b" + sblk, t_part);
-  }
-  std::printf("--- shard scaling at block %s (replay phase, %d cpu%s) ---\n"
-              "%s\n",
-              sblk.c_str(), cpus, cpus == 1 ? "" : "s",
-              scaling.render().c_str());
-
   // Headline sweep ratio of the --workload trace, reused by the
   // cross-workload geomean below.
   double main_sweep_speedup = 0;
@@ -283,10 +197,14 @@ int main(int argc, char** argv) {
   // pass over the raw trace per paper block size, the per-block times
   // already measured in section 1 — vs one single-pass multi-plane walk
   // of the encoded trace (sim/multi.h).  Every plane's stats must match
-  // the dedicated serial replay bit for bit.
+  // the dedicated serial replay bit for bit.  The encoded trace and the
+  // sweep's plane set serve every section below.
+  EncodedTrace enc;
+  double t_encode = time_once([&] { enc = encode_trace(trace); });
+  std::vector<CacheParams> params;
+  for (i64 b : paper_block_sizes())
+    params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
   {
-    EncodedTrace enc;
-    double t_encode = time_once([&] { enc = encode_trace(trace); });
     if (enc.size() != trace.size()) mismatch("raw and encoded sizes", 0);
     double raw_bytes = static_cast<double>(trace.memory_bytes());
     double enc_bytes = static_cast<double>(enc.memory_bytes());
@@ -317,9 +235,6 @@ int main(int argc, char** argv) {
 
     // The sweep: sum of the dedicated per-block replays vs one walk.
     std::vector<i64> blocks = paper_block_sizes();
-    std::vector<CacheParams> params;
-    for (i64 b : blocks)
-      params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
     double t_serial_sweep = 0;
     for (double t : flat_time) t_serial_sweep += t;
 
@@ -371,7 +286,8 @@ int main(int argc, char** argv) {
       Compiled c2 =
           compile_source(w2.unopt, options_for(w2, w2.fig3_procs, false,
                                                false));
-      TraceBuffer base2 = record_trace(c2);
+      TraceBuffer base2;
+      run_program(c2, &base2);
       TraceBuffer t2;
       do {
         base2.replay(t2);
@@ -412,78 +328,12 @@ int main(int argc, char** argv) {
                 sweeps.render().c_str());
   }
 
-  // --- 4d: simd engine path, forced-scalar vs runtime-dispatched -------
-  // Cross-invocation timing drifts ~15% on shared hosts, so the scalar
-  // baseline and the dispatched engine run in one process: the engine
-  // snapshots the active kernel set at construction, and set_force_scalar
-  // flips which set a fresh engine picks up.  The two walks must agree on
-  // every counter of every plane — that fingerprint is also the value CI
-  // diffs across its FSOPT_SIMD=0 / unset runs.
-  {
-    EncodedTrace enc = encode_trace(trace);
-    std::vector<CacheParams> params;
-    for (i64 b : paper_block_sizes())
-      params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
-
-    simd::set_force_scalar(1);
-    MultiReplayResult m_scalar;
-    double t_scalar = best_of(repeats, [&] {
-      m_scalar = replay_multi(enc, params, nullptr, /*threads=*/1);
-    });
-    simd::set_force_scalar(-1);  // back to FSOPT_SIMD / detection
-    MultiReplayResult m_simd;
-    double t_simd = best_of(repeats, [&] {
-      m_simd = replay_multi(enc, params, nullptr, /*threads=*/1);
-    });
-    simd::set_batch_vector(1);
-    MultiReplayResult m_batch;
-    double t_batch = best_of(repeats, [&] {
-      m_batch = replay_multi(enc, params, nullptr, /*threads=*/1);
-    });
-    simd::set_batch_vector(-1);
-    for (size_t i = 0; i < params.size(); ++i) {
-      if (m_scalar.stats[i] != m_simd.stats[i])
-        mismatch("forced-scalar and dispatched engine stats",
-                 params[i].block_size);
-      if (m_scalar.stats[i] != m_batch.stats[i])
-        mismatch("forced-scalar and vector-batch engine stats",
-                 params[i].block_size);
-    }
-
-    const double nwork = refs * static_cast<double>(params.size());
-    std::printf("--- simd engine path (host: %s) ---\n",
-                simd::cpu_features().c_str());
-    TextTable st({"engine", "time", "throughput", "speedup"});
-    st.add_row({"forced scalar", fixed(t_scalar, 3) + "s",
-                human(nwork / t_scalar), "1.00"});
-    st.add_row({std::string(simd::level_name(simd::active_level())) +
-                    " kernels",
-                fixed(t_simd, 3) + "s", human(nwork / t_simd),
-                fixed(t_scalar / t_simd, 2) + "x"});
-    st.add_row({"gather batch loop", fixed(t_batch, 3) + "s",
-                human(nwork / t_batch), fixed(t_scalar / t_batch, 2) + "x"});
-    std::printf("%s\n", st.render().c_str());
-    json.add(workload, "simd_scalar_sec", t_scalar);
-    json.add(workload, "simd_active_sec", t_simd);
-    json.add(workload, "simd_batch_sec", t_batch);
-    json.add(workload, "simd_speedup", t_scalar / t_simd);
-    json.add(workload, "simd_level_active",
-             static_cast<double>(static_cast<int>(simd::active_level())));
-    json.add(workload, "sweep_stats_fingerprint",
-             static_cast<double>(fingerprint_stats(m_simd.stats)));
-  }
-
   // --- 4e: pipelined chunk decode --------------------------------------
   // replay_pipelined overlaps the varint decode of chunk N+1 with the
   // simulation of chunk N.  FSOPT_PIPELINE=1 forces the threaded path so
   // the hand-off (and its bit-identity) is exercised even on one core;
   // the speedup column is only meaningful with >= 2 cores.
   {
-    EncodedTrace enc = encode_trace(trace);
-    std::vector<CacheParams> params;
-    for (i64 b : paper_block_sizes())
-      params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
-
     setenv("FSOPT_PIPELINE", "0", 1);
     MultiReplayResult m_serial;
     double t_serial = best_of(repeats, [&] {
@@ -523,11 +373,6 @@ int main(int argc, char** argv) {
   // interesting numbers are the (reusable) partition cost and the
   // near-1.0 replay ratio.
   {
-    EncodedTrace enc = encode_trace(trace);
-    std::vector<CacheParams> params;
-    for (i64 b : paper_block_sizes())
-      params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
-
     MultiReplayResult m_serial;
     double t_serial = best_of(repeats, [&] {
       m_serial = replay_multi(enc, params, nullptr, /*threads=*/1);
@@ -548,9 +393,9 @@ int main(int argc, char** argv) {
                     k, plan.shards);
         continue;
       }
-      MultiTracePartition part;
+      TracePartition part;
       double t_part = time_once([&] {
-        part = partition_trace_multi(enc, plan.region_bytes, plan.shards);
+        part = partition_trace(enc, plan.region_bytes, plan.shards);
       });
       MultiReplayResult m_comp;
       double t_replay = best_of(repeats, [&] {
@@ -629,30 +474,30 @@ int main(int argc, char** argv) {
 
   // --- 5: observability audit ------------------------------------------
   // (a) stats must be bit-identical with tracing on vs. off; (b) the
-  // disabled instrumentation reached during one sharded replay must cost
-  // < 2% of that replay.  Tracing state is restored afterwards, so a run
-  // under FSOPT_TRACE still dumps its trace at exit.
+  // disabled instrumentation reached during one composed sharded sweep
+  // must cost < 2% of that replay.  Tracing state is restored afterwards,
+  // so a run under FSOPT_TRACE still dumps its trace at exit.
   {
     bool was_enabled = obs::enabled();
-    int audit_shards = effective_shard_count(4, sp);
-    TracePartition part = partition_trace(trace, scale_block, audit_shards);
+    const MultiShardPlan plan = multi_shard_plan(params, 4);
+    TracePartition part =
+        partition_trace(enc, plan.region_bytes, plan.shards);
 
     obs::set_enabled(true);
     obs::TraceData before = obs::collect();
-    ShardedReplayResult traced =
-        replay_partitioned(part, sp, nullptr, audit_shards);
+    MultiReplayResult traced =
+        replay_multi_partitioned(part, params, nullptr, plan.shards);
     obs::TraceData after = obs::collect();
     size_t events =
         (after.span_count() - before.span_count()) +
         (after.counter_count() - before.counter_count());
 
     obs::set_enabled(false);
-    ShardedReplayResult untraced =
-        replay_partitioned(part, sp, nullptr, audit_shards);
+    MultiReplayResult untraced;
     double t_replay = best_of(repeats, [&] {
-      untraced = replay_partitioned(part, sp, nullptr, audit_shards);
+      untraced = replay_multi_partitioned(part, params, nullptr, plan.shards);
     });
-    if (traced.stats != untraced.stats || traced.stats != serial_stats) {
+    if (traced.stats != untraced.stats || traced.stats != flat_by_block) {
       std::fprintf(stderr,
                    "bench_replay_throughput: replay stats differ with "
                    "tracing on vs off — tracing must not perturb results\n");
@@ -672,7 +517,7 @@ int main(int argc, char** argv) {
     std::printf("--- obs overhead audit (%d shards) ---\n"
                 "%zu events/replay x %.1fns disabled cost = %.3gus "
                 "(%.4f%% of %.3fs replay; budget 2%%)\n\n",
-                audit_shards, events, per_event * 1e9, overhead * 1e6,
+                plan.shards, events, per_event * 1e9, overhead * 1e6,
                 100 * frac, t_replay);
     if (frac >= 0.02) {
       std::fprintf(stderr,

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
 
   // Record the unoptimized trace once; the attribution study and the
   // block-size sweep below both replay it.
-  TraceBuffer nt = record_trace(n);
+  EncodedTrace nt = record_encoded_trace(n);
 
   // Per-datum false-sharing attribution for the unoptimized layout.
   AddressMap am = build_address_map(n);

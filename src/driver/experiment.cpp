@@ -1,7 +1,6 @@
 #include "driver/experiment.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -115,23 +114,6 @@ void TraceStudyResult::merge(const TraceStudyResult& other) {
     conflicts[block] = graph;
 }
 
-TraceBuffer record_trace(const Compiled& c) {
-  obs::Span span("record", "record_trace");
-  TraceBuffer trace;
-  MachineOptions mo;
-  mo.sink = &trace;
-  Machine machine(c.code, mo);
-  machine.run();
-  if (span.active()) {
-    span.arg("refs", static_cast<double>(trace.size()));
-    span.arg("nprocs", static_cast<double>(c.nprocs()));
-    double sec = span.elapsed_seconds();
-    if (sec > 0.0)
-      span.arg("refs_per_sec", static_cast<double>(trace.size()) / sec);
-  }
-  return trace;
-}
-
 EncodedTrace record_encoded_trace(const Compiled& c) {
   obs::Span span("record", "record_encoded_trace");
   TraceEncoder enc;
@@ -160,373 +142,72 @@ EncodedTrace record_encoded_trace(const Compiled& c) {
 
 namespace {
 
-/// Traces below this size replay faster than they partition; auto
-/// sharding leaves them alone.
+/// Traces below this size replay faster than they partition; the study
+/// leaves them unsharded.
 constexpr u64 kAutoShardMinRefs = u64{1} << 16;
-/// Auto sharding never splits one configuration further than this (the
-/// partition of each sharded configuration holds a copy of the trace).
+/// The study never splits a trace further than this (each shard holds
+/// its slice of the raw stream).
 constexpr int kAutoShardMax = 8;
 
-/// What one shard of one configuration produces: its own counters plus
-/// the outcomes of split-reference pieces, tagged for reassembly.
-struct ShardJobResult {
-  MissStats stats;
-  std::vector<MissStats> datum;  // dense per-datum slots, or empty
-  struct SplitOutcome {
-    u32 ordinal = 0;
-    u8 part = 0;
-    AccessOutcome out;
-  };
-  std::vector<SplitOutcome> splits;
-};
-
-/// Replay shard `k` of `part` through its own sharded CoherentCache.
-/// Normal references count into the shard's stats; split pieces only
-/// record their outcome (the combined reference is counted once, at
-/// reassembly, exactly as the unsharded simulator counts it inline).
-#if defined(__GNUC__)
-// Like CacheSim::on_batch: inline the whole access chain into the replay
-// loop — the per-reference path is the entire cost of a shard replay.
-__attribute__((flatten))
-#endif
-ShardJobResult
-replay_one_shard(const TracePartition& part, int k,
-                 const CacheParams& params,
-                 const AddressMap* attribution) {
-  obs::Span span("replay", "shard");
-  u64 m_start = obs::metrics_enabled() ? obs::now_ns() : 0;
-  ShardJobResult r;
-  if (attribution != nullptr)
-    r.datum.assign(attribution->ranges().size() + 1, MissStats{});
-  CoherentCache cache(params, ShardSpec{k, part.shards});
-  const TraceShard& sh = part.shard[static_cast<size_t>(k)];
-  size_t si = 0;
-  for (u64 pos = 0; pos <= sh.refs.size(); ++pos) {
-    while (si < sh.splits.size() && sh.splits[si].pos == pos) {
-      const TraceShard::SplitPart& sp = sh.splits[si++];
-      AccessOutcome o = cache.access(sp.sub.proc, sp.sub.addr, sp.sub.size,
-                                     sp.sub.type == RefType::kWrite);
-      r.splits.push_back({sp.ordinal, sp.part, o});
-    }
-    if (pos == sh.refs.size()) break;
-    const MemRef& ref = sh.refs[static_cast<size_t>(pos)];
-    AccessOutcome o = cache.access(ref.proc, ref.addr, ref.size,
-                                   ref.type == RefType::kWrite);
-    r.stats.add(o);
-    if (attribution != nullptr) {
-      int i = attribution->index_of(ref.addr);
-      r.datum[i >= 0 ? static_cast<size_t>(i) : r.datum.size() - 1].add(o);
-    }
-  }
-  if (span.active()) {
-    // One span per shard with throughput and the miss-class counters —
-    // shard imbalance and miss mix read straight off the trace.
-    double refs = static_cast<double>(sh.refs.size() + sh.splits.size());
-    span.arg("shard", static_cast<double>(k));
-    span.arg("block", static_cast<double>(params.block_size));
-    span.arg("refs", refs);
-    double sec = span.elapsed_seconds();
-    if (sec > 0.0) span.arg("refs_per_sec", refs / sec);
-    span.arg("cold", static_cast<double>(r.stats.cold));
-    span.arg("replacement", static_cast<double>(r.stats.replacement));
-    span.arg("true_sharing", static_cast<double>(r.stats.true_sharing));
-    span.arg("false_sharing", static_cast<double>(r.stats.false_sharing));
-  }
-  if (obs::metrics_enabled()) {
-    static obs::Histogram& rps =
-        obs::metric_histogram("replay.shard_refs_per_sec");
-    static obs::Counter& replayed =
-        obs::metric_counter("replay.shard_refs");
-    u64 refs = sh.refs.size() + sh.splits.size();
-    replayed.inc(refs);
-    double sec = static_cast<double>(obs::now_ns() - m_start) * 1e-9;
-    if (sec > 0.0) rps.observe(static_cast<double>(refs) / sec);
-  }
-  return r;
-}
-
-/// Sum the per-shard counters (additive, so any order is exact) and
-/// reassemble split references in ordinal order.
-void combine_shards(const TracePartition& part,
-                    const ShardJobResult* shards, size_t nshards,
-                    const AddressMap* attribution, MissStats& stats,
-                    std::vector<MissStats>& datum) {
-  if (attribution != nullptr)
-    datum.assign(attribution->ranges().size() + 1, MissStats{});
-  for (size_t k = 0; k < nshards; ++k) {
-    const ShardJobResult& s = shards[k];
-    stats.merge(s.stats);
-    for (size_t i = 0; i < s.datum.size(); ++i) datum[i].merge(s.datum[i]);
-  }
-  if (part.split_origin.empty()) return;
-  // Gather every piece of each spanning reference; `part` indices arrive
-  // in block order, which is the order access() merges inline.
-  std::vector<std::array<AccessOutcome, 4>> pieces(part.split_origin.size());
-  std::vector<u8> counts(part.split_origin.size(), 0);
-  for (size_t k = 0; k < nshards; ++k) {
-    for (const ShardJobResult::SplitOutcome& so : shards[k].splits) {
-      FSOPT_CHECK(so.part < 4, "split reference with too many pieces");
-      pieces[so.ordinal][so.part] = so.out;
-      ++counts[so.ordinal];
-    }
-  }
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    AccessOutcome o = combine_split_outcomes(pieces[i].data(), counts[i]);
-    stats.add(o);
-    if (attribution != nullptr) {
-      int d = attribution->index_of(part.split_origin[i].addr);
-      datum[d >= 0 ? static_cast<size_t>(d) : datum.size() - 1].add(o);
-    }
-  }
-}
-
 }  // namespace
-
-ShardedReplayResult replay_partitioned(const TracePartition& part,
-                                       const CacheParams& params,
-                                       const AddressMap* attribution,
-                                       int threads) {
-  FSOPT_CHECK(params.block_size == part.block_size,
-              "partition was built for a different block size");
-  FSOPT_CHECK(effective_shard_count(part.shards, params) == part.shards,
-              "partition shard count does not divide the set count");
-  if (threads <= 0) threads = experiment_threads();
-  ShardedReplayResult out;
-  out.shards = part.shards;
-  std::vector<ShardJobResult> results(static_cast<size_t>(part.shards));
-  parallel_for_each(threads, results.size(), [&](size_t k) {
-    results[k] = replay_one_shard(part, static_cast<int>(k), params,
-                                  attribution);
-  });
-  std::vector<MissStats> datum;
-  combine_shards(part, results.data(), results.size(), attribution,
-                 out.stats, datum);
-  if (attribution != nullptr)
-    out.by_datum = materialize_by_datum(*attribution, datum);
-  return out;
-}
-
-ShardedReplayResult replay_trace_sharded(const TraceBuffer& trace,
-                                         const CacheParams& params,
-                                         int shards,
-                                         const AddressMap* attribution,
-                                         int threads) {
-  int k = effective_shard_count(shards, params);
-  if (k == 1) {
-    ShardedReplayResult out;
-    out.shards = 1;
-    obs::Span span("replay", "config");
-    u64 m_start = obs::metrics_enabled() ? obs::now_ns() : 0;
-    CacheSim sim(params, attribution);
-    trace.replay(sim);
-    out.stats = sim.stats();
-    out.by_datum = sim.by_datum();
-    if (span.active()) {
-      span.arg("block", static_cast<double>(params.block_size));
-      span.arg("refs", static_cast<double>(trace.size()));
-      double sec = span.elapsed_seconds();
-      if (sec > 0.0)
-        span.arg("refs_per_sec", static_cast<double>(trace.size()) / sec);
-    }
-    if (obs::metrics_enabled()) {
-      // An unsharded configuration replay is the 1-shard case; it feeds
-      // the same throughput histogram as the sharded path.
-      static obs::Histogram& rps =
-          obs::metric_histogram("replay.shard_refs_per_sec");
-      static obs::Counter& replayed =
-          obs::metric_counter("replay.shard_refs");
-      replayed.inc(trace.size());
-      double sec = static_cast<double>(obs::now_ns() - m_start) * 1e-9;
-      if (sec > 0.0) rps.observe(static_cast<double>(trace.size()) / sec);
-    }
-    return out;
-  }
-  TracePartition part;
-  {
-    obs::Span span("replay", "partition");
-    part = partition_trace(trace, params.block_size, k);
-    if (span.active()) {
-      span.arg("block", static_cast<double>(params.block_size));
-      span.arg("shards", static_cast<double>(k));
-    }
-  }
-  return replay_partitioned(part, params, attribution, threads);
-}
-
-namespace {
-
-/// Study body shared by the raw and encoded trace overloads (`Trace` is
-/// TraceBuffer or EncodedTrace; both provide size()/replay() and a
-/// partition_trace overload).
-template <typename Trace>
-TraceStudyResult replay_trace_study_impl(const Trace& trace,
-                                         const Compiled& c,
-                                         const std::vector<i64>& block_sizes,
-                                         i64 l1_bytes,
-                                         const AddressMap* attribution,
-                                         int threads, int shards,
-                                         bool collect_conflicts) {
-  if (threads <= 0) threads = experiment_threads();
-  // Conflict collection pins the study to the unsharded single-pass
-  // route: each plane is then simulated exactly once by exactly one
-  // worker, so a single per-plane collector sees every false-sharing
-  // miss.  (Stats are bit-identical on every route; only the graphs
-  // need the single-pass guarantee.)
-  if (collect_conflicts) shards = 1;
-  size_t nconf = block_sizes.size();
-  std::vector<CacheParams> params(nconf);
-  for (size_t i = 0; i < nconf; ++i)
-    params[i] = CacheParams{c.nprocs(), l1_bytes, block_sizes[i],
-                            c.code.total_bytes};
-
-  TraceStudyResult out;
-  out.refs = trace.size();
-
-  // Sharded sweeps go through the composed engine: ONE region-granular
-  // partition serves every configuration, and each shard replays all of
-  // them in a single walk (replay_multi_partitioned) — the trace is
-  // decoded and partitioned once instead of once per configuration.
-  // The composed path claims the whole thread budget (each shard
-  // simulates every plane); an explicit `shards` overrides the auto
-  // budget.  Exactness is unconditional: the composed result is
-  // bit-identical to the serial single-pass replay for every K.
-  const bool auto_shard = shards == 0;
-  const bool big_trace = trace.size() >= kAutoShardMinRefs;
-  int requested = shards;
-  if (auto_shard)
-    requested = big_trace ? std::min(kAutoShardMax, threads) : 1;
-  const MultiShardPlan plan =
-      nconf > 0 ? multi_shard_plan(params, requested) : MultiShardPlan{};
-  if (plan.shards > 1) {
-    MultiTracePartition part;
-    {
-      obs::Span span("replay", "partition");
-      part = partition_trace_multi(trace, plan.region_bytes, plan.shards);
-      if (span.active()) {
-        span.arg("region", static_cast<double>(plan.region_bytes));
-        span.arg("shards", static_cast<double>(plan.shards));
-      }
-    }
-    MultiReplayResult multi =
-        replay_multi_partitioned(part, params, attribution, threads);
-    for (size_t i = 0; i < nconf; ++i) {
-      out.by_block[block_sizes[i]] = multi.stats[i];
-      if (attribution != nullptr)
-        out.by_datum[block_sizes[i]] = std::move(multi.by_datum[i]);
-    }
-    return out;
-  }
-
-  // Composition impossible (heterogeneous geometry the region partition
-  // cannot nest): fall back to per-configuration sharding, dividing the
-  // thread budget among the configurations.
-  int per_config = shards;
-  if (auto_shard) {
-    per_config = nconf > 0 && big_trace
-                     ? static_cast<int>(std::min<size_t>(
-                           kAutoShardMax,
-                           static_cast<size_t>(threads) / nconf))
-                     : 1;
-  }
-  std::vector<int> shard_count(nconf, 1);
-  bool any_sharded = false;
-  for (size_t i = 0; i < nconf; ++i) {
-    shard_count[i] = effective_shard_count(per_config, params[i]);
-    any_sharded = any_sharded || shard_count[i] > 1;
-  }
-
-  if (!any_sharded) {
-    // Single pass: every block size is a plane of one multi-replay, so
-    // the stream is walked once (per plane group) instead of once per
-    // configuration.  Plane grouping across threads never affects any
-    // plane's input sequence, so the result is bit-identical to
-    // independent per-configuration replays for any thread count.
-    if (nconf == 0) return out;
-    std::vector<ConflictGraph> graphs;
-    MultiReplayResult multi =
-        replay_multi(trace, params, attribution, threads,
-                     collect_conflicts ? &graphs : nullptr);
-    for (size_t i = 0; i < nconf; ++i) {
-      out.by_block[block_sizes[i]] = multi.stats[i];
-      if (attribution != nullptr)
-        out.by_datum[block_sizes[i]] = std::move(multi.by_datum[i]);
-      if (collect_conflicts)
-        out.conflicts[block_sizes[i]] = std::move(graphs[i]);
-    }
-    return out;
-  }
-
-  // Two parallel phases over one flattened job list, so configurations
-  // and shards share the thread budget instead of nesting pools:
-  // first every configuration partitions the trace, then every
-  // (configuration, shard) pair replays into its own slot.
-  std::vector<TracePartition> parts(nconf);
-  parallel_for_each(threads, nconf, [&](size_t i) {
-    obs::Span span("replay", "partition");
-    parts[i] = partition_trace(trace, block_sizes[i], shard_count[i]);
-    if (span.active()) {
-      span.arg("block", static_cast<double>(block_sizes[i]));
-      span.arg("shards", static_cast<double>(shard_count[i]));
-    }
-  });
-  std::vector<size_t> offset(nconf + 1, 0);
-  for (size_t i = 0; i < nconf; ++i)
-    offset[i + 1] = offset[i] + static_cast<size_t>(shard_count[i]);
-  std::vector<ShardJobResult> results(offset[nconf]);
-  parallel_for_each(threads, results.size(), [&](size_t j) {
-    size_t i = 0;
-    while (offset[i + 1] <= j) ++i;
-    results[j] = replay_one_shard(parts[i], static_cast<int>(j - offset[i]),
-                                  params[i], attribution);
-  });
-  for (size_t i = 0; i < nconf; ++i) {
-    MissStats stats;
-    std::vector<MissStats> datum;
-    combine_shards(parts[i], results.data() + offset[i],
-                   offset[i + 1] - offset[i], attribution, stats, datum);
-    out.by_block[block_sizes[i]] = stats;
-    if (attribution != nullptr)
-      out.by_datum[block_sizes[i]] = materialize_by_datum(*attribution,
-                                                          datum);
-  }
-  return out;
-}
-
-}  // namespace
-
-TraceStudyResult replay_trace_study(const TraceBuffer& trace,
-                                    const Compiled& c,
-                                    const std::vector<i64>& block_sizes,
-                                    i64 l1_bytes,
-                                    const AddressMap* attribution,
-                                    int threads, int shards,
-                                    bool collect_conflicts) {
-  return replay_trace_study_impl(trace, c, block_sizes, l1_bytes,
-                                 attribution, threads, shards,
-                                 collect_conflicts);
-}
 
 TraceStudyResult replay_trace_study(const EncodedTrace& trace,
                                     const Compiled& c,
                                     const std::vector<i64>& block_sizes,
                                     i64 l1_bytes,
                                     const AddressMap* attribution,
-                                    int threads, int shards,
-                                    bool collect_conflicts) {
-  return replay_trace_study_impl(trace, c, block_sizes, l1_bytes,
-                                 attribution, threads, shards,
-                                 collect_conflicts);
+                                    int threads, bool collect_conflicts) {
+  if (threads <= 0) threads = experiment_threads();
+  TraceStudyResult out;
+  out.refs = trace.size();
+  const size_t nconf = block_sizes.size();
+  if (nconf == 0) return out;
+  std::vector<CacheParams> params(nconf);
+  for (size_t i = 0; i < nconf; ++i)
+    params[i] = CacheParams{c.nprocs(), l1_bytes, block_sizes[i],
+                            c.code.total_bytes};
+
+  // Large traces go through the composed engine: ONE region-granular
+  // partition serves every configuration, and each shard replays all of
+  // them in a single walk (replay_multi_partitioned), claiming the whole
+  // thread budget.  Conflict collection stays unsharded, so one
+  // per-plane collector sees every false-sharing miss.
+  const int requested =
+      collect_conflicts || trace.size() < kAutoShardMinRefs
+          ? 1
+          : std::min(kAutoShardMax, threads);
+  const MultiShardPlan plan = multi_shard_plan(params, requested);
+  std::vector<ConflictGraph> graphs;
+  MultiReplayResult multi;
+  if (plan.shards > 1) {
+    multi = replay_multi_partitioned(
+        partition_trace(trace, plan.region_bytes, plan.shards), params,
+        attribution, threads);
+  } else {
+    // Single pass: every block size is a plane of one walk, the planes
+    // divided among the workers — exact for any geometry, including
+    // sweeps the region partition cannot nest.
+    multi = replay_multi(trace, params, attribution, threads,
+                         collect_conflicts ? &graphs : nullptr);
+  }
+  for (size_t i = 0; i < nconf; ++i) {
+    out.by_block[block_sizes[i]] = multi.stats[i];
+    if (attribution != nullptr)
+      out.by_datum[block_sizes[i]] = std::move(multi.by_datum[i]);
+    if (collect_conflicts)
+      out.conflicts[block_sizes[i]] = std::move(graphs[i]);
+  }
+  return out;
 }
 
 TraceStudyResult run_trace_study(const Compiled& c,
                                  const std::vector<i64>& block_sizes,
                                  i64 l1_bytes,
                                  const AddressMap* attribution,
-                                 int threads, int shards,
-                                 bool collect_conflicts) {
+                                 int threads, bool collect_conflicts) {
   EncodedTrace trace = record_encoded_trace(c);
   return replay_trace_study(trace, c, block_sizes, l1_bytes, attribution,
-                            threads, shards, collect_conflicts);
+                            threads, collect_conflicts);
 }
 
 EncodedTrace TraceCache::trace(const Compiled& c) {
@@ -686,7 +367,7 @@ RepairResult repair_loop_with(const FrontHalf& front,
   // Study one compile across the sweep, its trace from the cache.
   auto study_of = [&](const Compiled& c, const AddressMap& am) {
     return replay_trace_study(traces.trace(c), c, blocks, opt.l1_bytes, &am,
-                              opt.threads, 0, graph);
+                              opt.threads, graph);
   };
 
   RepairResult out;
@@ -873,7 +554,7 @@ SearchPlanResult search_plan(std::string_view source,
     Compiled cand = run_back(front, cand_opt);
     TraceStudyResult study =
         replay_trace_study(traces.trace(cand), cand, blocks, sopt.l1_bytes,
-                           nullptr, sopt.threads, 0, false);
+                           nullptr, sopt.threads);
     PlanScore score;
     for (i64 b : blocks) {
       const MissStats& s = study.at(b);

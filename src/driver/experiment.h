@@ -1,15 +1,15 @@
 // Experiment harness shared by the benchmarks, tests and examples.
 //
 // The pipeline is record-once / replay-many: one interpreter run records
-// the reference stream into a TraceBuffer; every cache configuration
-// (block size) then replays that recorded trace into its own simulator.
-// Replays are independent, so they fan out across a thread pool — as do
-// the compile+run timing jobs of a processor-count sweep.  On top of the
-// cross-configuration fan-out, each configuration's replay can itself be
-// split into trace shards (trace/shard.h) that replay concurrently; the
-// two levels share one thread budget.  Each job owns its simulator and
-// writes into its own result slot, and slots are merged in a fixed order,
-// so results are bit-identical for any thread count and any shard count.
+// the compressed reference stream (EncodedTrace); every cache
+// configuration (block size) is then a plane of one multi-plane replay
+// of that recording (sim/multi.h).  Large traces are additionally split
+// into region shards (trace/shard.h) that replay all planes
+// concurrently; planes and shards share one thread budget, as do the
+// compile+run timing jobs of a processor-count sweep.  Each job owns its
+// simulator and writes into its own result slot, and slots are merged in
+// a fixed order, so results are bit-identical for any thread count and
+// any shard count.
 #pragma once
 
 #include <map>
@@ -61,54 +61,38 @@ struct TraceStudyResult {
 /// compiled layout, for per-datum miss attribution.
 AddressMap build_address_map(const Compiled& c);
 
-/// Execute `c` once in trace mode, recording every shared reference.
-TraceBuffer record_trace(const Compiled& c);
-
 /// Execute `c` once in trace mode, recording straight into the
 /// compressed columnar form (trace/encode.h) — the interpreter's
 /// reference stream is encoded as it is emitted, so the raw 16-byte
 /// stream never exists in memory (~3-5x smaller resident trace).
 EncodedTrace record_encoded_trace(const Compiled& c);
 
-/// Replay a recorded trace against each block size, fanning the replays
-/// across `threads` workers (0 = the experiment_threads() knob).  `c`
-/// only supplies nprocs/total_bytes.
+/// Replay a recorded trace against each block size, every block size a
+/// plane of one walk over the compressed trace, with `threads` workers
+/// (0 = the experiment_threads() knob).  `c` only supplies
+/// nprocs/total_bytes.
 ///
-/// `shards` splits *each* configuration's replay into that many
-/// concurrent trace shards (trace/shard.h) on top of the cross-config
-/// fan-out; the per-config count is clamped with effective_shard_count.
-/// 1 disables sharding; 0 (auto) spends whatever of the thread budget the
-/// cross-config fan-out leaves idle, and skips sharding for small traces
-/// where partitioning would cost more than it buys.  Results are
-/// bit-identical for every thread and shard count.
-/// When no sharding applies (the common sweep shape), the block sizes
-/// are simulated in a single pass over the trace (sim/multi.h) with the
-/// planes divided among the workers; with sharding, each configuration
-/// partitions and replays as before.  Either way the results are
-/// bit-identical to independent per-configuration replays.
+/// Traces of at least 64 Ki references whose sweep the region partition
+/// can nest (multi_shard_plan) are split into up to min(8, threads)
+/// region shards, each simulating every block size
+/// (replay_multi_partitioned);
+/// everything else — small traces, geometries that do not nest such as
+/// {48, 64} B — walks the unpartitioned trace once with the planes
+/// divided among the workers (replay_multi), which is exact for any
+/// geometry.  Results are bit-identical on both routes and for every
+/// thread count.
 ///
 /// `collect_conflicts` additionally accumulates each block size's
 /// word-granularity false-sharing conflict graph (TraceStudyResult::
-/// conflicts).  Collection routes the study through the unsharded
-/// single-pass replay (each plane simulated exactly once) and changes
-/// no statistic — stats stay bit-identical to a non-collecting study.
-TraceStudyResult replay_trace_study(const TraceBuffer& trace,
-                                    const Compiled& c,
-                                    const std::vector<i64>& block_sizes,
-                                    i64 l1_bytes = 32 * 1024,
-                                    const AddressMap* attribution = nullptr,
-                                    int threads = 0, int shards = 0,
-                                    bool collect_conflicts = false);
-
-/// Same study from a compressed trace: the single-pass path decodes
-/// chunk by chunk (never materializing the raw stream), and the sharded
-/// path partitions straight from the encoded chunks.
+/// conflicts).  Collection keeps the study unsharded (each plane
+/// simulated exactly once) and changes no statistic — stats stay
+/// bit-identical to a non-collecting study.
 TraceStudyResult replay_trace_study(const EncodedTrace& trace,
                                     const Compiled& c,
                                     const std::vector<i64>& block_sizes,
                                     i64 l1_bytes = 32 * 1024,
                                     const AddressMap* attribution = nullptr,
-                                    int threads = 0, int shards = 0,
+                                    int threads = 0,
                                     bool collect_conflicts = false);
 
 /// record_encoded_trace + replay_trace_study: the interpreter executes
@@ -118,7 +102,7 @@ TraceStudyResult run_trace_study(const Compiled& c,
                                  const std::vector<i64>& block_sizes,
                                  i64 l1_bytes = 32 * 1024,
                                  const AddressMap* attribution = nullptr,
-                                 int threads = 0, int shards = 0,
+                                 int threads = 0,
                                  bool collect_conflicts = false);
 
 // ---------------------------------------------------------------------------
@@ -162,38 +146,6 @@ class TraceCache {
   u64 recordings_ = 0;
   u64 relocations_ = 0;
 };
-
-/// Result of one sharded single-configuration replay.
-struct ShardedReplayResult {
-  MissStats stats;
-  /// Per-datum attribution (empty unless an AddressMap was supplied).
-  std::map<std::string, MissStats> by_datum;
-  /// The shard count actually used (effective_shard_count of the request).
-  int shards = 1;
-};
-
-/// Replay one cache configuration across `shards` concurrent trace
-/// shards (clamped by effective_shard_count; 1 replays serially without
-/// partitioning).  Bit-identical to an unsharded CacheSim replay for
-/// every shard count — the shard-determinism ctest enforces this.
-ShardedReplayResult replay_trace_sharded(const TraceBuffer& trace,
-                                         const CacheParams& params,
-                                         int shards,
-                                         const AddressMap* attribution =
-                                             nullptr,
-                                         int threads = 0);
-
-/// Replay an already-partitioned trace (partition_trace).  The partition
-/// depends only on (block size, shard count), so it can be built once and
-/// replayed many times — e.g. against different associativities, or
-/// repeatedly in the throughput microbench.  `params` must agree with the
-/// partition's block size, and the partition's shard count must be valid
-/// for `params` (effective_shard_count).
-ShardedReplayResult replay_partitioned(const TracePartition& part,
-                                       const CacheParams& params,
-                                       const AddressMap* attribution =
-                                           nullptr,
-                                       int threads = 0);
 
 // ---------------------------------------------------------------------------
 // The detect -> transform -> verify repair loop.
@@ -443,8 +395,9 @@ SpeedupCurve speedup_sweep(std::string_view source,
 /// Uniprocessor cycles of the unoptimized program (the speedup baseline).
 i64 baseline_cycles(std::string_view source, const CompileOptions& base);
 
-/// Run and check nothing (executes the program once, trace mode); returns
-/// the machine for memory inspection.
+/// Run and check nothing (executes the program once, trace mode, feeding
+/// every shared reference to `sink` when given); returns the machine for
+/// memory inspection.
 std::unique_ptr<Machine> run_program(const Compiled& c,
                                      TraceSink* sink = nullptr);
 

@@ -5,9 +5,9 @@
 // "how much, in aggregate": named instruments that accumulate across the
 // whole process and are snapshotted on demand or at exit, the surface a
 // long-running service (the planned fsoptd) scrapes.  The ad-hoc numbers
-// that used to ride on span args — pool queue depth, per-shard replay
-// refs/sec, codec bytes/ref, repair-loop iterations — register here so
-// one exporter sees all of them.
+// that used to ride on span args — pool queue depth, codec bytes/ref,
+// repair-loop iterations — register here so one exporter sees all of
+// them.
 //
 // The same design constraints as obs.h, in the same priority order:
 //   1. Must not perturb results.  Instruments only accumulate numbers;

@@ -135,7 +135,7 @@ void counter(const char* name, double value);
 /// event into the calling thread's buffer.  When tracing is disabled the
 /// whole object is inert: no clock read, no allocation.
 ///
-///   obs::Span span("replay", "shard");
+///   obs::Span span("replay", "multi_shard");
 ///   ... work ...
 ///   if (span.active()) span.arg("refs", n);
 class Span {

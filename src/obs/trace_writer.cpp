@@ -116,7 +116,7 @@ TraceSummary summarize(const TraceData& data) {
         out.slowest_pass_seconds = sec;
         out.slowest_pass = s.name;
       }
-      if (std::string_view(s.category) == "replay" && s.name == "shard" &&
+      if (std::string_view(s.category) == "replay" && s.name == "multi_shard" &&
           sec > out.slowest_shard_seconds) {
         out.slowest_shard_seconds = sec;
         out.slowest_shard = -1;

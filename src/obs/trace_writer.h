@@ -42,8 +42,8 @@ struct TraceSummary {
   /// busy / (workers * wall); 0 when no pool activity was recorded.
   double pool_utilization() const;
 
-  /// Largest "pass" span and largest "replay"/"shard" span (empty name
-  /// when none was recorded).
+  /// Largest "pass" span and largest "replay"/"multi_shard" span (empty
+  /// name when none was recorded).
   std::string slowest_pass;
   double slowest_pass_seconds = 0.0;
   double slowest_shard_seconds = 0.0;

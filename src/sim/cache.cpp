@@ -1,6 +1,7 @@
 #include "sim/cache.h"
 
 #include <bit>
+#include <string>
 
 namespace fsopt {
 
@@ -33,49 +34,42 @@ std::map<std::string, MissStats> materialize_by_datum(
   return out;
 }
 
-i64 CoherentCache::set_count(const CacheParams& p) {
-  return p.cache_bytes / p.block_size / std::max<i64>(p.associativity, 1);
+namespace {
+
+/// `p`, once it describes a cache: checked before any member that divides
+/// by the block size or the set count is initialized.
+const CacheParams& validated(const CacheParams& p) {
+  FSOPT_CHECK(p.block_size >= 4,
+              "block size " + std::to_string(p.block_size) +
+                  " B is below the 4-byte word");
+  FSOPT_CHECK(p.associativity >= 1, "associativity must be >= 1");
+  FSOPT_CHECK(p.cache_bytes / p.associativity >= p.block_size,
+              "cache of " + std::to_string(p.cache_bytes) +
+                  " B cannot hold one set of " +
+                  std::to_string(p.associativity) + " x " +
+                  std::to_string(p.block_size) + " B blocks");
+  FSOPT_CHECK(p.nprocs >= 1 && p.nprocs <= 64, "1..64 processors");
+  return p;
 }
 
-int effective_shard_count(int requested, const CacheParams& p) {
-  i64 sets = CoherentCache::set_count(p);
-  if (requested < 1) requested = 1;
-  if (requested > sets) requested = static_cast<int>(sets);
-  while (requested > 1 && sets % requested != 0) --requested;
-  return requested;
-}
+}  // namespace
 
-CoherentCache::CoherentCache(const CacheParams& p, ShardSpec shard)
-    : params_(p),
-      shard_(shard),
-      sets_(set_count(p) / std::max(shard.count, 1)),
+CoherentCache::CoherentCache(const CacheParams& p)
+    : params_(validated(p)),
+      sets_(p.cache_bytes / p.block_size / p.associativity),
       block_shift_(pow2_shift(p.block_size)),
-      shard_shift_(pow2_shift(shard.count)),
       set_mask_(is_pow2(sets_) ? sets_ - 1 : -1),
       blocks_total_(
           (std::max(p.total_bytes, p.block_size) + p.block_size - 1) /
           p.block_size),
       total_span_(blocks_total_ * p.block_size),
-      classifier_(p.nprocs, p.block_size, p.total_bytes, shard) {
-  FSOPT_CHECK(params_.associativity >= 1, "associativity must be >= 1");
-  FSOPT_CHECK(shard_.count >= 1 && shard_.index >= 0 &&
-                  shard_.index < shard_.count,
-              "bad shard spec");
-  FSOPT_CHECK(set_count(p) % shard_.count == 0,
-              "shard count must divide the set count"
-              " (use effective_shard_count)");
-  FSOPT_CHECK(sets_ > 0, "cache must hold at least one set per shard");
-  FSOPT_CHECK(p.nprocs >= 1 && p.nprocs <= 64, "1..64 processors");
+      classifier_(p.nprocs, p.block_size, p.total_bytes) {
   FSOPT_CHECK(blocks_total_ < (i64{1} << 31),
               "address space too large: block numbers must fit 32 bits"
               " (Line::block is packed)");
   lines_.assign(static_cast<size_t>(p.nprocs * sets_ * p.associativity),
                 Line{});
-  i64 local_blocks =
-      shard_.index < blocks_total_
-          ? (blocks_total_ - shard_.index + shard_.count - 1) / shard_.count
-          : 0;
-  dir_.assign(static_cast<size_t>(local_blocks), DirEntry{});
+  dir_.assign(static_cast<size_t>(blocks_total_), DirEntry{});
   if (p.word_invalidate) classifier_.enable_word_tracking();
 }
 

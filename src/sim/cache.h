@@ -6,10 +6,10 @@
 // snapshots) is held in dense arrays indexed by block number — sized once
 // from total_bytes, never rehashed or grown during replay — and every
 // piece of it is strictly per-block (the directory, the classifier) or
-// per-set (LRU stamps).  That makes the simulation block-partitionable: a
-// CoherentCache built with ShardSpec{k, K} owns exactly the blocks b with
-// b % K == k and replays them independently of the other shards (see
-// trace/shard.h and DESIGN.md "Shard-parallel replay").
+// per-set (LRU stamps).  That makes the simulation region-partitionable:
+// the composed sharded replay (sim/multi.h, trace/shard.h) hands each
+// shard whole regions, and a cache fed only those regions replays them
+// independently of the other shards.
 #pragma once
 
 #include <algorithm>
@@ -46,9 +46,9 @@ struct AccessOutcome {
 /// Merge the per-block outcomes of one split reference (in block order)
 /// into the outcome reported for the whole reference: invalidations sum,
 /// upgrades OR, the most severe kind wins, the last servicing cache is
-/// reported.  CoherentCache::access applies this internally; the sharded
-/// and multi-plane replays apply it when a split reference's blocks land
-/// in different shards.
+/// reported.  CoherentCache::access applies this internally; the
+/// composed sharded replay applies it when a split reference's regions
+/// land in different shards.
 ///
 /// Severity follows the classifier's word-union semantics, not the raw
 /// enum order: a reference misses with *true* sharing when ANY word it
@@ -78,15 +78,13 @@ inline AccessOutcome combine_split_outcomes(const AccessOutcome* parts,
 }
 
 /// Per-processor caches + directory + classifier.  Used by the
-/// trace-driven study (CacheSim), the sharded replay and the KSR timing
-/// model.
+/// trace-driven study (CacheSim), the multi-plane replay's fallback planes
+/// and the KSR timing model.
 class CoherentCache {
  public:
-  /// With the default shard the cache simulates the whole machine.  With
-  /// ShardSpec{k, K} it simulates only the blocks owned by shard k; K must
-  /// divide the set count (see effective_shard_count) and references must
-  /// be pre-split so each lies within one owned block.
-  explicit CoherentCache(const CacheParams& p, ShardSpec shard = {});
+  /// Throws InternalError naming the sizes when `p` describes no cache:
+  /// blocks under one 4-byte word, or fewer bytes than one set of blocks.
+  explicit CoherentCache(const CacheParams& p);
 
   /// Simulate one reference; returns the outcome.  References spanning
   /// multiple blocks (8-byte data with 4-byte blocks) are split internally
@@ -102,10 +100,6 @@ class CoherentCache {
   /// changes any outcome or counter — with no collector the access path
   /// is untouched.
   void set_conflict_collector(ConflictCollector* c) { collector_ = c; }
-
-  /// Cache sets per processor under `p` — the LRU conflict domains, and
-  /// therefore the upper bound on (and divisor constraint for) shards.
-  static i64 set_count(const CacheParams& p);
 
  private:
   enum class LineState : u8 { kInvalid, kShared, kModified };
@@ -126,12 +120,8 @@ class CoherentCache {
   i64 block_of(i64 addr) const {
     return block_shift_ >= 0 ? addr >> block_shift_ : addr / params_.block_size;
   }
-  /// Shard-local index of an owned block (dense arrays are local-indexed).
-  i64 local_block(i64 block) const {
-    return shard_shift_ >= 0 ? block >> shard_shift_ : block / shard_.count;
-  }
-  i64 set_of(i64 local_block) const {
-    return set_mask_ >= 0 ? (local_block & set_mask_) : local_block % sets_;
+  i64 set_of(i64 block) const {
+    return set_mask_ >= 0 ? (block & set_mask_) : block % sets_;
   }
   // Set-major layout: all processors' ways for one set sit adjacent, so
   // the coherence paths (invalidate_remote, Modified downgrade) that walk
@@ -140,29 +130,27 @@ class CoherentCache {
     return (set * params_.nprocs + proc) * params_.associativity;
   }
   /// The way holding `block` in `proc`'s set, or nullptr.
-  Line* find_line(int proc, i64 block, i64 local_block);
+  Line* find_line(int proc, i64 block);
   /// The way to (re)fill in `proc`'s set: a free way if present, else the
   /// least-recently-used way.
-  Line& victim_line(int proc, i64 local_block);
+  Line& victim_line(int proc, i64 block);
   void drop_from_dir(i64 block, int proc);
   /// Invalidate remote copies on a write by `proc`; returns the count.
   /// Under word_invalidate, remote copies whose words were not written
   /// stay valid (the Dubois et al. hardware scheme).
-  int invalidate_remote(int proc, i64 block, i64 local_block);
+  int invalidate_remote(int proc, i64 block);
 
-  CacheParams params_;
-  ShardSpec shard_;
-  i64 sets_;  // sets owned by this shard (global sets / shard count)
+  CacheParams params_;  // first member: validated before anything is sized
+  i64 sets_;
   int block_shift_;   // log2(block_size) when a power of two, else -1
-  int shard_shift_;   // log2(shard.count) when a power of two, else -1
   i64 set_mask_;      // sets_ - 1 when a power of two, else -1
   i64 blocks_total_;  // blocks in the whole address space
   i64 total_span_;    // blocks_total_ * block_size (bounds check)
   /// Record the conflict edges behind a false-sharing classification:
   /// one edge per foreign-newer word, from that word (and its writer) to
   /// the first word the victim referenced.
-  void note_conflicts(int proc, i64 lb, i64 base, i64 w0, i64 w1) {
-    classifier_.collect_conflicts_at(proc, lb, w0, w1,
+  void note_conflicts(int proc, i64 block, i64 base, i64 w0, i64 w1) {
+    classifier_.collect_conflicts_at(proc, block, w0, w1,
                                      [&](i64 w, int writer) {
                                        collector_->record(base + w * 4, writer,
                                                           base + w0 * 4, proc);
@@ -170,20 +158,20 @@ class CoherentCache {
   }
 
   std::vector<Line> lines_;    // [(set * nprocs + proc) * assoc + way]
-  std::vector<DirEntry> dir_;  // [local_block]
+  std::vector<DirEntry> dir_;  // [block]
   MissClassifier classifier_;
   ConflictCollector* collector_ = nullptr;
   u64 tick_ = 0;
 };
 
 // The per-reference path is defined inline here (not in cache.cpp) so the
-// replay loop — CacheSim::process and the sharded replays — inlines the
-// whole chain down to the flat-array loads within one translation unit.
+// replay loop — CacheSim::process and the multi-plane fallback planes —
+// inlines the whole chain down to the flat-array loads within one
+// translation unit.
 
-inline CoherentCache::Line* CoherentCache::find_line(int proc, i64 block,
-                                                     i64 local_block) {
+inline CoherentCache::Line* CoherentCache::find_line(int proc, i64 block) {
   Line* way = lines_.data() +
-              static_cast<size_t>(set_base(proc, set_of(local_block)));
+              static_cast<size_t>(set_base(proc, set_of(block)));
   for (i64 w = 0; w < params_.associativity; ++w) {
     if (way[w].block == block && way[w].state != LineState::kInvalid)
       return &way[w];
@@ -191,10 +179,9 @@ inline CoherentCache::Line* CoherentCache::find_line(int proc, i64 block,
   return nullptr;
 }
 
-inline CoherentCache::Line& CoherentCache::victim_line(int proc,
-                                                       i64 local_block) {
+inline CoherentCache::Line& CoherentCache::victim_line(int proc, i64 block) {
   Line* way = lines_.data() +
-              static_cast<size_t>(set_base(proc, set_of(local_block)));
+              static_cast<size_t>(set_base(proc, set_of(block)));
   Line* victim = nullptr;
   for (i64 w = 0; w < params_.associativity; ++w) {
     if (way[w].state == LineState::kInvalid) return way[w];  // free way
@@ -204,23 +191,22 @@ inline CoherentCache::Line& CoherentCache::victim_line(int proc,
 }
 
 inline void CoherentCache::drop_from_dir(i64 block, int proc) {
-  DirEntry& d = dir_[static_cast<size_t>(local_block(block))];
+  DirEntry& d = dir_[static_cast<size_t>(block)];
   d.sharers &= ~(1ULL << proc);
   if (d.owner == proc) d.owner = -1;
   if (d.sharers == 0) d.owner = -1;
 }
 
-inline int CoherentCache::invalidate_remote(int proc, i64 block,
-                                            i64 local_block) {
+inline int CoherentCache::invalidate_remote(int proc, i64 block) {
   if (params_.word_invalidate) return 0;  // sub-block hardware: no block
                                           // invalidations (§6, Dubois)
   int invalidated = 0;
-  DirEntry& d = dir_[static_cast<size_t>(local_block)];
+  DirEntry& d = dir_[static_cast<size_t>(block)];
   u64 m = d.sharers & ~(1ULL << proc);
   while (m != 0) {  // visit only the actual sharers
     int q = std::countr_zero(m);
     m &= m - 1;
-    Line* rl = find_line(q, block, local_block);
+    Line* rl = find_line(q, block);
     if (rl != nullptr) {
       rl->state = LineState::kInvalid;
       ++invalidated;
@@ -233,19 +219,15 @@ inline int CoherentCache::invalidate_remote(int proc, i64 block,
 
 inline AccessOutcome CoherentCache::access_block(int proc, i64 addr,
                                                  i64 size, bool is_write) {
-  // Derive the block geometry once and hand the shard-local index and
+  // Derive the block geometry once and hand the block index and
   // word-offset range to the classifier's pre-validated entry points —
   // access() has already bounds-checked the reference.
   i64 block = block_of(addr);
-  FSOPT_CHECK(shard_.count == 1 || block % shard_.count == shard_.index,
-              "reference routed to the wrong shard — the trace partitioner"
-              " must route by block % shard count");
-  i64 lb = local_block(block);
   i64 base = block_shift_ >= 0 ? block << block_shift_
                                : block * params_.block_size;
   i64 w0 = (addr - base) >> 2;
   i64 w1 = (addr + size - 1 - base) >> 2;
-  Line* resident = find_line(proc, block, lb);
+  Line* resident = find_line(proc, block);
   ++tick_;
 
   // Every return site builds the outcome as one aggregate so the compiler
@@ -258,24 +240,24 @@ inline AccessOutcome CoherentCache::access_block(int proc, i64 addr,
     // bits are off); nothing else in the block is disturbed.
     if (resident != nullptr) {
       resident->lru = tick_;
-      MissKind kind = classifier_.words_valid_at(proc, lb, w0, w1)
+      MissKind kind = classifier_.words_valid_at(proc, block, w0, w1)
                           ? MissKind::kHit
                           : MissKind::kTrueSharing;  // word refetch
-      classifier_.note_access_at(proc, lb, w0, w1, is_write);
+      classifier_.note_access_at(proc, block, w0, w1, is_write);
       return {kind, false, -1, 0};
     }
-    MissKind kind = classifier_.classify_miss_at(proc, lb, w0, w1);
+    MissKind kind = classifier_.classify_miss_at(proc, block, w0, w1);
     if (kind == MissKind::kFalseSharing && collector_ != nullptr)
-      note_conflicts(proc, lb, base, w0, w1);
-    Line& line = victim_line(proc, lb);
+      note_conflicts(proc, block, base, w0, w1);
+    Line& line = victim_line(proc, block);
     if (line.block >= 0 && line.state != LineState::kInvalid)
       drop_from_dir(line.block, proc);
-    DirEntry& d = dir_[static_cast<size_t>(lb)];
+    DirEntry& d = dir_[static_cast<size_t>(block)];
     d.sharers |= 1ULL << proc;
     line.block = static_cast<i32>(block);
     line.state = LineState::kShared;
     line.lru = tick_;
-    classifier_.note_access_at(proc, lb, w0, w1, is_write);
+    classifier_.note_access_at(proc, block, w0, w1, is_write);
     return {kind, false, -1, 0};
   }
 
@@ -283,36 +265,36 @@ inline AccessOutcome CoherentCache::access_block(int proc, i64 addr,
       (!is_write || resident->state == LineState::kModified)) {
     // Plain hit.
     resident->lru = tick_;
-    classifier_.note_access_at(proc, lb, w0, w1, is_write);
+    classifier_.note_access_at(proc, block, w0, w1, is_write);
     return {MissKind::kHit, false, -1, 0};
   }
 
   if (resident != nullptr && is_write &&
       resident->state == LineState::kShared) {
     // Upgrade: invalidate all other copies; no data transfer.
-    int inv = invalidate_remote(proc, block, lb);
+    int inv = invalidate_remote(proc, block);
     resident->state = LineState::kModified;
     resident->lru = tick_;
-    classifier_.note_access_at(proc, lb, w0, w1, is_write);
+    classifier_.note_access_at(proc, block, w0, w1, is_write);
     return {MissKind::kHit, true, -1, inv};
   }
 
   // Miss.
-  MissKind kind = classifier_.classify_miss_at(proc, lb, w0, w1);
+  MissKind kind = classifier_.classify_miss_at(proc, block, w0, w1);
   if (kind == MissKind::kFalseSharing && collector_ != nullptr)
-    note_conflicts(proc, lb, base, w0, w1);
+    note_conflicts(proc, block, base, w0, w1);
 
-  Line& line = victim_line(proc, lb);
+  Line& line = victim_line(proc, block);
   if (line.block >= 0 && line.state != LineState::kInvalid)
     drop_from_dir(line.block, proc);
 
-  DirEntry& d = dir_[static_cast<size_t>(lb)];
+  DirEntry& d = dir_[static_cast<size_t>(block)];
   int src = d.owner >= 0 && d.owner != proc ? d.owner : -1;
   int inv = 0;
 
   if (is_write) {
-    inv = invalidate_remote(proc, block, lb);
-    DirEntry& d2 = dir_[static_cast<size_t>(lb)];
+    inv = invalidate_remote(proc, block);
+    DirEntry& d2 = dir_[static_cast<size_t>(block)];
     d2.sharers = 1ULL << proc;
     d2.owner = proc;
     line.block = static_cast<i32>(block);
@@ -320,7 +302,7 @@ inline AccessOutcome CoherentCache::access_block(int proc, i64 addr,
   } else {
     if (d.owner >= 0 && d.owner != proc) {
       // Downgrade the remote Modified copy to Shared.
-      Line* rl = find_line(d.owner, block, lb);
+      Line* rl = find_line(d.owner, block);
       if (rl != nullptr && rl->state == LineState::kModified)
         rl->state = LineState::kShared;
       d.owner = -1;
@@ -330,7 +312,7 @@ inline AccessOutcome CoherentCache::access_block(int proc, i64 addr,
     line.state = LineState::kShared;
   }
   line.lru = tick_;
-  classifier_.note_access_at(proc, lb, w0, w1, is_write);
+  classifier_.note_access_at(proc, block, w0, w1, is_write);
   return {kind, false, src, inv};
 }
 
@@ -344,11 +326,6 @@ inline AccessOutcome CoherentCache::access(int proc, i64 addr, i64 size,
   if (first_block == last_block)
     return access_block(proc, addr, size, is_write);
   // Split across blocks (only possible for 8-byte data with tiny blocks).
-  // A sharded cache owns only every shard_.count-th block, so spanning
-  // references must be pre-split by the trace partitioner.
-  FSOPT_CHECK(shard_.count == 1,
-              "spanning reference reached a sharded cache — the trace"
-              " partitioner must split it");
   AccessOutcome parts[4];
   size_t n = 0;
   for (i64 b = first_block; b <= last_block; ++b) {
@@ -359,10 +336,6 @@ inline AccessOutcome CoherentCache::access(int proc, i64 addr, i64 size,
   }
   return combine_split_outcomes(parts, n);
 }
-
-/// Largest shard count <= `requested` that divides the set count of `p`
-/// (so every LRU conflict domain stays within one shard).  At least 1.
-int effective_shard_count(int requested, const CacheParams& p);
 
 /// Aggregate statistics for one simulated cache configuration.
 struct MissStats {

@@ -11,11 +11,7 @@
 // All classifier state is dense and per-block: word versions/writers and
 // per-processor block snapshots live in flat arrays indexed by block
 // number, sized once from `total_bytes` (no steady-state allocation, no
-// hashing on the replay hot path).  Because every datum is per-block, the
-// classifier can also be instantiated for one *shard* of the block space
-// (ShardSpec): shard k of K owns exactly the blocks b with b % K == k, and
-// a replay split that way is bit-identical to the unsharded replay (see
-// DESIGN.md "Shard-parallel replay").
+// hashing on the replay hot path).
 #pragma once
 
 #include <vector>
@@ -34,21 +30,12 @@ enum class MissKind : u8 {
 
 const char* miss_kind_name(MissKind k);
 
-/// One shard of a block-partitioned simulation: the shard owns every block
-/// b with b % count == index.  The default ({0, 1}) is the whole machine.
-struct ShardSpec {
-  int index = 0;
-  int count = 1;
-};
-
 class MissClassifier {
  public:
   /// `total_bytes` bounds the simulated address space; `block_size` is the
   /// coherence unit (a multiple of the 4-byte word); `nprocs` the number
-  /// of processors.  With a non-trivial `shard`, only addresses whose
-  /// block belongs to the shard may be passed in.
-  MissClassifier(i64 nprocs, i64 block_size, i64 total_bytes,
-                 ShardSpec shard = {});
+  /// of processors.
+  MissClassifier(i64 nprocs, i64 block_size, i64 total_bytes);
 
   /// Classify a miss by `proc` on [addr, addr+size).  Must be called
   /// *before* note_access for the same reference.  The range must lie
@@ -71,22 +58,22 @@ class MissClassifier {
   }
 
   // Pre-validated fast paths, used by CoherentCache on the replay hot
-  // loop: the cache has already bounds- and ownership-checked the
-  // reference and holds the shard-local block index plus the referenced
-  // word-offset range [w0, w1] within the block, so re-deriving and
-  // re-checking them here (divisions included) would double the work.
+  // loop: the cache has already bounds-checked the reference and holds
+  // the block index plus the referenced word-offset range [w0, w1]
+  // within the block, so re-deriving and re-checking them here (divisions
+  // included) would double the work.
   // All other callers should use the validating addr-based methods above.
 
-  MissKind classify_miss_at(int proc, i64 local_block, i64 w0,
+  MissKind classify_miss_at(int proc, i64 block, i64 w0,
                             i64 w1) const {
-    u64 s = snapshot_[static_cast<size_t>(local_block * nprocs_ + proc)];
+    u64 s = snapshot_[static_cast<size_t>(block * nprocs_ + proc)];
     if (s == 0) return MissKind::kCold;
     // block_ver_ holds the newest write version anywhere in the block, so
     // one load settles the common replacement-miss case (no intervening
     // write at all) without scanning the per-word array.
-    if (block_ver_[static_cast<size_t>(local_block)] <= s)
+    if (block_ver_[static_cast<size_t>(block)] <= s)
       return MissKind::kReplacement;
-    size_t wbase = static_cast<size_t>(local_block * words_per_block_);
+    size_t wbase = static_cast<size_t>(block * words_per_block_);
     const u64* ws = word_state_.data() + wbase;
     // Packed word state: v >= (s+1) << kWriterBits ⟺ version(v) > s.
     u64 newer = (s + 1) << kWriterBits;
@@ -123,37 +110,37 @@ class MissClassifier {
     return MissKind::kFalseSharing;
   }
 
-  void note_access_at(int proc, i64 local_block, i64 w0, i64 w1,
+  void note_access_at(int proc, i64 block, i64 w0, i64 w1,
                       bool is_write) {
     ++counter_;
-    snapshot_[static_cast<size_t>(local_block * nprocs_ + proc)] =
+    snapshot_[static_cast<size_t>(block * nprocs_ + proc)] =
         counter_;
     if (!is_write && !word_tracking_) return;
-    if (is_write) block_ver_[static_cast<size_t>(local_block)] = counter_;
-    size_t wbase = static_cast<size_t>(local_block * words_per_block_);
+    if (is_write) block_ver_[static_cast<size_t>(block)] = counter_;
+    size_t wbase = static_cast<size_t>(block * words_per_block_);
     u64 packed = (counter_ << kWriterBits) | static_cast<u64>(proc);
     for (i64 w = w0; w <= w1; ++w) {
       if (is_write) word_state_[wbase + static_cast<size_t>(w)] = packed;
       if (word_tracking_)
         word_seen_[static_cast<size_t>(proc) *
-                       static_cast<size_t>(local_blocks_ *
+                       static_cast<size_t>(blocks_total_ *
                                            words_per_block_) +
                    wbase + static_cast<size_t>(w)] = counter_;
     }
   }
 
   /// Enumerate the foreign-newer words that made a miss false sharing:
-  /// for a miss by `proc` on words [w0, w1] of `local_block` already
+  /// for a miss by `proc` on words [w0, w1] of `block` already
   /// classified kFalseSharing, calls fn(word_offset, writer_proc) for
   /// every word outside [w0, w1] written by another processor since
   /// `proc`'s snapshot.  Only called on false-sharing misses, so the scan
   /// cost is bounded by fs_misses * words_per_block.
   template <typename Fn>
-  void collect_conflicts_at(int proc, i64 local_block, i64 w0, i64 w1,
+  void collect_conflicts_at(int proc, i64 block, i64 w0, i64 w1,
                             Fn&& fn) const {
-    u64 s = snapshot_[static_cast<size_t>(local_block * nprocs_ + proc)];
+    u64 s = snapshot_[static_cast<size_t>(block * nprocs_ + proc)];
     const u64* ws =
-        word_state_.data() + static_cast<size_t>(local_block * words_per_block_);
+        word_state_.data() + static_cast<size_t>(block * words_per_block_);
     u64 newer = (s + 1) << kWriterBits;
     u64 p = static_cast<u64>(proc);
     for (i64 w = 0; w < words_per_block_; ++w) {
@@ -164,11 +151,11 @@ class MissClassifier {
     }
   }
 
-  bool words_valid_at(int proc, i64 local_block, i64 w0, i64 w1) const {
-    size_t wbase = static_cast<size_t>(local_block * words_per_block_);
+  bool words_valid_at(int proc, i64 block, i64 w0, i64 w1) const {
+    size_t wbase = static_cast<size_t>(block * words_per_block_);
     const u64* seen = word_seen_.data() +
                       static_cast<size_t>(proc) *
-                          static_cast<size_t>(local_blocks_ *
+                          static_cast<size_t>(blocks_total_ *
                                               words_per_block_);
     u64 p = static_cast<u64>(proc);
     for (i64 w = w0; w <= w1; ++w) {
@@ -181,20 +168,17 @@ class MissClassifier {
   }
 
  private:
-  /// Validates that [addr, addr+size) is in range, single-block, and owned
-  /// by this shard; returns the block's index into the shard-local arrays.
-  i64 local_block_of(i64 addr, i64 size) const;
+  /// Validates that [addr, addr+size) is in range and single-block;
+  /// returns the block's index.
+  i64 checked_block(i64 addr, i64 size) const;
 
   i64 nprocs_;
   i64 block_size_;
   int block_shift_;  // log2(block_size) when a power of two, else -1
-  int shard_shift_;  // log2(shard.count) when a power of two, else -1
-  ShardSpec shard_;
-  i64 blocks_total_;   // blocks in the whole address space
-  i64 local_blocks_;   // blocks owned by this shard
+  i64 blocks_total_;  // blocks in the whole address space
   i64 words_per_block_;
   u64 counter_ = 0;
-  // One packed u64 per word, [local_block * words_per_block + offset]:
+  // One packed u64 per word, [block * words_per_block + offset]:
   // (write version << kWriterBits) | last writer.  A single load serves
   // both the version-newer-than-snapshot test and the writer identity, and
   // `v >= (s+1) << kWriterBits` is exactly `version(v) > s`.
@@ -210,7 +194,7 @@ class MissClassifier {
   // one block adjacent — the access pattern of actively shared blocks.
   std::vector<u64> snapshot_;
   // Per processor per word: version last observed (word tracking only),
-  // [proc * local_words + word].
+  // [proc * words + word].
   bool word_tracking_ = false;
   std::vector<u64> word_seen_;
 };

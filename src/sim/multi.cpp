@@ -3,18 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <limits>
 #include <cstdint>
-#include <type_traits>
+#include <limits>
 
 #include "obs/obs.h"
-#include "support/simd.h"
 #include "support/thread_pool.h"
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define FSOPT_MULTI_AVX2 1
-#endif
 
 namespace fsopt {
 
@@ -22,8 +15,6 @@ namespace {
 
 constexpr int kWBits = 7;     // writer bits in a packed word version
 constexpr u64 kWMask = 127;
-
-bool is_pow2(i64 x) { return x > 0 && (x & (x - 1)) == 0; }
 
 /// Can the shared bitmask engine express this configuration?  It models
 /// exactly CoherentCache with one way per set (no LRU order to track),
@@ -97,17 +88,6 @@ bool plane_shareable(const CacheParams& p) {
 /// (a quarter of the u64 footprint, keeping the per-ref residency
 /// loads L1-resident); larger machines use u64.  The owning
 /// MultiCacheSim sees only this interface.
-///
-/// SIMD enters in two places, both behind support/simd.h's runtime
-/// dispatch (FSOPT_SIMD=0 forces the scalar kernels): the per-miss
-/// extent scans (snapshot max, granule version resolve) call the
-/// dispatched kernels, and on AVX2 hosts the u16-mask engine swaps its
-/// whole batch loop for a vectorized one that tests one reference's
-/// residency across 8 plane lanes per vector — reads gather the
-/// per-plane directory words; writes and miss lanes fall back to
-/// scalar helpers with bodies identical to the scalar loop.  Every
-/// path produces bit-identical counters; the differential tests and
-/// the bench's fingerprint section enforce it.
 struct MultiCacheSim::SharedPlanes {
   virtual ~SharedPlanes() = default;
   /// Process one batch and fold the tallies into the stats rows.
@@ -179,21 +159,6 @@ struct Engine final : MultiCacheSim::SharedPlanes {
     }
   }
 
-  // Kernel set snapshotted at construction (simd.h runtime dispatch):
-  // the per-miss extent scans call through it, and use_avx2_ selects
-  // the vectorized batch loop for the u16-mask engine.  Snapshotting
-  // means one engine never mixes levels mid-replay.
-  simd::Kernels kern_{};
-  bool use_avx2_ = false;
-  int P8 = 0;  // P rounded up to a whole 8-lane group
-  // Per-plane lane tables for the vector loop, padded to P8: block
-  // shift, directory slab offset, an all-ones/zero lane validity mask,
-  // and the batch hit tally the epilogue folds into cnt_.
-  std::vector<i32> vshift_;
-  std::vector<i32> voff_;
-  std::vector<i32> vvalid_;
-  std::vector<u32> vhit_;
-
   /// Pre-reference state of the referenced words, shared by every
   /// plane's classification of the current reference (the referenced
   /// words do not depend on the block size).  l[k]: the accessing
@@ -229,8 +194,6 @@ struct Engine final : MultiCacheSim::SharedPlanes {
                  const AddressMap* amap) override {
     if (amap != nullptr)
       process_batch<true>(refs, n, amap);
-    else if (use_avx2_)
-      run_batch_avx2(refs, n);
     else
       process_batch<false>(refs, n, nullptr);
     flush_counts();
@@ -238,31 +201,8 @@ struct Engine final : MultiCacheSim::SharedPlanes {
 
   template <bool kAttr>
   void process_batch(const MemRef* refs, size_t n, const AddressMap* amap);
-  void run_batch_avx2(const MemRef* refs, size_t n);
   MissKind miss_part(const Geom& g, int proc, MaskT bit, i64 block, i64 addr,
                      i64 size, bool is_write, int* inv_out);
-
-  // Single-plane pieces of the per-reference loop, called by the
-  // vector batch loop for the lanes its fast path cannot retire (plane
-  // misses, block-spanning references, every write).  Their bodies
-  // mirror the corresponding branches of process_batch exactly — the
-  // differential tests and the bench fingerprint hold the two paths
-  // bit-identical.
-  // begin_ref and note_ref_words run once per reference on the vector
-  // path too — always_inline folds them into the batch loop (the
-  // compiler may legally inline them there since they use no vector
-  // features themselves, but left to its own cost model it emits
-  // calls).
-  __attribute__((always_inline)) inline void begin_ref(i64 addr, i64 size,
-                                                       int proc, i64 w0,
-                                                       i64 w1);
-  void plane_read(int p, i64 b0, i64 b1, i64 addr, i64 size, int proc,
-                  MaskT bit);
-  void plane_write(int p, i64 b0, i64 b1, i64 addr, i64 size, int proc,
-                   MaskT bit);
-  __attribute__((always_inline)) inline void note_ref_words(int proc, i64 w0,
-                                                            i64 w1,
-                                                            bool is_write);
 
   /// Fold the dense batch tallies into the MissStats rows and reset.
   void flush_counts() {
@@ -473,263 +413,6 @@ void Engine<MaskT>::process_batch(const MemRef* refs, size_t n,
 }
 
 template <typename MaskT>
-void Engine<MaskT>::begin_ref(i64 addr, i64 size, int proc, i64 w0, i64 w1) {
-  FSOPT_CHECK(addr >= 0 && size > 0 && addr + size <= total_span,
-              "reference outside the simulated address space — "
-              "total_bytes does not cover the workload");
-  FSOPT_CHECK(proc >= 0 && proc < nprocs,
-              "reference processor outside the simulated machine");
-  ++n_;
-  FSOPT_CHECK(n_ <= 0xffffffffULL, "trace too long for 32-bit counters");
-  FSOPT_CHECK(w1 - w0 < 4, "reference spans too many words");
-  cur_w0_ = w0;
-  cur_w1_ = w1;
-  rc_ready_ = false;
-  __builtin_prefetch(&last_[static_cast<size_t>(proc) * W +
-                            static_cast<size_t>(w0)], 1);
-  __builtin_prefetch(&vers_[static_cast<size_t>(w0)], 1);
-  __builtin_prefetch(&lastg_[static_cast<size_t>(proc) * G +
-                             static_cast<size_t>(w0 >> 4)], 1);
-}
-
-template <typename MaskT>
-void Engine<MaskT>::plane_read(int p, i64 b0, i64 b1, i64 addr, i64 size,
-                               int proc, MaskT bit) {
-  const Geom& g = geom_[static_cast<size_t>(p)];
-  PlaneCnt& c = cnt_[static_cast<size_t>(p)];
-  MaskT* sharers = sharers_.data();
-  if (b0 == b1) {
-    if ((sharers[g.off + static_cast<size_t>(b0)] & bit) != 0) {
-      ++c.kind[0];
-    } else {
-      int inv = 0;
-      MissKind k = miss_part(g, proc, bit, b0, addr, size, false, &inv);
-      ++c.kind[static_cast<size_t>(k)];
-    }
-    return;
-  }
-  FSOPT_CHECK(b1 - b0 < 4, "reference spans too many blocks");
-  int sev = 0;
-  MissKind kind = MissKind::kHit;
-  for (i64 b = b0; b <= b1; ++b) {
-    const i64 lo = std::max(addr, b << g.bshift);
-    const i64 hi = std::min(addr + size, (b + 1) << g.bshift);
-    MissKind k = MissKind::kHit;
-    if ((sharers[g.off + static_cast<size_t>(b)] & bit) == 0) {
-      int inv = 0;
-      k = miss_part(g, proc, bit, b, lo, hi - lo, false, &inv);
-    }
-    const int s2 = split_kind_severity(k);
-    if (s2 > sev) {
-      sev = s2;
-      kind = k;
-    }
-  }
-  ++c.kind[static_cast<size_t>(kind)];
-}
-
-template <typename MaskT>
-void Engine<MaskT>::plane_write(int p, i64 b0, i64 b1, i64 addr, i64 size,
-                                int proc, MaskT bit) {
-  const Geom& g = geom_[static_cast<size_t>(p)];
-  PlaneCnt& c = cnt_[static_cast<size_t>(p)];
-  MaskT* sharers = sharers_.data();
-  std::int8_t* owner = owner_.data();
-  if (b0 == b1) {
-    const size_t bi = g.off + static_cast<size_t>(b0);
-    const MaskT sh = sharers[bi];
-    if ((sh & bit) != 0) {
-      const u64 up = owner[bi] != proc ? 1 : 0;
-      const u64 inv =
-          static_cast<u64>(std::popcount(static_cast<MaskT>(sh & ~bit)));
-      sharers[bi] = bit;
-      owner[bi] = static_cast<std::int8_t>(proc);
-      ++c.kind[0];
-      c.upgrades += up;
-      c.invalidations += inv;
-    } else {
-      int inv = 0;
-      MissKind k = miss_part(g, proc, bit, b0, addr, size, true, &inv);
-      ++c.kind[static_cast<size_t>(k)];
-      c.invalidations += static_cast<u64>(inv);
-    }
-    return;
-  }
-  FSOPT_CHECK(b1 - b0 < 4, "reference spans too many blocks");
-  int sev = 0;
-  MissKind kind = MissKind::kHit;
-  u64 upg = 0;
-  u64 invt = 0;
-  for (i64 b = b0; b <= b1; ++b) {
-    const i64 lo = std::max(addr, b << g.bshift);
-    const i64 hi = std::min(addr + size, (b + 1) << g.bshift);
-    const size_t bi = g.off + static_cast<size_t>(b);
-    const MaskT sh = sharers[bi];
-    MissKind k = MissKind::kHit;
-    if ((sh & bit) != 0) {
-      upg |= owner[bi] != proc ? 1 : 0;
-      invt += static_cast<u64>(std::popcount(static_cast<MaskT>(sh & ~bit)));
-      sharers[bi] = bit;
-      owner[bi] = static_cast<std::int8_t>(proc);
-    } else {
-      int inv = 0;
-      k = miss_part(g, proc, bit, b, lo, hi - lo, true, &inv);
-      invt += static_cast<u64>(inv);
-    }
-    const int s2 = split_kind_severity(k);
-    if (s2 > sev) {
-      sev = s2;
-      kind = k;
-    }
-  }
-  ++c.kind[static_cast<size_t>(kind)];
-  c.upgrades += upg;
-  c.invalidations += invt;
-}
-
-template <typename MaskT>
-void Engine<MaskT>::note_ref_words(int proc, i64 w0, i64 w1, bool is_write) {
-  u32* lrow = last_.data() + static_cast<size_t>(proc) * W;
-  u32* lgrow = lastg_.data() + static_cast<size_t>(proc) * G;
-  const u32 n32 = static_cast<u32>(n_);
-  for (i64 w = w0; w <= w1; ++w) lrow[w] = n32;
-  lgrow[w0 >> 4] = n32;
-  lgrow[w1 >> 4] = n32;
-  if (is_write) {
-    const u64 v = (n_ << kWBits) | static_cast<u64>(proc);
-    for (i64 w = w0; w <= w1; ++w) vers_[static_cast<size_t>(w)] = v;
-    const i64 g0 = w0 >> 4;
-    const i64 g1 = w1 >> 4;
-    for (i64 g = g0;; g = g1) {
-      const u64 old = versgw_[static_cast<size_t>(g)];
-      if ((old & kWMask) != static_cast<u64>(proc))
-        versg2_[static_cast<size_t>(g)] = static_cast<u32>(old >> kWBits);
-      versgw_[static_cast<size_t>(g)] = v;
-      if (g == g1) break;
-    }
-  }
-}
-
-#if defined(FSOPT_MULTI_AVX2)
-
-/// The AVX2 batch loop of the u16-mask engine: 8 plane lanes per
-/// vector, kChunks such 8-lane groups covering P planes (use_avx2_
-/// caps P at 32).  Per read it evaluates the block shifts, the
-/// single-block test and the gathered directory hit test across all
-/// lanes at once, tallies hit lanes into per-chunk register
-/// accumulators, and drops only miss/split lanes into the scalar
-/// per-plane helpers — whose bodies mirror the scalar loop, so both
-/// paths classify every outcome identically.  Writes mutate per-plane
-/// directory state (three scattered stores on the resident path) and
-/// run the scalar helper for every plane.  The chunk count is a
-/// template parameter so the lane tables (shift, directory offset,
-/// valid mask) and the hit accumulators live in registers for the
-/// whole batch in the common single-chunk case.  Padding lanes
-/// (p >= P) are excluded by the valid mask and their gather indices
-/// forced to 0 (in bounds: sharers_ carries two padding elements for
-/// the 4-byte gather of the last u16).
-template <int kChunks>
-__attribute__((target("avx2")))
-void engine_batch_avx2_impl(Engine<std::uint16_t>& e, const MemRef* refs,
-                            size_t n) {
-  using MaskT = std::uint16_t;
-  const MaskT* sharers = e.sharers_.data();
-  const int* sharers32 = reinterpret_cast<const int*>(sharers);
-  const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vlow16 = _mm256_set1_epi32(0xFFFF);
-  __m256i vshift[kChunks], voff[kChunks], vvalid[kChunks], vhit[kChunks];
-  for (int c = 0; c < kChunks; ++c) {
-    vshift[c] = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(e.vshift_.data() + 8 * c));
-    voff[c] = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(e.voff_.data() + 8 * c));
-    vvalid[c] = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(e.vvalid_.data() + 8 * c));
-    vhit[c] = vzero;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const MemRef& r = refs[i];
-    const i64 addr = r.addr;
-    const i64 size = r.size;
-    const int proc = r.proc;
-    const bool is_write = r.type == RefType::kWrite;
-    const MaskT bit = static_cast<MaskT>(MaskT{1} << proc);
-    const i64 end = addr + size - 1;
-    e.begin_ref(addr, size, proc, addr >> 2, end >> 2);
-    if (!is_write) {
-      const __m256i vaddr = _mm256_set1_epi32(static_cast<int>(addr));
-      const __m256i vend = _mm256_set1_epi32(static_cast<int>(end));
-      const __m256i vbit = _mm256_set1_epi32(1 << proc);
-      for (int c = 0; c < kChunks; ++c) {
-        const __m256i vb0 = _mm256_srlv_epi32(vaddr, vshift[c]);
-        const __m256i vb1 = _mm256_srlv_epi32(vend, vshift[c]);
-        const __m256i vsingle = _mm256_cmpeq_epi32(vb0, vb1);
-        const __m256i idx = _mm256_and_si256(
-            _mm256_add_epi32(voff[c], vb0), vvalid[c]);
-        const __m256i sh = _mm256_and_si256(
-            _mm256_i32gather_epi32(sharers32, idx, 2), vlow16);
-        const __m256i nobit =
-            _mm256_cmpeq_epi32(_mm256_and_si256(sh, vbit), vzero);
-        const __m256i vdirhit = _mm256_and_si256(
-            _mm256_andnot_si256(nobit, vsingle), vvalid[c]);
-        u32 slow = static_cast<u32>(_mm256_movemask_ps(_mm256_castsi256_ps(
-            _mm256_andnot_si256(vdirhit, vvalid[c]))));
-        vhit[c] = _mm256_sub_epi32(vhit[c], vdirhit);
-        while (slow != 0) {
-          const int p = std::countr_zero(slow) + 8 * c;
-          slow &= slow - 1;
-          const auto& g = e.geom_[static_cast<size_t>(p)];
-          e.plane_read(p, addr >> g.bshift, end >> g.bshift, addr, size,
-                       proc, bit);
-        }
-      }
-    } else {
-      for (int p = 0; p < e.P; ++p) {
-        const auto& g = e.geom_[static_cast<size_t>(p)];
-        e.plane_write(p, addr >> g.bshift, end >> g.bshift, addr, size,
-                      proc, bit);
-      }
-    }
-    e.note_ref_words(proc, e.cur_w0_, e.cur_w1_, is_write);
-  }
-  // Fold the register hit tallies into the per-plane counters.
-  for (int c = 0; c < kChunks; ++c)
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(e.vhit_.data() + 8 * c),
-                        vhit[c]);
-  for (int p = 0; p < e.P; ++p) {
-    e.cnt_[static_cast<size_t>(p)].kind[0] += e.vhit_[static_cast<size_t>(p)];
-    e.vhit_[static_cast<size_t>(p)] = 0;
-  }
-}
-
-void engine_batch_avx2(Engine<std::uint16_t>& e, const MemRef* refs,
-                       size_t n) {
-  switch (e.P8 / 8) {
-    case 1: engine_batch_avx2_impl<1>(e, refs, n); return;
-    case 2: engine_batch_avx2_impl<2>(e, refs, n); return;
-    case 3: engine_batch_avx2_impl<3>(e, refs, n); return;
-    case 4: engine_batch_avx2_impl<4>(e, refs, n); return;
-    default: break;
-  }
-  FSOPT_CHECK(false, "AVX2 batch loop selected for too many planes");
-}
-
-#endif  // FSOPT_MULTI_AVX2
-
-template <typename MaskT>
-void Engine<MaskT>::run_batch_avx2(const MemRef* refs, size_t n) {
-#if defined(FSOPT_MULTI_AVX2)
-  if constexpr (std::is_same_v<MaskT, std::uint16_t>) {
-    engine_batch_avx2(*this, refs, n);
-    return;
-  }
-#endif
-  (void)refs;
-  (void)n;
-  FSOPT_CHECK(false, "AVX2 batch loop selected without support");
-}
-
-template <typename MaskT>
 MissKind Engine<MaskT>::miss_part(const Geom& g, int proc, MaskT bit,
                                   i64 block, i64 addr, i64 size, bool is_write,
                                   int* inv_out) {
@@ -743,14 +426,7 @@ MissKind Engine<MaskT>::miss_part(const Geom& g, int proc, MaskT bit,
   if (g.bw >= 16) {
     const u32* lg = lastg_.data() + static_cast<size_t>(proc) * G +
                     static_cast<size_t>(wb0 >> 4);
-    const i64 ng = g.bw >> 4;
-    if (ng >= 8) {
-      // Wide-block planes (>= 512B): one dispatched max over the
-      // granule row instead of a scalar reduction.
-      s = kern_.max_u32(lg, static_cast<size_t>(ng));
-    } else {
-      for (i64 i = 0; i < ng; ++i) s = std::max<u64>(s, lg[i]);
-    }
+    for (i64 i = 0; i < (g.bw >> 4); ++i) s = std::max<u64>(s, lg[i]);
   } else if (g.bw == 1) {
     s = rc_.l[wb0 - rc_.w0];  // single-word block: a referenced word
   } else {
@@ -801,11 +477,14 @@ MissKind Engine<MaskT>::miss_part(const Geom& g, int proc, MaskT bit,
       while (!any_remote && resolve != 0) {
         // Own writes are newest but an older foreign event passed the
         // filter; it may have been overwritten, so resolve from the
-        // granule's live word states (dispatched 16-word scan).
+        // granule's 16 live word states.
         const int i = std::countr_zero(resolve);
         resolve &= resolve - 1;
-        any_remote = kern_.any_version_newer(
-            ws + (static_cast<i64>(i) << 4), 16, newer, me, kWMask);
+        const u64* gw = ws + (static_cast<i64>(i) << 4);
+        u64 acc = 0;
+        for (int w = 0; w < 16; ++w)
+          acc |= static_cast<u64>(gw[w] >= newer && (gw[w] & kWMask) != me);
+        any_remote = acc != 0;
       }
     } else {
       // The covering granule's aggregate is a sound negative filter for
@@ -915,38 +594,8 @@ std::unique_ptr<MultiCacheSim::SharedPlanes> build_engine(
     e.datum_row_[p] = attributed ? datum_stats[planes[p]].data() : nullptr;
   }
   e.plane_index_ = planes;
-  // Two trailing padding elements keep the AVX2 path's 4-byte gather of
-  // the last u16 directory word in bounds.
-  e.sharers_.assign(blocks_total + 2, 0);
+  e.sharers_.assign(blocks_total, 0);
   e.owner_.assign(blocks_total, -1);
-
-  e.kern_ = simd::active_kernels();
-  e.P8 = (e.P + 7) / 8 * 8;
-  e.vshift_.assign(static_cast<size_t>(e.P8), 0);
-  e.voff_.assign(static_cast<size_t>(e.P8), 0);
-  e.vvalid_.assign(static_cast<size_t>(e.P8), 0);
-  e.vhit_.assign(static_cast<size_t>(e.P8), 0);
-  for (int p = 0; p < e.P; ++p) {
-    const auto& g = e.geom_[static_cast<size_t>(p)];
-    e.vshift_[static_cast<size_t>(p)] = g.bshift;
-    e.voff_[static_cast<size_t>(p)] = static_cast<i32>(g.off);
-    e.vvalid_[static_cast<size_t>(p)] = -1;
-  }
-  e.use_avx2_ = false;
-#if defined(FSOPT_MULTI_AVX2)
-  // The vector loop needs the FSOPT_SIMD=2 opt-in (its gather loses to
-  // the scalar probe loop on slow-gather cores), u16 sharer masks
-  // (4-byte gather per lane), 32-bit-safe addresses and directory
-  // indices, and at most four 8-lane groups.
-  e.use_avx2_ = simd::batch_vector_enabled() &&
-                std::is_same_v<MaskT, std::uint16_t> &&
-                (e.kern_.level == simd::Level::kAVX2 ||
-                 e.kern_.level == simd::Level::kAVX512) &&
-                e.P8 <= 32 &&
-                e.total_span <= std::numeric_limits<i32>::max() &&
-                blocks_total <= static_cast<size_t>(
-                                    std::numeric_limits<i32>::max());
-#endif
   return eng;
 }
 
@@ -1055,24 +704,20 @@ void MultiCacheSim::set_conflict_collectors(
     cache.set_conflict_collector(colls[idx]);
 }
 
-namespace {
-
-/// Shared by both replay_multi overloads: fan the planes out over up to
-/// min(threads, planes) workers, each replaying `source` (a callable
-/// taking a TraceSink&) once into a MultiCacheSim over its contiguous
-/// plane range.  Grouping never changes any plane's input sequence, so
-/// results are bit-identical for every thread count.
-template <typename ReplayFn>
-MultiReplayResult replay_multi_impl(u64 trace_refs, ReplayFn&& replay,
-                                    const std::vector<CacheParams>& params,
-                                    const AddressMap* attribution,
-                                    int threads,
-                                    std::vector<ConflictGraph>* conflicts) {
+MultiReplayResult replay_multi(const EncodedTrace& trace,
+                               const std::vector<CacheParams>& params,
+                               const AddressMap* attribution, int threads,
+                               std::vector<ConflictGraph>* conflicts) {
+  // The planes fan out over up to min(threads, planes) workers, each
+  // replaying the trace once into a MultiCacheSim over its contiguous
+  // plane range.  Grouping never changes any plane's input sequence, so
+  // results are bit-identical for every thread count.
   if (threads == 0) threads = default_thread_count();
   const size_t nplanes = params.size();
   FSOPT_CHECK(nplanes > 0, "multi-replay needs at least one plane");
   const size_t groups =
       std::min<size_t>(nplanes, threads < 1 ? 1 : static_cast<size_t>(threads));
+  const double trace_refs = static_cast<double>(trace.size());
 
   MultiReplayResult out;
   out.stats.resize(nplanes);
@@ -1100,7 +745,17 @@ MultiReplayResult replay_multi_impl(u64 trace_refs, ReplayFn&& replay,
       for (size_t p = 0; p < ptrs.size(); ++p) ptrs[p] = &colls[p];
       sim.set_conflict_collectors(ptrs);
     }
-    replay(sim);
+    // A single plane group goes through the pipelined replay: on a
+    // multi-core host the varint decode of the next chunk overlaps the
+    // simulation of the current one (on a single core it degrades to the
+    // serial replay, same stream either way).  When the planes are split
+    // across workers every core already simulates, so each group decodes
+    // inline instead of adding a decoder thread (and its allocator arena)
+    // per group.
+    if (groups == 1)
+      trace.replay_pipelined(sim);
+    else
+      trace.replay(sim);
     for (size_t p = first; p < last; ++p) {
       out.stats[p] = sim.stats(p - first);
       if (attribution != nullptr) out.by_datum[p] = sim.by_datum(p - first);
@@ -1109,11 +764,9 @@ MultiReplayResult replay_multi_impl(u64 trace_refs, ReplayFn&& replay,
     }
     if (span.active()) {
       span.arg("planes", static_cast<double>(last - first));
-      span.arg("refs", static_cast<double>(trace_refs));
-      span.arg("simd", simd::level_name(simd::active_level()));
+      span.arg("refs", trace_refs);
       double sec = span.elapsed_seconds();
-      if (sec > 0.0)
-        span.arg("refs_per_sec", static_cast<double>(trace_refs) / sec);
+      if (sec > 0.0) span.arg("refs_per_sec", trace_refs / sec);
     }
     // One span per plane carrying its block size and miss mix, so a
     // sweep's per-configuration behaviour reads straight off the trace
@@ -1132,41 +785,6 @@ MultiReplayResult replay_multi_impl(u64 trace_refs, ReplayFn&& replay,
     }
   });
   return out;
-}
-
-}  // namespace
-
-MultiReplayResult replay_multi(const EncodedTrace& trace,
-                               const std::vector<CacheParams>& params,
-                               const AddressMap* attribution, int threads,
-                               std::vector<ConflictGraph>* conflicts) {
-  // A single plane group goes through the pipelined replay: on a
-  // multi-core host the varint decode of the next chunk overlaps the
-  // simulation of the current one (on a single core it degrades to the
-  // serial replay, same stream either way).  When the planes are split
-  // across workers every core already simulates, so each group decodes
-  // inline instead of adding a decoder thread (and its allocator arena)
-  // per group.
-  if (threads == 0) threads = default_thread_count();
-  const bool one_group = threads <= 1 || params.size() <= 1;
-  return replay_multi_impl(
-      trace.size(),
-      [&](TraceSink& sink) {
-        if (one_group)
-          trace.replay_pipelined(sink);
-        else
-          trace.replay(sink);
-      },
-      params, attribution, threads, conflicts);
-}
-
-MultiReplayResult replay_multi(const TraceBuffer& trace,
-                               const std::vector<CacheParams>& params,
-                               const AddressMap* attribution, int threads,
-                               std::vector<ConflictGraph>* conflicts) {
-  return replay_multi_impl(
-      trace.size(), [&](TraceSink& sink) { trace.replay(sink); }, params,
-      attribution, threads, conflicts);
 }
 
 MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
@@ -1207,19 +825,19 @@ MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
 }
 
 MultiReplayResult replay_multi_partitioned(
-    const MultiTracePartition& mp, const std::vector<CacheParams>& params,
+    const TracePartition& part, const std::vector<CacheParams>& params,
     const AddressMap* attribution, int threads) {
-  const TracePartition& part = mp.part;
   const size_t nplanes = params.size();
   FSOPT_CHECK(nplanes > 0, "multi-replay needs at least one plane");
-  FSOPT_CHECK(part.block_size == mp.region_bytes && part.shards >= 1,
+  FSOPT_CHECK(part.shards >= 1 &&
+                  part.shard.size() == static_cast<size_t>(part.shards),
               "malformed region partition");
   {
     // The partition must be at least as constrained as the plan for
     // this plane set: same region, and a shard count the plan's
     // divisibility rules admit.
     MultiShardPlan plan = multi_shard_plan(params, part.shards);
-    FSOPT_CHECK(plan.region_bytes == mp.region_bytes,
+    FSOPT_CHECK(plan.region_bytes == part.region_bytes,
                 "partition region does not match the planes' block sizes");
     FSOPT_CHECK(plan.shards == part.shards,
                 "partition shard count is not exact for these planes"

@@ -143,30 +143,21 @@ MultiReplayResult replay_multi(const EncodedTrace& trace,
                                int threads = 1,
                                std::vector<ConflictGraph>* conflicts = nullptr);
 
-/// Same, from a raw recorded trace (no decode on the walk).
-MultiReplayResult replay_multi(const TraceBuffer& trace,
-                               const std::vector<CacheParams>& params,
-                               const AddressMap* attribution = nullptr,
-                               int threads = 1,
-                               std::vector<ConflictGraph>* conflicts = nullptr);
-
 // ---------------------------------------------------------------------------
 // Composed sharded × multi-configuration replay.
 //
-// Block-partitioned sharding (trace/shard.h) and the single-pass
-// multi-plane walk compose: partition the trace once at *region*
-// granularity (a common multiple of every plane's block size), then
-// each shard runs one MultiCacheSim over ALL planes on just its slice
-// of the stream.  A K-shard sweep therefore decodes/partitions the
-// trace once and walks it K ways in parallel — instead of once per
-// configuration as the per-config sharded path does — while remaining
-// bit-identical to the serial replay_multi result: regions nest every
-// plane's blocks, so per-block directory and classifier state never
-// straddles shards, and a shard count dividing every plane's
-// cache_bytes / region keeps LRU sets shard-pure too.  Region-spanning
-// references are replayed piecewise via access_reported and merged
-// across shards with the same severity/OR/sum rules the unsharded
-// simulator applies inline.
+// Region partitioning (trace/shard.h) and the single-pass multi-plane
+// walk compose: partition the trace once at *region* granularity (a
+// common multiple of every plane's block size), then each shard runs
+// one MultiCacheSim over ALL planes on just its slice of the stream.  A
+// K-shard sweep therefore decodes and partitions the trace once and
+// walks it K ways in parallel, while remaining bit-identical to the
+// serial replay_multi result: regions nest every plane's blocks, so
+// per-block directory and classifier state never straddles shards, and
+// a shard count dividing every plane's cache_bytes / region keeps LRU
+// sets shard-pure too.  Region-spanning references are replayed
+// piecewise via access_reported and merged across shards with the same
+// severity/OR/sum rules the unsharded simulator applies inline.
 // ---------------------------------------------------------------------------
 
 /// Shard geometry valid for a whole plane set at once.
@@ -182,14 +173,14 @@ struct MultiShardPlan {
 MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
                                 int requested);
 
-/// Replay a region-partitioned trace (partition_trace_multi) across its
+/// Replay a region-partitioned trace (partition_trace) across its
 /// shards, every shard simulating all of `params` at once.  The
-/// partition must come from a plan valid for `params`
-/// (multi_shard_plan); results are bit-identical to replay_multi on the
-/// unpartitioned trace for every shard count and thread count.
-/// `threads` = 0 uses default_thread_count().
+/// partition must come from a plan valid for `params` (multi_shard_plan;
+/// anything else throws InternalError); results are bit-identical to
+/// replay_multi on the unpartitioned trace for every shard count and
+/// thread count.  `threads` = 0 uses default_thread_count().
 MultiReplayResult replay_multi_partitioned(
-    const MultiTracePartition& part, const std::vector<CacheParams>& params,
+    const TracePartition& part, const std::vector<CacheParams>& params,
     const AddressMap* attribution = nullptr, int threads = 0);
 
 }  // namespace fsopt

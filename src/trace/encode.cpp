@@ -191,23 +191,6 @@ struct ChunkCursor {
 
 }  // namespace
 
-/// Replay hands the sink one sub-batch at a time: a whole decoded chunk
-/// (1 MB of MemRefs at the default chunk size) would fall out of cache
-/// between the decode and the sink's walk, while a sub-batch stays
-/// resident across the handoff.
-size_t replay_batch_refs() {
-  static const size_t cached = [] {
-    constexpr size_t kDefault = 4096;
-    const char* env = std::getenv("FSOPT_REPLAY_BATCH");
-    if (env == nullptr || env[0] == '\0') return kDefault;
-    char* end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0) return kDefault;
-    return std::clamp<size_t>(static_cast<size_t>(v), 64, size_t{1} << 20);
-  }();
-  return cached;
-}
-
 void EncodedTrace::decode_chunk(size_t k, std::vector<MemRef>& out) const {
   const EncodedChunk& c = chunks()[k];
   out.resize(c.refs);

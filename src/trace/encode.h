@@ -170,11 +170,10 @@ class TraceEncoder : public TraceSink {
 EncodedTrace encode_trace(const TraceBuffer& trace,
                           size_t chunk_refs = TraceBuffer::kDefaultChunkRefs);
 
-/// References per replay sub-batch handed to the sink: FSOPT_REPLAY_BATCH
-/// (clamped to [64, 1M]), default 4096 — small enough that a decoded
-/// sub-batch is still cache-resident when the simulator walks it, large
-/// enough to amortize the per-batch virtual dispatch (see the bench's
-/// codec section for the measurement behind the default).  Parsed once.
-size_t replay_batch_refs();
+/// References per replay sub-batch handed to the sink: small enough that
+/// a decoded sub-batch (a whole chunk is 1 MB of MemRefs) is still
+/// cache-resident when the simulator walks it, large enough to amortize
+/// the per-batch virtual dispatch.
+constexpr size_t replay_batch_refs() { return 4096; }
 
 }  // namespace fsopt

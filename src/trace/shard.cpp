@@ -1,6 +1,9 @@
 #include "trace/shard.h"
 
+#include <algorithm>
 #include <limits>
+
+#include "obs/obs.h"
 
 namespace fsopt {
 
@@ -19,9 +22,9 @@ class PartitionSink : public TraceSink {
  private:
   void route(const MemRef& ref) {
     ++out_.refs;
-    i64 bs = out_.block_size;
-    i64 first = ref.addr / bs;
-    i64 last = (ref.addr + ref.size - 1) / bs;
+    i64 rs = out_.region_bytes;
+    i64 first = ref.addr / rs;
+    i64 last = (ref.addr + ref.size - 1) / rs;
     i64 k = static_cast<i64>(out_.shards);
     if (first == last) {
       out_.shard[static_cast<size_t>(first % k)].refs.push_back(ref);
@@ -33,10 +36,10 @@ class PartitionSink : public TraceSink {
     u32 ordinal = static_cast<u32>(out_.split_origin.size());
     out_.split_origin.push_back(ref);
     u8 part = 0;
-    for (i64 b = first; b <= last; ++b) {
-      i64 lo = std::max(ref.addr, b * bs);
-      i64 hi = std::min(ref.addr + ref.size, (b + 1) * bs);
-      TraceShard& s = out_.shard[static_cast<size_t>(b % k)];
+    for (i64 r = first; r <= last; ++r) {
+      i64 lo = std::max(ref.addr, r * rs);
+      i64 hi = std::min(ref.addr + ref.size, (r + 1) * rs);
+      TraceShard& s = out_.shard[static_cast<size_t>(r % k)];
       s.splits.push_back({static_cast<u64>(s.refs.size()), ordinal, part++,
                           MemRef{lo, static_cast<u8>(hi - lo), ref.proc,
                                  ref.type}});
@@ -48,49 +51,22 @@ class PartitionSink : public TraceSink {
 
 }  // namespace
 
-namespace {
-
-PartitionSink make_partition(TracePartition& out, i64 block_size,
-                             int shards) {
-  FSOPT_CHECK(block_size >= 4, "block size must be >= 4");
+TracePartition partition_trace(const EncodedTrace& trace, i64 region_bytes,
+                               int shards) {
+  FSOPT_CHECK(region_bytes >= 4, "region size must be >= 4");
   FSOPT_CHECK(shards >= 1, "shard count must be >= 1");
-  out.block_size = block_size;
+  obs::Span span("replay", "partition");
+  if (span.active()) {
+    span.arg("region", static_cast<double>(region_bytes));
+    span.arg("shards", static_cast<double>(shards));
+  }
+  TracePartition out;
+  out.region_bytes = region_bytes;
   out.shards = shards;
   out.shard.resize(static_cast<size_t>(shards));
-  return PartitionSink(out);
-}
-
-}  // namespace
-
-TracePartition partition_trace(const TraceBuffer& trace, i64 block_size,
-                               int shards) {
-  TracePartition out;
-  PartitionSink sink = make_partition(out, block_size, shards);
+  PartitionSink sink(out);
   trace.replay(sink);
   return out;
-}
-
-TracePartition partition_trace(const EncodedTrace& trace, i64 block_size,
-                               int shards) {
-  TracePartition out;
-  PartitionSink sink = make_partition(out, block_size, shards);
-  trace.replay(sink);
-  return out;
-}
-
-// The region partition IS a block partition taken at the region size:
-// shard k owns the references whose region index addr / region_bytes
-// is congruent to k, and region-spanning references split into
-// per-region pieces with the same (ordinal, part) tags.
-
-MultiTracePartition partition_trace_multi(const TraceBuffer& trace,
-                                          i64 region_bytes, int shards) {
-  return {partition_trace(trace, region_bytes, shards), region_bytes};
-}
-
-MultiTracePartition partition_trace_multi(const EncodedTrace& trace,
-                                          i64 region_bytes, int shards) {
-  return {partition_trace(trace, region_bytes, shards), region_bytes};
 }
 
 }  // namespace fsopt

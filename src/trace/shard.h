@@ -1,38 +1,44 @@
-// Block-partitioning of recorded traces for shard-parallel replay.
+// Region partitioning of recorded traces for the composed sharded ×
+// multi-configuration replay (replay_multi_partitioned, sim/multi.h).
 //
 // The MSI model's coherence state is strictly per-block (directory entry,
-// classifier snapshots, word versions) and LRU state is per-set, so a
-// recorded reference stream can be split by block number into K shards
-// that replay concurrently: shard k receives exactly the references whose
-// block b = addr / block_size satisfies b % K == k, in their original
-// relative order.  Replaying each shard against a CoherentCache built
-// with ShardSpec{k, K} and summing the per-shard counters reproduces the
-// unsharded replay bit for bit (DESIGN.md "Shard-parallel replay").
+// classifier snapshots, word versions) and LRU state is per-set.  A
+// *region* is a common multiple of every simulated block size (in
+// practice the largest block of the sweep), so splitting a recorded
+// stream by region number into K shards — shard k receives exactly the
+// references whose region r = addr / region_bytes satisfies r % K == k,
+// in their original relative order — hands every block of every plane to
+// exactly one shard.  A shard count that also divides every plane's
+// cache_bytes / region_bytes keeps each plane's LRU sets shard-pure, so
+// the shards replay concurrently and their summed counters reproduce the
+// unsharded replay bit for bit (multi_shard_plan in sim/multi.h computes
+// the largest such count; DESIGN.md "Shard-parallel replay").
 //
-// References that span two blocks (8-byte data on 4-byte blocks) touch
-// two shards.  The partitioner splits them into per-block pieces, routes
-// each piece to its owning shard at the correct position in that shard's
-// stream, and records an (ordinal, part) tag so the replay can reassemble
-// the per-reference outcome — exactly what CoherentCache::access computes
-// inline — after the shards finish.
+// References that span two regions (8-byte data straddling a region
+// boundary) touch two shards.  The partitioner splits them into
+// per-region pieces, routes each piece to its owning shard at the correct
+// position in that shard's stream, and records an (ordinal, part) tag so
+// the replay can reassemble the per-reference outcome — exactly what the
+// unsharded simulator computes inline — after the shards finish.  Region
+// boundaries are block boundaries for every plane, so a piece never
+// splits a plane's block across shards.
 #pragma once
 
 #include <vector>
 
 #include "trace/encode.h"
-#include "trace/trace.h"
 
 namespace fsopt {
 
 /// One shard's slice of a partitioned trace.
 struct TraceShard {
-  /// Single-block references owned by this shard, in trace order.
+  /// Single-region references owned by this shard, in trace order.
   std::vector<MemRef> refs;
 
-  /// One block-sized piece of a spanning reference: replay it after `pos`
-  /// entries of `refs` have been delivered.  `ordinal` identifies the
-  /// original reference across shards; `part` is the piece's index in
-  /// block order.
+  /// One region-sized piece of a spanning reference: replay it after
+  /// `pos` entries of `refs` have been delivered.  `ordinal` identifies
+  /// the original reference across shards; `part` is the piece's index
+  /// in address order.
   struct SplitPart {
     u64 pos = 0;
     u32 ordinal = 0;
@@ -42,9 +48,9 @@ struct TraceShard {
   std::vector<SplitPart> splits;  // ordered by (pos, trace order)
 };
 
-/// A recorded trace partitioned by block for one block size.
+/// A recorded trace partitioned by region across shards.
 struct TracePartition {
-  i64 block_size = 0;
+  i64 region_bytes = 0;
   int shards = 1;
   std::vector<TraceShard> shard;  // size == shards
   /// The original spanning references, indexed by ordinal (their combined
@@ -53,47 +59,13 @@ struct TracePartition {
   u64 refs = 0;  // references in the source trace
 };
 
-/// Partition `trace` for replay under `block_size` across `shards`
-/// concurrent shards (>= 1).  Callers derive `shards` with
-/// effective_shard_count so no LRU set straddles two shards.
-TracePartition partition_trace(const TraceBuffer& trace, i64 block_size,
+/// Partition `trace` at `region_bytes` granularity across `shards` (>= 1)
+/// shards, streaming straight from the compressed chunks: they are
+/// decoded one sub-batch at a time, so the raw 16-byte-per-ref stream
+/// never materializes in full.  Callers derive both values with
+/// multi_shard_plan (sim/multi.h) so the composed replay is exact for
+/// every plane.
+TracePartition partition_trace(const EncodedTrace& trace, i64 region_bytes,
                                int shards);
-
-/// Same, streaming straight from a compressed trace: chunks are decoded
-/// one at a time through a chunk-sized scratch buffer, so the raw
-/// 16-byte-per-ref stream never materializes in full.
-TracePartition partition_trace(const EncodedTrace& trace, i64 block_size,
-                               int shards);
-
-/// A trace partitioned once, at *region* granularity, for the composed
-/// sharded × multi-configuration replay (replay_multi_partitioned).
-///
-/// The region is a common multiple of every plane's block size (in
-/// practice the largest block of the sweep), so a region — and with it
-/// every plane's blocks inside that region — belongs to exactly one
-/// shard, and one partition serves all planes at once.  Because each
-/// plane's set index is the block number modulo a power-of-two set
-/// count, a shard count that divides every plane's
-/// cache_bytes / region_bytes also keeps every plane's LRU sets
-/// shard-pure, which is what makes the composition exact
-/// (multi_shard_plan in sim/multi.h computes the largest such count).
-/// Region-spanning references split into per-region pieces exactly like
-/// block-spanning ones; region boundaries are block boundaries for
-/// every plane, so a piece never splits a plane's block across shards.
-struct MultiTracePartition {
-  TracePartition part;   // block_size == region_bytes
-  i64 region_bytes = 0;
-};
-
-/// Partition `trace` at `region_bytes` granularity across `shards`
-/// shards for a composed multi-plane replay.  Callers derive both
-/// values with multi_shard_plan (sim/multi.h) so the composition is
-/// exact for every plane.
-MultiTracePartition partition_trace_multi(const TraceBuffer& trace,
-                                          i64 region_bytes, int shards);
-
-/// Same, streaming straight from a compressed trace.
-MultiTracePartition partition_trace_multi(const EncodedTrace& trace,
-                                          i64 region_bytes, int shards);
 
 }  // namespace fsopt

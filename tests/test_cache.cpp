@@ -221,6 +221,28 @@ TEST(Cache, OutOfRangeAccessThrows) {
   EXPECT_THROW(c.access(0, -4, 4, false), InternalError);
 }
 
+TEST(Cache, GeometryWithoutASetIsRejectedBeforeSizing) {
+  // Rejected with a message naming the sizes, before anything divides by
+  // the block size or the set count.
+  EXPECT_THROW(CoherentCache(params(4, 0)), InternalError);
+  EXPECT_THROW(CoherentCache(params(4, 2)), InternalError);
+  EXPECT_THROW(CoherentCache(params(4, -64)), InternalError);
+  EXPECT_THROW(CoherentCache(params(4, 8192, 4096)), InternalError);
+  CacheParams two_way = params(4, 64, 64);
+  two_way.associativity = 2;
+  EXPECT_THROW(CoherentCache{two_way}, InternalError);
+  try {
+    CoherentCache c(params(4, 1 << 20, 32 * 1024));
+    FAIL() << "expected InternalError";
+  } catch (const InternalError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("32768"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("1048576"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("shard"), std::string::npos) << msg;
+  }
+  EXPECT_NO_THROW(CoherentCache(params(4, 4, 4)));  // one word, one set
+}
+
 TEST(CacheSim, SplitRefCountsOnce) {
   // An 8B ref on 4B blocks is two block transactions but ONE reference
   // in the stats — same contract as the sharded replay path.

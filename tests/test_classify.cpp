@@ -86,16 +86,5 @@ TEST(Classifier, CrossBlockRangeThrows) {
   EXPECT_THROW(c.classify_miss(0, 60, 8), InternalError);
 }
 
-TEST(Classifier, ShardOnlyOwnsItsBlocks) {
-  // Shard 1 of 2 owns the odd blocks; touching an even block is a
-  // routing bug and must throw rather than corrupt another shard's
-  // counters.
-  MissClassifier c(2, 64, 4096, ShardSpec{1, 2});
-  c.note_access(0, 64, 4, false);  // block 1: owned
-  EXPECT_EQ(c.classify_miss(0, 64, 4), MissKind::kReplacement);
-  EXPECT_THROW(c.note_access(0, 0, 4, false), InternalError);
-  EXPECT_THROW(c.classify_miss(0, 128, 4), InternalError);
-}
-
 }  // namespace
 }  // namespace fsopt

@@ -77,7 +77,7 @@ TEST(ConflictGraph, CollectsAdjacentWordPingPong) {
   Compiled c = compile_source(kPingPong, base_options(false));
   AddressMap am = build_address_map(c);
   TraceStudyResult st =
-      run_trace_study(c, {64, 128}, 32 * 1024, &am, 0, 0, true);
+      run_trace_study(c, {64, 128}, 32 * 1024, &am, 0, true);
   ASSERT_EQ(st.conflicts.size(), 2u);
   for (i64 b : {i64{64}, i64{128}}) {
     const ConflictGraph& g = st.conflicts.at(b);
@@ -104,7 +104,7 @@ TEST(ConflictGraph, CollectsAdjacentWordPingPong) {
 TEST(ConflictGraph, ProfileCarriesKnownWordStructure) {
   Compiled c = compile_source(kPingPong, base_options(false));
   AddressMap am = build_address_map(c);
-  TraceStudyResult st = run_trace_study(c, {128}, 32 * 1024, &am, 0, 0, true);
+  TraceStudyResult st = run_trace_study(c, {128}, 32 * 1024, &am, 0, true);
   ConflictProfile prof = build_conflict_profile(st, 128, am);
   EXPECT_EQ(prof.block_size, 128);
   const ConflictProfile::Entry* e = prof.find("cnt");
@@ -124,7 +124,7 @@ TEST(ConflictGraph, DisabledPathStatsBitIdentical) {
   AddressMap am = build_address_map(c);
   TraceStudyResult off = run_trace_study(c, {64, 128}, 32 * 1024, &am);
   TraceStudyResult on =
-      run_trace_study(c, {64, 128}, 32 * 1024, &am, 0, 0, true);
+      run_trace_study(c, {64, 128}, 32 * 1024, &am, 0, true);
   EXPECT_TRUE(off.conflicts.empty());
   ASSERT_EQ(on.conflicts.size(), 2u);
   for (i64 b : {i64{64}, i64{128}}) {
@@ -136,7 +136,7 @@ TEST(ConflictGraph, DisabledPathStatsBitIdentical) {
 TEST(ConflictGraph, JsonDumpIsParseable) {
   Compiled c = compile_source(kPingPong, base_options(false));
   AddressMap am = build_address_map(c);
-  TraceStudyResult st = run_trace_study(c, {128}, 32 * 1024, &am, 0, 0, true);
+  TraceStudyResult st = run_trace_study(c, {128}, 32 * 1024, &am, 0, true);
   std::string doc = conflict_graph_to_json(st.conflicts.at(128), &am);
   std::optional<json::Value> parsed = json::parse(doc);
   ASSERT_TRUE(parsed.has_value());

@@ -44,7 +44,7 @@ TEST(Experiment, TraceStudyDeterministicAcrossThreadCounts) {
 TEST(Experiment, RecordedTraceReplaysLikeTheOneShotStudy) {
   Compiled c = compile_opt();
   TraceStudyResult oneshot = run_trace_study(c, {16, 128});
-  TraceBuffer trace = record_trace(c);
+  EncodedTrace trace = record_encoded_trace(c);
   EXPECT_EQ(trace.size(), oneshot.refs);
   TraceStudyResult replayed = replay_trace_study(trace, c, {16, 128});
   EXPECT_EQ(replayed.by_block, oneshot.by_block);
@@ -79,7 +79,7 @@ TEST(Experiment, AtOnEmptyStudyNamesNoSizes) {
 
 TEST(Experiment, MergeCombinesDisjointBlockStudies) {
   Compiled c = compile_opt();
-  TraceBuffer trace = record_trace(c);
+  EncodedTrace trace = record_encoded_trace(c);
   TraceStudyResult all = replay_trace_study(trace, c, {16, 64, 128});
   TraceStudyResult lo = replay_trace_study(trace, c, {16});
   TraceStudyResult hi = replay_trace_study(trace, c, {64, 128});

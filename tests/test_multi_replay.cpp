@@ -1,15 +1,13 @@
 // Differential suite for single-pass multi-configuration replay
 // (sim/multi.h): replay_multi must be bit-identical — aggregate stats
-// and per-datum attribution — to independent per-configuration replays
-// through the sharded path (replay_partitioned), for every cell of the
-// full workload matrix, across block sizes and shard counts, and for
-// any thread count / plane grouping.
+// and per-datum attribution — to independent per-configuration CacheSim
+// replays (the reference model), for every cell of the full workload
+// matrix, across block sizes, and for any thread count / plane grouping.
 #include "sim/multi.h"
 
 #include <gtest/gtest.h>
 
 #include "driver/experiment.h"
-#include "trace/shard.h"
 
 namespace fsopt {
 namespace {
@@ -43,7 +41,7 @@ TEST(MultiReplay, MatchesIndependentSimsOnSyntheticStream) {
   std::vector<CacheParams> params =
       sweep_params(4, 1 << 16, {4, 16, 64, 256}, /*l1=*/2048);
 
-  MultiReplayResult multi = replay_multi(raw, params);
+  MultiReplayResult multi = replay_multi(encode_trace(raw), params);
   ASSERT_EQ(multi.stats.size(), params.size());
   for (size_t p = 0; p < params.size(); ++p) {
     CacheSim solo(params[p]);
@@ -53,17 +51,17 @@ TEST(MultiReplay, MatchesIndependentSimsOnSyntheticStream) {
   }
 }
 
-TEST(MultiReplay, EncodedAndRawTracesAgree) {
+TEST(MultiReplay, ChunkBoundariesNeverChangeResults) {
   std::vector<MemRef> refs;
   for (int i = 0; i < 3000; ++i)
     refs.push_back({(i * 52) % 4096, static_cast<u8>(i % 2 ? 8 : 4),
                     static_cast<u8>(i % 3),
                     i % 5 == 0 ? RefType::kWrite : RefType::kRead});
   TraceBuffer raw = make_trace(refs);
-  EncodedTrace enc = encode_trace(raw, /*chunk_refs=*/128);
   std::vector<CacheParams> params = sweep_params(3, 1 << 13, {4, 32, 128});
-  MultiReplayResult a = replay_multi(raw, params);
-  MultiReplayResult b = replay_multi(enc, params);
+  MultiReplayResult a = replay_multi(encode_trace(raw), params);
+  MultiReplayResult b =
+      replay_multi(encode_trace(raw, /*chunk_refs=*/128), params);
   EXPECT_EQ(a.stats, b.stats);
 }
 
@@ -98,7 +96,7 @@ TEST(MultiReplay, SplitRefClassesDivergePerPlaneCorrectly) {
   };
   TraceBuffer raw = make_trace(refs);
   std::vector<CacheParams> params = sweep_params(2, 1 << 10, {4, 8, 64});
-  MultiReplayResult multi = replay_multi(raw, params);
+  MultiReplayResult multi = replay_multi(encode_trace(raw), params);
 
   for (size_t p = 0; p < params.size(); ++p) {
     CacheSim solo(params[p]);
@@ -128,7 +126,7 @@ TEST(MultiReplay, PerDatumAttributionMatchesSoloSim) {
   }
   TraceBuffer raw = make_trace(refs);
   std::vector<CacheParams> params = sweep_params(4, 1 << 13, {16, 64});
-  MultiReplayResult multi = replay_multi(raw, params, &am);
+  MultiReplayResult multi = replay_multi(encode_trace(raw), params, &am);
   ASSERT_EQ(multi.by_datum.size(), params.size());
   for (size_t p = 0; p < params.size(); ++p) {
     CacheSim solo(params[p], &am);
@@ -142,11 +140,11 @@ TEST(MultiReplay, PerDatumAttributionMatchesSoloSim) {
 //
 // Every cell of the paper's experiment matrix (ten workloads x {N,C}
 // plus the programmer-optimized versions): single-pass multi-plane
-// replay of the cell's recorded trace must equal looped
-// replay_partitioned — the sharded engine — at every block size and for
-// shard counts 1 and 4, on aggregate stats AND per-datum attribution.
+// replay of the cell's recorded trace must equal a dedicated CacheSim
+// per plane at every block size, on aggregate stats AND per-datum
+// attribution.
 
-TEST(MultiReplayMatrix, BitIdenticalToPartitionedReplayAcrossAllCells) {
+TEST(MultiReplayMatrix, BitIdenticalToPerPlaneCacheSimAcrossAllCells) {
   std::vector<CompileJob> jobs = workload_matrix_jobs();
   ASSERT_EQ(jobs.size(), 29u);  // 10 N + 10 C + 9 P
   std::vector<CompiledVariant> cells = compile_matrix(jobs);
@@ -164,19 +162,12 @@ TEST(MultiReplayMatrix, BitIdenticalToPartitionedReplayAcrossAllCells) {
     MultiReplayResult multi = replay_multi(trace, params, &am);
 
     for (size_t p = 0; p < params.size(); ++p) {
-      for (int k : {1, 4}) {
-        int eff = effective_shard_count(k, params[p]);
-        TracePartition part =
-            partition_trace(trace, params[p].block_size, eff);
-        ShardedReplayResult sharded = replay_partitioned(part, params[p],
-                                                         &am);
-        EXPECT_EQ(multi.stats[p], sharded.stats)
-            << cell.label << " block=" << params[p].block_size
-            << " shards=" << eff;
-        EXPECT_EQ(multi.by_datum[p], sharded.by_datum)
-            << cell.label << " block=" << params[p].block_size
-            << " shards=" << eff;
-      }
+      CacheSim solo(params[p], &am);
+      trace.replay(solo);
+      EXPECT_EQ(multi.stats[p], solo.stats())
+          << cell.label << " block=" << params[p].block_size;
+      EXPECT_EQ(multi.by_datum[p], solo.by_datum())
+          << cell.label << " block=" << params[p].block_size;
     }
   }
 }

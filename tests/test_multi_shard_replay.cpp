@@ -2,9 +2,9 @@
 // replay (replay_multi_partitioned): one region-granular partition,
 // each shard simulating every plane, must be bit-identical — aggregate
 // stats AND per-datum attribution — to the serial single-pass
-// replay_multi and to the per-configuration sharded path
-// (replay_partitioned), for every shard count and across the full
-// 29-cell workload matrix.
+// replay_multi, for every shard count and across the full 29-cell
+// workload matrix.  Also covers replay_trace_study's choice between the
+// two engines, including a sweep the region partition cannot nest.
 #include "sim/multi.h"
 
 #include <gtest/gtest.h>
@@ -24,10 +24,11 @@ std::vector<CacheParams> sweep_params(i64 nprocs, i64 total,
   return out;
 }
 
-TraceBuffer make_trace(const std::vector<MemRef>& refs) {
+EncodedTrace encoded(const std::vector<MemRef>& refs,
+                     size_t chunk_refs = TraceBuffer::kDefaultChunkRefs) {
   TraceBuffer t;
   t.on_batch(refs.data(), refs.size());
-  return t;
+  return encode_trace(t, chunk_refs);
 }
 
 TEST(MultiShardPlan, RegionIsLargestBlockAndShardsDivideEveryPlane) {
@@ -61,19 +62,19 @@ TEST(MultiShardReplay, SyntheticStreamMatchesSerialForEveryShardCount) {
     if (i % 7 == 0)
       refs.push_back({252 + (i % 5) * 256, 8, proc, RefType::kWrite});
   }
-  TraceBuffer raw = make_trace(refs);
+  EncodedTrace enc = encoded(refs);
   AddressMap am;
   am.add(0, 64, "hot");
   am.add(64, 1 << 14, "cold");
   std::vector<CacheParams> params =
       sweep_params(4, 1 << 16, {4, 8, 16, 32, 64, 128, 256}, /*l1=*/2048);
 
-  MultiReplayResult serial = replay_multi(raw, params, &am);
+  MultiReplayResult serial = replay_multi(enc, params, &am);
   for (int k : {1, 2, 4, 8}) {
     MultiShardPlan plan = multi_shard_plan(params, k);
     EXPECT_EQ(plan.shards, k);
-    MultiTracePartition part =
-        partition_trace_multi(raw, plan.region_bytes, plan.shards);
+    TracePartition part =
+        partition_trace(enc, plan.region_bytes, plan.shards);
     MultiReplayResult composed =
         replay_multi_partitioned(part, params, &am);
     EXPECT_EQ(serial.stats, composed.stats) << "shards=" << k;
@@ -81,20 +82,21 @@ TEST(MultiShardReplay, SyntheticStreamMatchesSerialForEveryShardCount) {
   }
 }
 
-TEST(MultiShardReplay, EncodedAndRawPartitionsAgree) {
+TEST(MultiShardReplay, ChunkBoundariesNeverChangeResults) {
   std::vector<MemRef> refs;
   for (int i = 0; i < 3000; ++i)
     refs.push_back({(i * 52) % 4096, static_cast<u8>(i % 2 ? 8 : 4),
                     static_cast<u8>(i % 3),
                     i % 5 == 0 ? RefType::kWrite : RefType::kRead});
-  TraceBuffer raw = make_trace(refs);
-  EncodedTrace enc = encode_trace(raw, /*chunk_refs=*/128);
   std::vector<CacheParams> params = sweep_params(3, 1 << 13, {4, 32, 128});
   MultiShardPlan plan = multi_shard_plan(params, 4);
   MultiReplayResult a = replay_multi_partitioned(
-      partition_trace_multi(raw, plan.region_bytes, plan.shards), params);
+      partition_trace(encoded(refs), plan.region_bytes, plan.shards),
+      params);
   MultiReplayResult b = replay_multi_partitioned(
-      partition_trace_multi(enc, plan.region_bytes, plan.shards), params);
+      partition_trace(encoded(refs, /*chunk_refs=*/128), plan.region_bytes,
+                      plan.shards),
+      params);
   EXPECT_EQ(a.stats, b.stats);
 }
 
@@ -103,12 +105,11 @@ TEST(MultiShardReplay, ThreadCountNeverChangesResults) {
   for (int i = 0; i < 5000; ++i)
     refs.push_back({(i * 36) % 8192, 4, static_cast<u8>(i % 8),
                     i % 4 == 0 ? RefType::kWrite : RefType::kRead});
-  TraceBuffer raw = make_trace(refs);
   std::vector<CacheParams> params =
       sweep_params(8, 1 << 13, {4, 8, 16, 32, 64, 128, 256});
   MultiShardPlan plan = multi_shard_plan(params, 8);
-  MultiTracePartition part =
-      partition_trace_multi(raw, plan.region_bytes, plan.shards);
+  TracePartition part =
+      partition_trace(encoded(refs), plan.region_bytes, plan.shards);
   MultiReplayResult one = replay_multi_partitioned(part, params, nullptr, 1);
   for (int threads : {2, 3, 8}) {
     MultiReplayResult many =
@@ -117,28 +118,60 @@ TEST(MultiShardReplay, ThreadCountNeverChangesResults) {
   }
 }
 
-TEST(MultiShardReplay, StudyRoutesShardedSweepsThroughComposedEngine) {
-  // replay_trace_study with an explicit shard request must produce the
-  // single-pass result exactly (it now partitions once and composes).
-  const workloads::Workload& w = workloads::get("fmm");
-  CompileOptions o;
-  o.overrides = w.sim_overrides;
-  o.overrides["NPROCS"] = 4;
-  Compiled c = compile_source(w.natural, o);
-  EncodedTrace trace = record_encoded_trace(c);
-  AddressMap am = build_address_map(c);
+/// fmm's natural version on four processors: its recording is large
+/// enough (>= 64 Ki references) that replay_trace_study shards it
+/// whenever it has more than one thread.
+struct FmmStudy {
+  Compiled c;
+  EncodedTrace trace;
+  AddressMap am;
+  FmmStudy() {
+    const workloads::Workload& w = workloads::get("fmm");
+    CompileOptions o;
+    o.overrides = w.sim_overrides;
+    o.overrides["NPROCS"] = 4;
+    c = compile_source(w.natural, o);
+    trace = record_encoded_trace(c);
+    am = build_address_map(c);
+  }
+};
+
+TEST(MultiShardReplay, StudyShardsLargeTracesExactly) {
+  // One thread replays single-pass; two and four shard the trace through
+  // the composed engine.  Every route must produce the same numbers.
+  FmmStudy f;
+  ASSERT_GE(f.trace.size(), u64{1} << 16);
   const std::vector<i64> blocks = {4, 16, 64, 256};
   TraceStudyResult serial =
-      replay_trace_study(trace, c, blocks, 32 * 1024, &am, 1, 1);
-  for (int k : {2, 4}) {
+      replay_trace_study(f.trace, f.c, blocks, 32 * 1024, &f.am, 1);
+  for (int threads : {2, 4}) {
     TraceStudyResult sharded =
-        replay_trace_study(trace, c, blocks, 32 * 1024, &am, 2, k);
+        replay_trace_study(f.trace, f.c, blocks, 32 * 1024, &f.am, threads);
     for (i64 b : blocks) {
       EXPECT_EQ(serial.by_block.at(b), sharded.by_block.at(b))
-          << "block=" << b << " shards=" << k;
+          << "block=" << b << " threads=" << threads;
       EXPECT_EQ(serial.by_datum.at(b), sharded.by_datum.at(b))
-          << "block=" << b << " shards=" << k;
+          << "block=" << b << " threads=" << threads;
     }
+  }
+}
+
+TEST(MultiShardReplay, StudyOfNonNestingSweepMatchesPerPlaneCacheSim) {
+  // {48, 64} B: 48 does not divide the 64 B region, so the composed
+  // engine cannot take this sweep (`fsoptc --miss 48,64`).  The study
+  // walks it single-pass instead, and every plane — the non-power-of-two
+  // one simulated by a private CoherentCache — must equal a dedicated
+  // CacheSim, attribution included.
+  FmmStudy f;
+  ASSERT_GE(f.trace.size(), u64{1} << 16);
+  const std::vector<i64> blocks = {48, 64};
+  TraceStudyResult st =
+      replay_trace_study(f.trace, f.c, blocks, 32 * 1024, &f.am, 4);
+  for (i64 b : blocks) {
+    CacheSim solo({f.c.nprocs(), 32 * 1024, b, f.c.code.total_bytes}, &f.am);
+    f.trace.replay(solo);
+    EXPECT_EQ(st.at(b), solo.stats()) << "block=" << b;
+    EXPECT_EQ(st.by_datum.at(b), solo.by_datum()) << "block=" << b;
   }
 }
 
@@ -146,9 +179,10 @@ TEST(MultiShardReplay, StudyRoutesShardedSweepsThroughComposedEngine) {
 //
 // Every cell of the paper's experiment matrix (ten workloads x {N,C}
 // plus the programmer-optimized versions): the composed sharded ×
-// multi-plane replay must equal the serial single-pass replay AND the
-// per-configuration sharded path, at every block size and shard count,
-// on aggregate stats and per-datum attribution.
+// multi-plane replay must equal the serial single-pass replay at every
+// block size and shard count, on aggregate stats and per-datum
+// attribution (test_multi_replay.cpp pins the serial replay to a
+// dedicated CacheSim per plane on the same matrix).
 
 TEST(MultiShardReplayMatrix, BitIdenticalAcrossAllCellsAndShardCounts) {
   std::vector<CompileJob> jobs = workload_matrix_jobs();
@@ -169,8 +203,8 @@ TEST(MultiShardReplayMatrix, BitIdenticalAcrossAllCellsAndShardCounts) {
 
     for (int k : {2, 8}) {
       MultiShardPlan plan = multi_shard_plan(params, k);
-      MultiTracePartition part =
-          partition_trace_multi(trace, plan.region_bytes, plan.shards);
+      TracePartition part =
+          partition_trace(trace, plan.region_bytes, plan.shards);
       MultiReplayResult composed =
           replay_multi_partitioned(part, params, &am);
       for (size_t p = 0; p < params.size(); ++p) {
@@ -181,15 +215,6 @@ TEST(MultiShardReplayMatrix, BitIdenticalAcrossAllCellsAndShardCounts) {
             << cell.label << " block=" << params[p].block_size
             << " shards=" << plan.shards;
       }
-    }
-    // Cross-check one cell leg against the per-configuration sharded
-    // engine, closing the triangle serial = composed = per-config.
-    for (size_t p = 0; p < params.size(); ++p) {
-      int eff = effective_shard_count(4, params[p]);
-      ShardedReplayResult per_config = replay_partitioned(
-          partition_trace(trace, params[p].block_size, eff), params[p], &am);
-      EXPECT_EQ(serial.stats[p], per_config.stats)
-          << cell.label << " block=" << params[p].block_size;
     }
   }
 }

@@ -2,11 +2,11 @@
 // nesting and thread attribution, Chrome-trace JSON well-formedness,
 // ThreadPool instrumentation (queue-depth counters, busy spans), summary
 // aggregation, and the must-not-perturb-results guarantee — replay stats
-// bit-identical with tracing on vs. off, alongside the shard-determinism
-// suite in test_shard.cpp.  The second half covers the metrics registry
-// (obs/metrics.h): histogram bucket boundaries, concurrent-increment
-// exactness, the kind-mismatch check, both expositions and the
-// partial-data marker.
+// bit-identical with tracing on vs. off, alongside the composed-replay
+// suite in test_multi_shard_replay.cpp.  The second half covers the
+// metrics registry (obs/metrics.h): histogram bucket boundaries,
+// concurrent-increment exactness, the kind-mismatch check, both
+// expositions and the partial-data marker.
 #include "obs/obs.h"
 
 #include <gtest/gtest.h>
@@ -182,21 +182,31 @@ const char* kProgram =
     "  barrier();\n"
     "}\n";
 
+/// A two-shard composed sweep of `c` over the paper block sizes — the
+/// engine replay_trace_study picks for large traces, called directly so
+/// this small program exercises it too.
+MultiReplayResult composed_sweep(const Compiled& c) {
+  std::vector<CacheParams> params;
+  for (i64 b : paper_block_sizes())
+    params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
+  const MultiShardPlan plan = multi_shard_plan(params, 2);
+  return replay_multi_partitioned(
+      partition_trace(record_encoded_trace(c), plan.region_bytes,
+                      plan.shards),
+      params, nullptr, /*threads=*/2);
+}
+
 TEST_F(ObsTest, EndToEndRunEmitsPassRecordAndReplaySpans) {
   Compiled c = compile_source(kProgram, CompileOptions{});
-  TraceBuffer trace = record_trace(c);
-  // Force sharding so per-shard spans exist even for this small trace.
-  replay_trace_study(trace, c, {16, 64}, 32 * 1024, nullptr,
-                     /*threads=*/2, /*shards=*/2);
+  composed_sweep(c);
 
   obs::TraceData data = obs::collect();
   EXPECT_NE(find_span(data, "parse"), nullptr);
   EXPECT_NE(find_span(data, "codegen"), nullptr);
-  EXPECT_NE(find_span(data, "record_trace"), nullptr);
+  EXPECT_NE(find_span(data, "record_encoded_trace"), nullptr);
   EXPECT_NE(find_span(data, "partition"), nullptr);
-  // Sharded sweeps run the composed sharded × multi-plane engine: one
-  // span per shard with throughput, one span per plane with the
-  // miss-class counters.
+  // The composed sharded × multi-plane engine: one span per shard with
+  // throughput, one span per plane with the miss-class counters.
   const obs::SpanEvent* shard = find_span(data, "multi_shard");
   ASSERT_NE(shard, nullptr);
   bool has_refs = false;
@@ -210,10 +220,12 @@ TEST_F(ObsTest, EndToEndRunEmitsPassRecordAndReplaySpans) {
 
   obs::TraceSummary summary = obs::summarize(data);
   EXPECT_FALSE(summary.slowest_pass.empty());
+  EXPECT_GE(summary.slowest_shard, 0);
   EXPECT_GT(summary.wall_seconds, 0.0);
   std::string rendered = obs::render_summary(data);
   EXPECT_NE(rendered.find("pass"), std::string::npos);
   EXPECT_NE(rendered.find("slowest pass"), std::string::npos);
+  EXPECT_NE(rendered.find("slowest replay shard"), std::string::npos);
 }
 
 TEST_F(ObsTest, StatsBitIdenticalWithTracingOnAndOff) {
@@ -224,13 +236,16 @@ TEST_F(ObsTest, StatsBitIdenticalWithTracingOnAndOff) {
   Compiled off_c = compile_source(kProgram, CompileOptions{});
   TraceStudyResult off =
       run_trace_study(off_c, paper_block_sizes(), 32 * 1024, nullptr,
-                      /*threads=*/2, /*shards=*/2);
+                      /*threads=*/2);
+  MultiReplayResult off_composed = composed_sweep(off_c);
 
   obs::set_enabled(true);
   Compiled on_c = compile_source(kProgram, CompileOptions{});
   TraceStudyResult on =
       run_trace_study(on_c, paper_block_sizes(), 32 * 1024, nullptr,
-                      /*threads=*/2, /*shards=*/2);
+                      /*threads=*/2);
+  MultiReplayResult on_composed = composed_sweep(on_c);
+  EXPECT_EQ(off_composed.stats, on_composed.stats);
 
   EXPECT_EQ(compile_fingerprint(off_c), compile_fingerprint(on_c));
   EXPECT_EQ(off.refs, on.refs);
@@ -426,13 +441,12 @@ TEST_F(MetricsTest, StatsBitIdenticalWithMetricsOnAndOff) {
   obs::set_metrics_enabled(false);
   Compiled off_c = compile_source(kProgram, CompileOptions{});
   TraceStudyResult off = run_trace_study(off_c, {16, 128}, 32 * 1024,
-                                         nullptr, /*threads=*/2,
-                                         /*shards=*/2);
+                                         nullptr, /*threads=*/2);
 
   obs::set_metrics_enabled(true);
   Compiled on_c = compile_source(kProgram, CompileOptions{});
   TraceStudyResult on = run_trace_study(on_c, {16, 128}, 32 * 1024, nullptr,
-                                        /*threads=*/2, /*shards=*/2);
+                                        /*threads=*/2);
 
   EXPECT_EQ(compile_fingerprint(off_c), compile_fingerprint(on_c));
   EXPECT_EQ(off.refs, on.refs);

@@ -221,7 +221,7 @@ const char* kProgram =
 TEST(Patterns, CollectorDoesNotPerturbMissStats) {
   Compiled c = compile_source(kProgram, CompileOptions{});
   AddressMap map = build_address_map(c);
-  TraceBuffer trace = record_trace(c);
+  EncodedTrace trace = record_encoded_trace(c);
   CacheParams params{c.nprocs(), 32 * 1024, 64, c.code.total_bytes};
 
   CacheSim plain(params, &map);

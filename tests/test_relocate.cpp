@@ -293,7 +293,7 @@ TEST(RelocationFuzz, RandomPlansGetTheirOwnRecording) {
     Compiled c = compile_source(w.natural, base);
     AddressMap am = build_address_map(c);
     TraceStudyResult st =
-        run_trace_study(c, blocks, 32 * 1024, &am, 0, 0, true);
+        run_trace_study(c, blocks, 32 * 1024, &am, 0, true);
     FalseSharingProfile profile = build_fs_profile(st, 128);
     ConflictProfile conflicts = build_conflict_profile(st, 128, am);
     PlannerInputs in{c.report, c.summary,    base.decision, 128,

@@ -109,7 +109,7 @@ struct SearchHarness {
     h.compiled = compile_source(h.source, h.options);
     h.am = build_address_map(h.compiled);
     TraceStudyResult st = run_trace_study(h.compiled, h.blocks, 32 * 1024,
-                                          &h.am, 1, 0, true);
+                                          &h.am, 1, true);
     h.profile = build_fs_profile(st, h.target);
     h.conflicts = build_conflict_profile(st, h.target, h.am);
     return h;
@@ -130,7 +130,7 @@ struct SearchHarness {
   /// Score one candidate from its trace, as the driver's evaluator does.
   PlanScore score(const Compiled& c, const EncodedTrace& trace) const {
     TraceStudyResult st = replay_trace_study(trace, c, blocks, 32 * 1024,
-                                             nullptr, threads, 0, false);
+                                             nullptr, threads);
     PlanScore s;
     for (i64 b : blocks) {
       s.fs[b] = st.at(b).false_sharing;

@@ -1,32 +1,32 @@
-// Tests for trace partitioning (trace/shard.h) and the shard-parallel
-// replay path (driver replay_trace_sharded / replay_trace_study): unit
-// tests for the partitioner's routing and split handling, plus the
-// shard-determinism regression — sharded replay must be bit-identical to
-// the serial simulator for every shard count and block size.
+// Unit tests for region partitioning (trace/shard.h): routing by region
+// modulo shard count, per-shard order, split pieces of region-spanning
+// references, the single-shard case, and the composed replay's refusal
+// of a partition that does not match its planes.  Bit-identity of the
+// composed replay itself lives in test_multi_shard_replay.cpp.
 #include "trace/shard.h"
 
 #include <gtest/gtest.h>
 
-#include "driver/experiment.h"
-#include "workloads/workloads.h"
+#include "sim/multi.h"
 
 namespace fsopt {
 namespace {
 
-TraceBuffer make_trace(const std::vector<MemRef>& refs) {
+EncodedTrace encoded(const std::vector<MemRef>& refs) {
   TraceBuffer t;
   t.on_batch(refs.data(), refs.size());
-  return t;
+  return encode_trace(t);
 }
 
-TEST(Partition, RoutesByBlockModuloShards) {
-  // 64B blocks, 4 shards: addr 0 -> block 0 -> shard 0; addr 320 ->
-  // block 5 -> shard 1; addr 448 -> block 7 -> shard 3.
-  TraceBuffer t = make_trace({{0, 4, 0, RefType::kRead},
-                              {320, 4, 1, RefType::kWrite},
-                              {448, 4, 2, RefType::kRead}});
-  TracePartition p = partition_trace(t, 64, 4);
+TEST(Partition, RoutesByRegionModuloShards) {
+  // 64B regions, 4 shards: addr 0 -> region 0 -> shard 0; addr 320 ->
+  // region 5 -> shard 1; addr 448 -> region 7 -> shard 3.
+  TracePartition p = partition_trace(encoded({{0, 4, 0, RefType::kRead},
+                                              {320, 4, 1, RefType::kWrite},
+                                              {448, 4, 2, RefType::kRead}}),
+                                     64, 4);
   EXPECT_EQ(p.refs, 3u);
+  EXPECT_EQ(p.region_bytes, 64);
   ASSERT_EQ(p.shard.size(), 4u);
   ASSERT_EQ(p.shard[0].refs.size(), 1u);
   EXPECT_EQ(p.shard[0].refs[0].addr, 0);
@@ -38,13 +38,13 @@ TEST(Partition, RoutesByBlockModuloShards) {
 }
 
 TEST(Partition, PreservesPerShardOrder) {
-  // All refs hit shard 0 (blocks 0 and 2 with 2 shards); their relative
+  // All refs hit shard 0 (regions 0 and 2 with 2 shards); their relative
   // order must survive.
-  TraceBuffer t = make_trace({{0, 4, 0, RefType::kRead},
-                              {128, 4, 1, RefType::kWrite},
-                              {4, 4, 2, RefType::kRead},
-                              {132, 8, 3, RefType::kRead}});
-  TracePartition p = partition_trace(t, 64, 2);
+  TracePartition p = partition_trace(encoded({{0, 4, 0, RefType::kRead},
+                                              {128, 4, 1, RefType::kWrite},
+                                              {4, 4, 2, RefType::kRead},
+                                              {132, 8, 3, RefType::kRead}}),
+                                     64, 2);
   ASSERT_EQ(p.shard[0].refs.size(), 4u);
   EXPECT_EQ(p.shard[0].refs[0].addr, 0);
   EXPECT_EQ(p.shard[0].refs[1].addr, 128);
@@ -53,28 +53,29 @@ TEST(Partition, PreservesPerShardOrder) {
   EXPECT_TRUE(p.shard[1].refs.empty());
 }
 
-TEST(Partition, SplitsBlockSpanningRefs) {
-  // 4B blocks, 2 shards: an 8-byte ref at 4 spans blocks 1 (shard 1) and
-  // 2 (shard 0).  Each piece lands in its owning shard as a split entry
-  // tagged with the same ordinal and increasing part, positioned between
-  // the shard's surrounding plain refs.
-  TraceBuffer t = make_trace({{0, 4, 0, RefType::kRead},    // block 0, shard 0
-                              {4, 8, 1, RefType::kWrite},   // spans 1 and 2
-                              {8, 4, 2, RefType::kRead}});  // block 2, shard 0
-  TracePartition p = partition_trace(t, 4, 2);
+TEST(Partition, SplitsRegionSpanningRefs) {
+  // 4B regions, 2 shards: an 8-byte ref at 4 spans regions 1 (shard 1)
+  // and 2 (shard 0).  Each piece lands in its owning shard as a split
+  // entry tagged with the same ordinal and increasing part, positioned
+  // between the shard's surrounding plain refs.
+  TracePartition p =
+      partition_trace(encoded({{0, 4, 0, RefType::kRead},    // shard 0
+                               {4, 8, 1, RefType::kWrite},   // spans 1, 2
+                               {8, 4, 2, RefType::kRead}}),  // shard 0
+                      4, 2);
   EXPECT_EQ(p.refs, 3u);
   ASSERT_EQ(p.split_origin.size(), 1u);
   EXPECT_EQ(p.split_origin[0].addr, 4);
   EXPECT_EQ(p.split_origin[0].size, 8);
 
-  ASSERT_EQ(p.shard[1].splits.size(), 1u);  // block 1 piece
+  ASSERT_EQ(p.shard[1].splits.size(), 1u);  // region 1 piece
   EXPECT_EQ(p.shard[1].splits[0].ordinal, 0u);
   EXPECT_EQ(p.shard[1].splits[0].part, 0);
   EXPECT_EQ(p.shard[1].splits[0].sub.addr, 4);
   EXPECT_EQ(p.shard[1].splits[0].sub.size, 4);
   EXPECT_EQ(p.shard[1].splits[0].pos, 0u);  // shard 1 has no plain refs
 
-  ASSERT_EQ(p.shard[0].splits.size(), 1u);  // block 2 piece
+  ASSERT_EQ(p.shard[0].splits.size(), 1u);  // region 2 piece
   EXPECT_EQ(p.shard[0].splits[0].ordinal, 0u);
   EXPECT_EQ(p.shard[0].splits[0].part, 1);
   EXPECT_EQ(p.shard[0].splits[0].sub.addr, 8);
@@ -85,95 +86,36 @@ TEST(Partition, SplitsBlockSpanningRefs) {
 }
 
 TEST(Partition, SingleShardTakesEverything) {
-  TraceBuffer t = make_trace({{0, 4, 0, RefType::kRead},
-                              {4, 8, 1, RefType::kWrite},
-                              {500, 4, 2, RefType::kRead}});
-  TracePartition p = partition_trace(t, 4, 1);
+  TracePartition p = partition_trace(encoded({{0, 4, 0, RefType::kRead},
+                                              {4, 8, 1, RefType::kWrite},
+                                              {500, 4, 2, RefType::kRead}}),
+                                     4, 1);
   EXPECT_EQ(p.shard[0].refs.size(), 2u);
   EXPECT_EQ(p.shard[0].splits.size(), 2u);  // the 8B ref still splits
   EXPECT_EQ(p.split_origin.size(), 1u);
 }
 
-TEST(Shard, EffectiveShardCountDividesSets) {
-  // 32KiB direct-mapped with 64B blocks = 512 sets: powers of two
-  // divide, non-powers clamp down to the nearest divisor.
-  CacheParams p{4, 32 * 1024, 64, 1 << 16};
-  EXPECT_EQ(effective_shard_count(1, p), 1);
-  EXPECT_EQ(effective_shard_count(4, p), 4);
-  EXPECT_EQ(effective_shard_count(6, p), 4);
-  EXPECT_EQ(effective_shard_count(7, p), 4);
-  EXPECT_EQ(effective_shard_count(512, p), 512);
-  EXPECT_EQ(effective_shard_count(1000, p), 512);
-  EXPECT_EQ(effective_shard_count(0, p), 1);
-}
-
-TEST(Shard, MismatchedPartitionIsRejected) {
-  TraceBuffer t = make_trace({{0, 4, 0, RefType::kRead}});
-  CacheParams p{4, 32 * 1024, 64, 1 << 16};
-  TracePartition part = partition_trace(t, 32, 2);
-  EXPECT_THROW(replay_partitioned(part, p), InternalError);  // wrong block
-  TracePartition part3 = partition_trace(t, 64, 3);
-  EXPECT_THROW(replay_partitioned(part3, p), InternalError);  // 3 ∤ 512
-}
-
-// --- shard-determinism regression -----------------------------------
-//
-// Two real workloads, every paper block size from 4 to 256, shard counts
-// 1/2/4/8: the merged stats and the per-datum attribution of the sharded
-// replay must equal the serial replay exactly, field for field.  The 4B
-// runs exercise split references (8-byte data on 4-byte blocks) crossing
-// shard boundaries.
-
-class ShardDeterminism : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ShardDeterminism, BitIdenticalForEveryShardCount) {
-  const auto& w = workloads::get(GetParam());
-  CompileOptions opt;
-  opt.overrides = w.sim_overrides;
-  opt.overrides["NPROCS"] = 4;
-  Compiled c = compile_source(w.unopt, opt);
-  AddressMap am = build_address_map(c);
-  TraceBuffer trace = record_trace(c);
-  ASSERT_GT(trace.size(), 0u);
-
-  for (i64 block : paper_block_sizes()) {
-    CacheParams p{c.nprocs(), 32 * 1024, block, c.code.total_bytes};
-    ShardedReplayResult serial =
-        replay_trace_sharded(trace, p, 1, &am);
-    ASSERT_EQ(serial.shards, 1);
-    for (int k : {2, 4, 8}) {
-      ShardedReplayResult sharded =
-          replay_trace_sharded(trace, p, k, &am);
-      EXPECT_EQ(sharded.shards, effective_shard_count(k, p));
-      EXPECT_EQ(sharded.stats, serial.stats)
-          << GetParam() << " block=" << block << " shards=" << k;
-      EXPECT_EQ(sharded.by_datum, serial.by_datum)
-          << GetParam() << " block=" << block << " shards=" << k;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Workloads, ShardDeterminism,
-                         ::testing::Values("maxflow", "pverify"));
-
-TEST(Shard, StudyAutoShardingMatchesSerialStudy) {
-  // The study-level knob (shards > 1) must not change any number either.
-  const auto& w = workloads::get("maxflow");
-  CompileOptions opt;
-  opt.overrides = w.sim_overrides;
-  opt.overrides["NPROCS"] = 4;
-  Compiled c = compile_source(w.unopt, opt);
-  AddressMap am = build_address_map(c);
-  TraceBuffer trace = record_trace(c);
-  TraceStudyResult serial = replay_trace_study(
-      trace, c, paper_block_sizes(), 32 * 1024, &am, /*threads=*/1,
-      /*shards=*/1);
-  TraceStudyResult sharded = replay_trace_study(
-      trace, c, paper_block_sizes(), 32 * 1024, &am, /*threads=*/4,
-      /*shards=*/4);
-  EXPECT_EQ(sharded.refs, serial.refs);
-  EXPECT_EQ(sharded.by_block, serial.by_block);
-  EXPECT_EQ(sharded.by_datum, serial.by_datum);
+TEST(Partition, MismatchedPartitionIsRejected) {
+  // Planes {16, 64} B in 32 KiB caches: region 64, and every shard count
+  // up to 512 divides 32768 / 64.
+  EncodedTrace t = encoded({{0, 4, 0, RefType::kRead}});
+  std::vector<CacheParams> params = {{4, 32 * 1024, 16, 1 << 16},
+                                     {4, 32 * 1024, 64, 1 << 16}};
+  EXPECT_NO_THROW(replay_multi_partitioned(partition_trace(t, 64, 2), params));
+  // Wrong region: the partition must nest the largest plane block.
+  EXPECT_THROW(replay_multi_partitioned(partition_trace(t, 32, 2), params),
+               InternalError);
+  // 3 does not divide the 512 regions per cache, so LRU sets would span
+  // shards.
+  EXPECT_THROW(replay_multi_partitioned(partition_trace(t, 64, 3), params),
+               InternalError);
+  // A geometry the region cannot nest ({48, 64} B) composes at no shard
+  // count above 1.
+  std::vector<CacheParams> odd = {{4, 48 * 1024, 48, 1 << 16},
+                                  {4, 32 * 1024, 64, 1 << 16}};
+  EXPECT_EQ(multi_shard_plan(odd, 4).shards, 1);
+  EXPECT_THROW(replay_multi_partitioned(partition_trace(t, 64, 2), odd),
+               InternalError);
 }
 
 }  // namespace

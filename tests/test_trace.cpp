@@ -175,7 +175,7 @@ TEST(MachineStaging, RecordedTraceMatchesMachineRefCount) {
       "  barrier();\n"
       "}\n";
   Compiled c = compile_source(src, {});
-  TraceBuffer trace = record_trace(c);
+  EncodedTrace trace = record_encoded_trace(c);
   CountingSink count;
   auto m = run_program(c, &count);
   EXPECT_EQ(trace.size(), m->refs());

@@ -18,13 +18,17 @@
 //     rows are compared per (workload, metric) pair.  Both the current
 //     shape (run facts in a top-level "meta" object) and the legacy shape
 //     (fake "workload": "host" rows) are accepted; host/meta entries and
-//     string-valued metrics never participate in the comparison.
+//     string-valued metrics never participate in the comparison.  Every
+//     gated baseline metric (one passing --metric-filter) must appear in
+//     the current report: an absent one prints a MISSING row and fails
+//     the gate, and so does a gate that compared nothing at all.
 //   * diagnosis reports ({"datums": [...]}, analysis/diagnose.h) —
 //     per-datum false-sharing miss counts are compared (direction is
 //     forced to lower), and a datum newly exceeding --min-count misses
 //     is reported even with no baseline entry.
 //
-// Exit status: 0 = within threshold, 1 = regression(s), 2 = usage or
+// Exit status: 0 = within threshold, 1 = regression(s) (or, for bench
+// reports, a missing gated metric or nothing compared), 2 = usage or
 // parse error.
 #include <cstdio>
 #include <cstring>
@@ -150,12 +154,19 @@ int diff_bench(const json::Value& base, const json::Value& cur,
   auto c = bench_rows(cur, o.current_path);
   int regressions = 0;
   size_t compared = 0;
+  size_t missing = 0;
   for (const auto& [key, bv] : b) {
     if (!o.metric_filter.empty() &&
         key.second.find(o.metric_filter) == std::string::npos)
       continue;
     auto it = c.find(key);
-    if (it == c.end()) continue;
+    if (it == c.end()) {
+      ++missing;
+      std::printf("MISSING    %s/%s: %.6g -> absent from %s\n",
+                  key.first.c_str(), key.second.c_str(), bv,
+                  o.current_path.c_str());
+      continue;
+    }
     double cv = it->second;
     if (bv < o.min_count && cv < o.min_count) continue;
     ++compared;
@@ -172,9 +183,12 @@ int diff_bench(const json::Value& base, const json::Value& cur,
                 key.second.c_str(), bv, cv, factor,
                 o.higher_is_better ? "slower" : "larger");
   }
-  std::printf("%zu metric(s) compared, %d regression(s) past %.2fx\n",
-              compared, regressions, o.threshold);
-  return regressions > 0 ? 1 : 0;
+  std::printf("%zu metric(s) compared, %zu missing, %d regression(s) past"
+              " %.2fx\n",
+              compared, missing, regressions, o.threshold);
+  if (compared == 0)
+    std::printf("FAIL: the gate compared no metric\n");
+  return regressions > 0 || missing > 0 || compared == 0 ? 1 : 0;
 }
 
 // --- diagnosis reports -----------------------------------------------------
