@@ -9,8 +9,8 @@
 //   4. compressed traces (trace/encode.h): encoded vs raw footprint and
 //      decode throughput, then the block-size sweep run as N dedicated
 //      per-configuration passes vs one single-pass multi-plane walk
-//      (sim/multi.h), across workloads (4b), with pipelined chunk decode
-//      (4e), and composed with region sharding (4f);
+//      (sim/multi.h), across workloads (4b), and composed with region
+//      sharding (4f);
 //   4c. address-map lookup.
 // Every timed replay is cross-checked against the others — the bench
 // fails loudly if any pair of implementations disagrees on a single
@@ -107,8 +107,8 @@ int main(int argc, char** argv) {
               repeats);
 
   // K shards on an N<K-core machine can at best tie the N-shard wall
-  // clock, so the pipeline and composed sections below only mean
-  // something next to the core count of the host that produced them.
+  // clock, so the composed section below only means something next to
+  // the core count of the host that produced it.
   int cpus = std::max(1u, std::thread::hardware_concurrency());
 
   JsonReport json;
@@ -117,9 +117,9 @@ int main(int argc, char** argv) {
   json.meta("cpus", static_cast<double>(cpus));
   if (cpus == 1)
     json.meta("note",
-              std::string("single-core host: pipeline and composed-shard "
-                          "speedups are exactness checks here; their "
-                          "parallel headroom needs >= 2 cores"));
+              std::string("single-core host: composed-shard speedups "
+                          "are exactness checks here; their parallel "
+                          "headroom needs >= 2 cores"));
 
   // --- 1+2: serial flat vs. hash, plain and attributed ----------------
   TextTable serial({"block", "hash", "flat", "speedup", "hash+attr",
@@ -326,42 +326,6 @@ int main(int argc, char** argv) {
     json.add("sweep", "single_pass_speedup_geomean", sweep_geomean);
     std::printf("--- single-pass sweep speedup across workloads ---\n%s\n",
                 sweeps.render().c_str());
-  }
-
-  // --- 4e: pipelined chunk decode --------------------------------------
-  // replay_pipelined overlaps the varint decode of chunk N+1 with the
-  // simulation of chunk N.  FSOPT_PIPELINE=1 forces the threaded path so
-  // the hand-off (and its bit-identity) is exercised even on one core;
-  // the speedup column is only meaningful with >= 2 cores.
-  {
-    setenv("FSOPT_PIPELINE", "0", 1);
-    MultiReplayResult m_serial;
-    double t_serial = best_of(repeats, [&] {
-      m_serial = replay_multi(enc, params, nullptr, /*threads=*/1);
-    });
-    setenv("FSOPT_PIPELINE", "1", 1);
-    MultiReplayResult m_pipe;
-    double t_pipe = best_of(repeats, [&] {
-      m_pipe = replay_multi(enc, params, nullptr, /*threads=*/1);
-    });
-    unsetenv("FSOPT_PIPELINE");
-    for (size_t i = 0; i < params.size(); ++i)
-      if (m_serial.stats[i] != m_pipe.stats[i])
-        mismatch("serial-decode and pipelined-decode stats",
-                 params[i].block_size);
-
-    const double nwork = refs * static_cast<double>(params.size());
-    std::printf("--- pipelined chunk decode (%zu chunks, %d cpu%s) ---\n",
-                enc.chunk_count(), cpus, cpus == 1 ? "" : "s");
-    TextTable pt({"decode", "time", "throughput", "speedup"});
-    pt.add_row({"serial", fixed(t_serial, 3) + "s", human(nwork / t_serial),
-                "1.00"});
-    pt.add_row({"pipelined", fixed(t_pipe, 3) + "s", human(nwork / t_pipe),
-                fixed(t_serial / t_pipe, 2) + "x"});
-    std::printf("%s\n", pt.render().c_str());
-    json.add(workload, "pipeline_serial_sec", t_serial);
-    json.add(workload, "pipeline_pipelined_sec", t_pipe);
-    json.add(workload, "pipeline_speedup", t_serial / t_pipe);
   }
 
   // --- 4f: composed sharded x multi-configuration sweep ----------------

@@ -60,31 +60,22 @@ DiagnosisReport diagnose(const Compiled& c, std::string workload,
   rep.l1_bytes = opt.l1_bytes;
   rep.planner = opt.planner;
 
-  // One recording, one replay — with every collector attached: per-datum
-  // attribution, the word-granularity conflict graph, and the pattern
-  // summarizer all observe the same reference stream.
+  // One recording, walked twice: the trace study the repair loop and the
+  // search run (per-datum attribution plus the word-granularity conflict
+  // graph), then the pattern summarizer over the same reference stream.
   AddressMap map = build_address_map(c);
   EncodedTrace trace = opt.traces != nullptr ? opt.traces->trace(c)
                                              : record_encoded_trace(c);
   rep.refs = trace.size();
 
-  CacheParams params{c.nprocs(), opt.l1_bytes, opt.block_size,
-                     c.code.total_bytes};
-  CacheSim sim(params, &map);
-  ConflictCollector conflicts;
-  sim.set_conflict_collector(&conflicts);
-  PatternCollector patterns(&map, params);
-  sim.set_pattern_collector(&patterns);
-  trace.replay_pipelined(sim);
-  rep.totals = sim.stats();
-
-  // Package the measurement as a one-configuration study so the repair
-  // loop's profile distillers apply unchanged.
-  TraceStudyResult study;
-  study.refs = trace.size();
-  study.by_block[opt.block_size] = sim.stats();
-  study.by_datum[opt.block_size] = sim.by_datum();
-  study.conflicts[opt.block_size] = conflicts.graph(opt.block_size);
+  TraceStudyResult study =
+      replay_trace_study(trace, c, {opt.block_size}, opt.l1_bytes, &map, 0,
+                         /*collect_conflicts=*/true);
+  rep.totals = study.at(opt.block_size);
+  PatternCollector patterns(&map, CacheParams{c.nprocs(), opt.l1_bytes,
+                                              opt.block_size,
+                                              c.code.total_bytes});
+  trace.replay(patterns);
 
   FalseSharingProfile fs_profile = build_fs_profile(study, opt.block_size);
   ConflictProfile conflict_profile =
@@ -116,7 +107,8 @@ DiagnosisReport diagnose(const Compiled& c, std::string workload,
     return it != by_name.end() ? it->second : nullptr;
   };
 
-  for (DatumPattern& p : patterns.patterns(opt.thresholds)) {
+  for (DatumPattern& p :
+       patterns.patterns(study.by_datum.at(opt.block_size), opt.thresholds)) {
     DatumDiagnosis d;
     d.name = p.name;
     d.pattern = p.label;

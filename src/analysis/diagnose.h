@@ -89,9 +89,10 @@ struct DiagnosisReport {
 };
 
 /// Diagnose one compiled workload: record its trace once, replay it at
-/// `opt.block_size` with attribution + conflict collection + the pattern
-/// collector attached, run `opt.planner` over the measured profiles (with
-/// the compile's own plan as base), and merge everything per datum.
+/// `opt.block_size` with attribution and conflict collection
+/// (replay_trace_study), summarize the same stream's access patterns,
+/// run `opt.planner` over the measured profiles (with the compile's own
+/// plan as base), and merge everything per datum.
 DiagnosisReport diagnose(const Compiled& c, std::string workload,
                          const DiagnoseOptions& opt = {});
 

@@ -19,21 +19,19 @@ const char* metric_kind_name(MetricKind k) {
   switch (k) {
     case MetricKind::kCounter: return "counter";
     case MetricKind::kGauge: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
   }
   return "?";
 }
 
 namespace {
 
-/// One registered instrument.  Exactly one of c/g/h is set, per `kind`.
+/// One registered instrument.  Exactly one of c/g is set, per `kind`.
 struct Instrument {
   std::string name;
   MetricLabels labels;
   MetricKind kind = MetricKind::kCounter;
   std::unique_ptr<Counter> c;
   std::unique_ptr<Gauge> g;
-  std::unique_ptr<Histogram> h;
 };
 
 /// Owns every instrument (references handed out must outlive all callers,
@@ -71,9 +69,6 @@ Instrument& find_or_register(std::string_view name, MetricLabels&& labels,
   switch (kind) {
     case MetricKind::kCounter: in->c = std::make_unique<Counter>(); break;
     case MetricKind::kGauge: in->g = std::make_unique<Gauge>(); break;
-    case MetricKind::kHistogram:
-      in->h = std::make_unique<Histogram>();
-      break;
   }
   r.instruments.push_back(std::move(in));
   return *r.instruments.back();
@@ -161,12 +156,6 @@ Gauge& metric_gauge(std::string_view name, MetricLabels labels) {
   return *in.g;
 }
 
-Histogram& metric_histogram(std::string_view name, MetricLabels labels) {
-  Instrument& in =
-      find_or_register(name, std::move(labels), MetricKind::kHistogram);
-  return *in.h;
-}
-
 MetricsSnapshot metrics_snapshot() {
   MetricsSnapshot snap;
   MetricsRegistry& r = registry();
@@ -183,13 +172,6 @@ MetricsSnapshot metrics_snapshot() {
         break;
       case MetricKind::kGauge:
         s.value = in->g->value();
-        break;
-      case MetricKind::kHistogram:
-        s.count = in->h->count();
-        s.sum = in->h->sum();
-        s.buckets.resize(kHistogramBuckets);
-        for (size_t i = 0; i < kHistogramBuckets; ++i)
-          s.buckets[i] = in->h->bucket(i);
         break;
     }
     snap.samples.push_back(std::move(s));
@@ -210,7 +192,6 @@ void metrics_reset() {
     switch (in->kind) {
       case MetricKind::kCounter: in->c->reset_value(); break;
       case MetricKind::kGauge: in->g->reset_value(); break;
-      case MetricKind::kHistogram: in->h->reset_value(); break;
     }
   }
 }
@@ -232,28 +213,7 @@ std::string metrics_to_json(const MetricsSnapshot& snap, int indent) {
       for (const auto& [k, v] : s.labels) w.key(k).value(v);
       w.end_object();
     }
-    if (s.kind == MetricKind::kHistogram) {
-      w.key("count").value(s.count);
-      w.key("sum").value(s.sum);
-      // Only buckets up to the last non-empty one: keeps dumps compact
-      // while the cumulative form is still reconstructible.
-      size_t last = 0;
-      for (size_t i = 0; i < s.buckets.size(); ++i)
-        if (s.buckets[i] > 0) last = i + 1;
-      w.key("buckets").begin_array();
-      for (size_t i = 0; i < last; ++i) {
-        w.begin_object();
-        if (i + 1 == kHistogramBuckets)
-          w.key("le").value("+Inf");
-        else
-          w.key("le").value(histogram_bucket_upper(i), "%.17g");
-        w.key("count").value(s.buckets[i]);
-        w.end_object();
-      }
-      w.end_array();
-    } else {
-      w.key("value").value(s.value, "%.17g");
-    }
+    w.key("value").value(s.value, "%.17g");
     w.end_object();
   }
   w.end_array();
@@ -288,20 +248,6 @@ std::string prom_labels(const MetricLabels& labels) {
   return out;
 }
 
-/// Label set with one extra pair appended (histogram "le").
-std::string prom_labels_le(const MetricLabels& labels, const std::string& le) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ",";
-    first = false;
-    out += k + "=\"" + json::escape(v) + "\"";
-  }
-  if (!first) out += ",";
-  out += "le=\"" + le + "\"}";
-  return out;
-}
-
 void append_number(std::string& out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -320,35 +266,9 @@ std::string metrics_to_prometheus(const MetricsSnapshot& snap) {
       out += "# TYPE " + base + " " + metric_kind_name(s.kind) + "\n";
       last_name = base;
     }
-    switch (s.kind) {
-      case MetricKind::kCounter:
-      case MetricKind::kGauge:
-        out += base + prom_labels(s.labels) + " ";
-        append_number(out, s.value);
-        out += "\n";
-        break;
-      case MetricKind::kHistogram: {
-        u64 cum = 0;
-        size_t last = 0;
-        for (size_t i = 0; i < s.buckets.size(); ++i)
-          if (s.buckets[i] > 0) last = i;
-        for (size_t i = 0; i <= last && i + 1 < kHistogramBuckets; ++i) {
-          cum += s.buckets[i];
-          char le[32];
-          std::snprintf(le, sizeof(le), "%.17g", histogram_bucket_upper(i));
-          out += base + "_bucket" + prom_labels_le(s.labels, le) + " " +
-                 std::to_string(cum) + "\n";
-        }
-        out += base + "_bucket" + prom_labels_le(s.labels, "+Inf") + " " +
-               std::to_string(s.count) + "\n";
-        out += base + "_sum" + prom_labels(s.labels) + " ";
-        append_number(out, s.sum);
-        out += "\n";
-        out += base + "_count" + prom_labels(s.labels) + " " +
-               std::to_string(s.count) + "\n";
-        break;
-      }
-    }
+    out += base + prom_labels(s.labels) + " ";
+    append_number(out, s.value);
+    out += "\n";
   }
   out += "# TYPE fsopt_partial gauge\n";
   out += std::string("fsopt_partial ") + (snap.partial() ? "1" : "0") + "\n";

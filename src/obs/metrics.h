@@ -1,4 +1,4 @@
-// Metrics registry: typed counters, gauges and log2-bucketed histograms.
+// Metrics registry: typed counters and gauges.
 //
 // The spans/counters of obs.h answer "what happened when" — they are
 // events on a timeline, exported as a Chrome trace.  This module answers
@@ -12,7 +12,7 @@
 // The same design constraints as obs.h, in the same priority order:
 //   1. Must not perturb results.  Instruments only accumulate numbers;
 //      no simulated state is touched, so all stats stay bit-identical
-//      with metrics on or off (tests/test_obs.cpp, test_patterns.cpp).
+//      with metrics on or off (tests/test_obs.cpp).
 //   2. Cheap when disabled.  Always compiled in; the disabled path of
 //      every update is one relaxed atomic load.  Call sites hold a
 //      static reference (registration runs once), so there is no name
@@ -31,7 +31,6 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -64,7 +63,7 @@ std::string metrics_path();
 /// is preserved as registered; (name, labels) identifies an instrument.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
-enum class MetricKind : u8 { kCounter, kGauge, kHistogram };
+enum class MetricKind : u8 { kCounter, kGauge };
 const char* metric_kind_name(MetricKind k);
 
 /// Monotonically increasing count.
@@ -102,61 +101,6 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Histogram buckets: bucket 0 holds observations <= 1, bucket i (i >= 1)
-/// holds (2^(i-1), 2^i], the last bucket is the +Inf overflow.  48 buckets
-/// cover up to 2^46 — enough for refs/sec on any machine fsopt meets.
-inline constexpr size_t kHistogramBuckets = 48;
-
-/// Upper bound of bucket `i` (2^i); the last bucket's bound is +Inf and
-/// is reported as such by the expositions, not by this function.
-inline double histogram_bucket_upper(size_t i) {
-  return static_cast<double>(u64{1} << i);
-}
-
-/// log2-bucketed distribution with exact count and sum.
-class Histogram {
- public:
-  void observe(double v) {
-    if (!metrics_enabled()) return;
-    buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    double cur = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(cur, cur + v,
-                                       std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Bucket an observation: ceil to an integer, then the smallest i with
-  /// value <= 2^i.  Exact at the power-of-two boundaries (2^i lands in
-  /// bucket i, 2^i + epsilon in bucket i+1) — test_obs pins this down.
-  static size_t bucket_index(double v) {
-    if (!(v > 1.0)) return 0;  // <= 1 and NaN
-    double c = v > static_cast<double>(~u64{0} >> 1)
-                   ? static_cast<double>(~u64{0} >> 1)
-                   : v;
-    u64 n = static_cast<u64>(c);
-    if (static_cast<double>(n) < c) ++n;  // ceil
-    size_t i = static_cast<size_t>(std::bit_width(n - 1));
-    return i < kHistogramBuckets ? i : kHistogramBuckets - 1;
-  }
-
-  u64 count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  u64 bucket(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  void reset_value() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0.0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<u64> buckets_[kHistogramBuckets] = {};
-  std::atomic<u64> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
 /// Register (or look up) an instrument.  The returned reference is valid
 /// for the life of the process — call sites keep it in a static local so
 /// the registry lock is taken once per site, not per update.  Re-
@@ -164,17 +108,13 @@ class Histogram {
 /// registering it as a different kind throws InternalError.
 Counter& metric_counter(std::string_view name, MetricLabels labels = {});
 Gauge& metric_gauge(std::string_view name, MetricLabels labels = {});
-Histogram& metric_histogram(std::string_view name, MetricLabels labels = {});
 
 /// One instrument's state at snapshot time.
 struct MetricSample {
   std::string name;
   MetricLabels labels;
   MetricKind kind = MetricKind::kCounter;
-  double value = 0.0;         // counter (exact integral) / gauge
-  u64 count = 0;              // histogram
-  double sum = 0.0;           // histogram
-  std::vector<u64> buckets;   // histogram, per-bucket (not cumulative)
+  double value = 0.0;  // counter (exact integral) / gauge
 };
 
 /// Every registered instrument, sorted by (name, labels); safe to take
@@ -198,9 +138,8 @@ void metrics_reset();
 std::string metrics_to_json(const MetricsSnapshot& snap, int indent = 2);
 
 /// Prometheus text exposition: names are prefixed "fsopt_" and sanitized
-/// ('.' -> '_'), counters get the "_total" suffix, histograms emit
-/// cumulative "_bucket{le=...}" series plus "_sum"/"_count".  A partial
-/// dump additionally carries the fsopt_partial gauge set to 1.
+/// ('.' -> '_'), counters get the "_total" suffix.  A partial dump
+/// additionally carries the fsopt_partial gauge set to 1.
 std::string metrics_to_prometheus(const MetricsSnapshot& snap);
 
 }  // namespace fsopt::obs

@@ -78,8 +78,8 @@ inline AccessOutcome combine_split_outcomes(const AccessOutcome* parts,
 }
 
 /// Per-processor caches + directory + classifier.  Used by the
-/// trace-driven study (CacheSim), the multi-plane replay's fallback planes
-/// and the KSR timing model.
+/// multi-plane replay's fallback planes, the KSR timing model and the
+/// CacheSim reference sink.
 class CoherentCache {
  public:
   /// Throws InternalError naming the sizes when `p` describes no cache:
@@ -387,18 +387,13 @@ void merge_by_datum(std::map<std::string, MissStats>& into,
 std::map<std::string, MissStats> materialize_by_datum(
     const AddressMap& map, const std::vector<MissStats>& dense);
 
-/// Access-pattern summarizer (sim/patterns.h).  Forward-declared with a
-/// free-function record hook so the per-reference path below can feed an
-/// attached collector without this header depending on patterns.h
-/// (patterns.h includes cache.h for AccessOutcome/MissStats).
-class PatternCollector;
-void pattern_collector_record(PatternCollector& p, const MemRef& ref,
-                              const AccessOutcome& outcome);
-
-/// TraceSink wrapper: feed references, read statistics — optionally
-/// attributed per data structure through an AddressMap.  Attribution
-/// accumulates into a dense per-range vector on the hot path; the
-/// string-keyed map is materialized only when asked for.
+/// TraceSink wrapper around one CoherentCache: feed references, read
+/// statistics — optionally attributed per data structure through an
+/// AddressMap.  Every production replay goes through MultiCacheSim
+/// (sim/multi.h); this one-configuration sink is the reference the
+/// differential tests and bench_replay_throughput compare it against.
+/// Attribution accumulates into a dense per-range vector on the hot path;
+/// the string-keyed map is materialized only when asked for.
 class CacheSim : public TraceSink {
  public:
   explicit CacheSim(const CacheParams& p,
@@ -416,7 +411,7 @@ class CacheSim : public TraceSink {
 #endif
   void
   on_batch(const MemRef* refs, size_t n) override {
-    if (attribution_ != nullptr || pattern_ != nullptr) {
+    if (attribution_ != nullptr) {
       for (size_t i = 0; i < n; ++i) process(refs[i]);
       return;
     }
@@ -447,16 +442,6 @@ class CacheSim : public TraceSink {
   }
   const MissStats& stats() const { return stats_; }
   const CacheParams& params() const { return cache_.params(); }
-  /// Forward a conflict collector to the underlying cache (see
-  /// CoherentCache::set_conflict_collector).
-  void set_conflict_collector(ConflictCollector* c) {
-    cache_.set_conflict_collector(c);
-  }
-  /// Attach an access-pattern summarizer (sim/patterns.h).  Null by
-  /// default — the detached replay path is bit-identical with or without
-  /// this feature compiled in; attaching routes batches through the
-  /// per-reference path so every outcome is observed.
-  void set_pattern_collector(PatternCollector* p) { pattern_ = p; }
   /// Per-datum stats, string-keyed (empty unless an AddressMap was
   /// supplied).  Built from the dense counters on each call.
   std::map<std::string, MissStats> by_datum() const;
@@ -475,12 +460,10 @@ class CacheSim : public TraceSink {
                           : datum_stats_.size() - 1]
           .add(o);
     }
-    if (pattern_ != nullptr) pattern_collector_record(*pattern_, ref, o);
   }
 
   CoherentCache cache_;
   const AddressMap* attribution_;
-  PatternCollector* pattern_ = nullptr;
   MissStats stats_;
   std::vector<MissStats> datum_stats_;
 };

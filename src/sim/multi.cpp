@@ -745,17 +745,7 @@ MultiReplayResult replay_multi(const EncodedTrace& trace,
       for (size_t p = 0; p < ptrs.size(); ++p) ptrs[p] = &colls[p];
       sim.set_conflict_collectors(ptrs);
     }
-    // A single plane group goes through the pipelined replay: on a
-    // multi-core host the varint decode of the next chunk overlaps the
-    // simulation of the current one (on a single core it degrades to the
-    // serial replay, same stream either way).  When the planes are split
-    // across workers every core already simulates, so each group decodes
-    // inline instead of adding a decoder thread (and its allocator arena)
-    // per group.
-    if (groups == 1)
-      trace.replay_pipelined(sim);
-    else
-      trace.replay(sim);
+    trace.replay(sim);
     for (size_t p = first; p < last; ++p) {
       out.stats[p] = sim.stats(p - first);
       if (attribution != nullptr) out.by_datum[p] = sim.by_datum(p - first);

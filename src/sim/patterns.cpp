@@ -41,16 +41,7 @@ PatternCollector::PatternCollector(const AddressMap* map,
   procs_.resize(nd * static_cast<size_t>(params.nprocs));
 }
 
-/// The hot-path entry CacheSim calls through the forward declaration in
-/// sim/cache.h — a free function so cache.h never needs this type
-/// complete.
-void pattern_collector_record(PatternCollector& p, const MemRef& ref,
-                              const AccessOutcome& outcome) {
-  p.record(ref, outcome);
-}
-
-void PatternCollector::record(const MemRef& ref,
-                              const AccessOutcome& outcome) {
+void PatternCollector::record(const MemRef& ref) {
   ++tick_;
   int idx = map_ != nullptr ? map_->index_of(ref.addr) : -1;
   size_t d = idx >= 0 ? static_cast<size_t>(idx) : datums_.size() - 1;
@@ -58,7 +49,6 @@ void PatternCollector::record(const MemRef& ref,
   const bool is_write = ref.type == RefType::kWrite;
   const int proc = ref.proc;
 
-  ds.stats.add(outcome);
   if (is_write) {
     ++ds.writes;
     ds.writers_mask |= u64{1} << proc;
@@ -125,16 +115,25 @@ void PatternCollector::record(const MemRef& ref,
 }
 
 std::vector<DatumPattern> PatternCollector::patterns(
+    const std::map<std::string, MissStats>& by_datum,
     const PatternThresholds& t) const {
   std::vector<DatumPattern> out;
   for (size_t d = 0; d < datums_.size(); ++d) {
     const DatumState& ds = datums_[d];
-    if (ds.stats.refs == 0) continue;
+    if (!ds.seen) continue;
 
     DatumPattern p;
     p.name = d < datums_.size() - 1 && map_ != nullptr
                  ? map_->ranges()[d].name
                  : "<other>";
+    // The replay attributed the same references through the same map, so
+    // the datum's entry counts exactly what was summarized here (range
+    // names are unique: globals, "g.f" field heaps and "<barrier>").
+    auto it = by_datum.find(p.name);
+    FSOPT_CHECK(it != by_datum.end() &&
+                    it->second.refs == ds.reads + ds.writes,
+                "pattern summary of '" + p.name +
+                    "' does not match the replay's attribution");
     p.reads = ds.reads;
     p.writes = ds.writes;
     p.readers = std::popcount(ds.readers_mask);
@@ -142,7 +141,7 @@ std::vector<DatumPattern> PatternCollector::patterns(
     p.handoffs = ds.handoffs;
     p.footprint = ds.lo >= 0 ? ds.hi - ds.lo : 0;
     p.reuse.assign(ds.reuse, ds.reuse + kReuseBuckets);
-    p.stats = ds.stats;
+    p.stats = it->second;
 
     // Close the trailing ownership run so mean_run covers every write.
     u64 run_sum = ds.run_sum + ds.run_len;

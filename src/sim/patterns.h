@@ -21,13 +21,11 @@
 //                      set-associativity conflict, not capacity;
 //   none               nothing diagnostic (or too few references).
 //
-// Collection follows the null-by-default-collector pattern of PR 8's
-// ConflictCollector: a PatternCollector is attached to a CacheSim
-// explicitly (CacheSim::set_pattern_collector) and defaults to absent
-// everywhere, so the disabled replay path is untouched and MissStats
-// stay bit-identical (tests/test_patterns.cpp enforces this).  The
-// collector only ever *reads* the reference and its outcome — it never
-// feeds anything back into the simulation.
+// The summarizer is a plain TraceSink over the reference stream: it never
+// sees a simulator, so no replay engine carries a hook for it.  The miss
+// classes it weighs come from the per-datum attribution of a replay of
+// the same stream through the same AddressMap (TraceStudyResult::
+// by_datum), handed to patterns() at the end.
 #pragma once
 
 #include <map>
@@ -78,7 +76,7 @@ struct DatumPattern {
   double pingpong_share = 0.0;  // handoffs within the dominant writer pair
   i64 footprint = 0;            // touched span in bytes
   std::vector<u64> reuse;       // log2 reuse-gap sketch (kReuseBuckets)
-  MissStats stats;              // outcomes attributed to this datum
+  MissStats stats;              // the replay's outcomes for this datum
 
   u64 sharing_misses() const {
     return stats.true_sharing + stats.false_sharing;
@@ -108,28 +106,34 @@ struct PatternThresholds {
   u64 min_refs = 16;
 };
 
-/// Online summarizer fed one (reference, outcome) pair at a time from
-/// CacheSim::process.  State is dense per (datum, processor) — sized once
-/// from the AddressMap and the cache geometry, never grown on the hot
-/// path except for the bounded stride tables and the handoff matrix.
-class PatternCollector {
+/// Online summarizer fed the reference stream in trace order.  State is
+/// dense per (datum, processor) — sized once from the AddressMap and the
+/// processor count, never grown on the hot path except for the bounded
+/// stride tables and the handoff matrix.
+class PatternCollector : public TraceSink {
  public:
   /// `map` attributes addresses to datums (the same map the replay's
   /// attribution uses; the last slot is "<other>").  `params` supplies
   /// nprocs and cache_bytes for the capacity judgement.
   PatternCollector(const AddressMap* map, const CacheParams& params);
 
-  /// Fold one simulated reference into the summaries.  Never mutates
-  /// anything the simulation reads.
-  void record(const MemRef& ref, const AccessOutcome& outcome);
+  void on_ref(const MemRef& ref) override { record(ref); }
+  void on_batch(const MemRef* refs, size_t n) override {
+    for (size_t i = 0; i < n; ++i) record(refs[i]);
+  }
 
   /// Distill every touched datum into its labeled summary, sorted by
-  /// descending false-sharing misses (ties by name).
-  std::vector<DatumPattern> patterns(const PatternThresholds& t = {}) const;
-
-  u64 refs_seen() const { return tick_; }
+  /// descending false-sharing misses (ties by name).  `by_datum` is the
+  /// per-datum attribution of a replay of the same stream through the
+  /// same map at the geometry of `params`; every touched datum must
+  /// appear in it with exactly the references summarized here.
+  std::vector<DatumPattern> patterns(
+      const std::map<std::string, MissStats>& by_datum,
+      const PatternThresholds& t = {}) const;
 
  private:
+  void record(const MemRef& ref);
+
   struct StrideEntry {
     i64 stride = 0;
     u64 count = 0;
@@ -157,7 +161,6 @@ class PatternCollector {
     u64 last_tick = 0;
     bool seen = false;
     u64 reuse[kReuseBuckets] = {};
-    MissStats stats;
   };
 
   const AddressMap* map_;

@@ -1,14 +1,7 @@
 #include "trace/encode.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <cstdlib>
 #include <cstring>
-#include <exception>
-#include <mutex>
-#include <thread>
-
-#include "obs/obs.h"
 
 namespace fsopt {
 
@@ -209,112 +202,6 @@ void EncodedTrace::replay(TraceSink& sink) const {
       if (n != 0) sink.on_batch(scratch.data(), n);
     }
   }
-}
-
-void EncodedTrace::replay_pipelined(TraceSink& sink) const {
-  const char* env = std::getenv("FSOPT_PIPELINE");
-  const bool forced_off = env != nullptr && env[0] == '0' && env[1] == '\0';
-  const bool forced_on = env != nullptr && env[0] == '1' && env[1] == '\0';
-  const std::vector<EncodedChunk>& chunks = this->chunks();
-  const bool threaded =
-      !forced_off && chunks.size() >= 2 &&
-      (forced_on || std::thread::hardware_concurrency() >= 2);
-  if (!threaded) {
-    // Nothing to overlap (or no spare hardware thread to decode on):
-    // the serial path is the same stream without the hand-off cost.
-    replay(sink);
-    return;
-  }
-
-  const size_t batch = replay_batch_refs();
-
-  // Two rotating chunk buffers: the decoder fills one while the
-  // consumer slices the other into replay()-identical sub-batches.
-  // The buffers persist across chunks, so after the first two fills
-  // the pipeline allocates nothing.
-  struct Slot {
-    std::vector<MemRef> refs;
-    size_t n = 0;
-    bool full = false;
-  };
-  Slot slots[2];
-  std::mutex mu;
-  std::condition_variable cv_full, cv_free;
-  bool decoder_done = false;
-  bool aborted = false;
-  std::exception_ptr decoder_err;
-
-  std::thread decoder([&] {
-    try {
-      size_t which = 0;
-      for (const EncodedChunk& c : chunks) {
-        Slot& s = slots[which];
-        {
-          std::unique_lock<std::mutex> lk(mu);
-          cv_free.wait(lk, [&] { return !s.full || aborted; });
-          if (aborted) break;
-        }
-        obs::Span span("replay", "decode_chunk");
-        s.refs.resize(c.refs);
-        ChunkCursor cur(c);
-        const size_t n = cur.next(s.refs.data(), c.refs, reloc_.get());
-        FSOPT_CHECK(n == c.refs && cur.done(),
-                    "corrupt run length in encoded trace chunk");
-        s.n = n;
-        if (span.active()) span.arg("refs", static_cast<double>(n));
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          s.full = true;
-        }
-        cv_full.notify_one();
-        which ^= 1;
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(mu);
-      decoder_err = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      decoder_done = true;
-    }
-    cv_full.notify_one();
-  });
-
-  size_t which = 0;
-  size_t chunks_left = chunks.size();
-  try {
-    while (chunks_left > 0) {
-      Slot& s = slots[which];
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        cv_full.wait(lk, [&] { return s.full || decoder_done; });
-        if (!s.full) break;  // decoder died; its error is rethrown below
-      }
-      obs::Span span("replay", "sim_chunk");
-      for (size_t off = 0; off < s.n; off += batch)
-        sink.on_batch(s.refs.data() + off, std::min(batch, s.n - off));
-      if (span.active()) span.arg("refs", static_cast<double>(s.n));
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        s.full = false;
-      }
-      cv_free.notify_one();
-      which ^= 1;
-      --chunks_left;
-    }
-  } catch (...) {
-    // The sink threw mid-stream; release the decoder (it may be
-    // blocked on a free slot) and propagate the sink's error.
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      aborted = true;
-    }
-    cv_free.notify_all();
-    decoder.join();
-    throw;
-  }
-  decoder.join();
-  if (decoder_err) std::rethrow_exception(decoder_err);
 }
 
 TraceEncoder::TraceEncoder(size_t chunk_refs)

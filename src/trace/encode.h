@@ -85,8 +85,8 @@ class EncodedTrace {
 
   /// This trace with every decoded address passed through `reloc`.  The
   /// result shares the encoded chunks (nothing is copied or re-encoded);
-  /// decode_chunk, replay and replay_pipelined all deliver relocated
-  /// references, so every consumer sees the relocated stream.
+  /// decode_chunk and replay both deliver relocated references, so every
+  /// consumer sees the relocated stream.
   EncodedTrace relocated(std::shared_ptr<const AddressRelocation> reloc) const;
 
   /// Heap bytes held by the encoded columns.
@@ -109,18 +109,6 @@ class EncodedTrace {
   /// memory is a fixed small scratch buffer regardless of trace or
   /// chunk size.
   void replay(TraceSink& sink) const;
-
-  /// replay(), with the chunk decode pipelined ahead of the sink: a
-  /// decoder thread fills one of two rotating chunk buffers while the
-  /// consumer walks the other, so the varint decode of chunk N+1
-  /// overlaps the simulation of chunk N.  The sink sees the same
-  /// stream in the same sub-batch boundaries as replay() — only the
-  /// wall-clock schedule changes — and is driven from the calling
-  /// thread only.  Falls back to the serial replay() when there is
-  /// nothing to overlap (a single chunk), when the host has only one
-  /// hardware thread, or when FSOPT_PIPELINE=0; FSOPT_PIPELINE=1
-  /// forces the threaded path regardless of core count.
-  void replay_pipelined(TraceSink& sink) const;
 
  private:
   friend class TraceEncoder;

@@ -104,7 +104,7 @@ TransformSet decide_transforms(const SharingReport& report,
       if (opt.enable_lock_pad)
         out.decisions.push_back({d.datum, TransformKind::kLockPad, -1,
                                  PartitionShape::kBlocked, 1,
-                                 {ReasonCode::kLockAlwaysPadded}});
+                                 {ReasonCode::kLockAlwaysPadded}, {}});
       continue;
     }
     if (d.read_weight + d.write_weight < min_weight) continue;
@@ -134,7 +134,7 @@ TransformSet decide_transforms(const SharingReport& report,
                    // more in capacity/conflict misses than it saves
       out.decisions.push_back(
           {d.datum, TransformKind::kPadAlign, -1, PartitionShape::kBlocked,
-           1, {ReasonCode::kSharedNonLocal}});
+           1, {ReasonCode::kSharedNonLocal}, {}});
       continue;
     }
   }
@@ -150,14 +150,16 @@ TransformSet decide_transforms(const SharingReport& report,
     if (c.kind == TransformKind::kIndirection) {
       if (!opt.enable_indirection) continue;
       out.decisions.push_back({c.dc->datum, TransformKind::kIndirection,
-                               c.dc->pid_dim, c.shape, c.chunk, c.reason});
+                               c.dc->pid_dim, c.shape, c.chunk, c.reason,
+                               {}});
       continue;
     }
     if (!opt.enable_group_transpose) continue;
     if (c.dc->datum.field < 0) {
       // Scalar-element array: symbol-level decision directly.
       out.decisions.push_back({c.dc->datum, TransformKind::kGroupTranspose,
-                               c.dc->pid_dim, c.shape, c.chunk, c.reason});
+                               c.dc->pid_dim, c.shape, c.chunk, c.reason,
+                               {}});
       continue;
     }
     // Field-level candidate with an array pid dim: consensus across all
@@ -190,7 +192,7 @@ TransformSet decide_transforms(const SharingReport& report,
       reason.code = ReasonCode::kStructConsensus;
       reason.dim = c.dc->pid_dim;
       out.decisions.push_back({{sym, -1}, TransformKind::kGroupTranspose,
-                               c.dc->pid_dim, c.shape, c.chunk, reason});
+                               c.dc->pid_dim, c.shape, c.chunk, reason, {}});
     }
   }
   return out;

@@ -31,7 +31,12 @@ struct PendingSplit {
 LayoutPlan build_layout(const Program& prog, const TransformSet& transforms,
                         i64 block_size) {
   const i64 B = block_size;
-  FSOPT_CHECK(B > 0, "build_layout requires a positive block size");
+  // Every compile path (--block, --plan-in, the planners) lays out here,
+  // so this is where an impossible coherence unit is turned away.
+  FSOPT_CHECK(B >= 4, "block size " + std::to_string(B) +
+                          " B is below the 4-byte word");
+  FSOPT_CHECK(B % 4 == 0, "block size " + std::to_string(B) +
+                              " B is not a multiple of the 4-byte word");
   LayoutPlan plan;
   i64 cursor = 0;
 

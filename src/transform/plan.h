@@ -14,6 +14,8 @@ namespace fsopt {
 /// driver threads CompileOptions::block_size through, deliberately with
 /// no default so a forgotten call site cannot desynchronize the knob.
 /// With an empty TransformSet this degenerates to identity_layout().
+/// Throws InternalError naming the size when `block_size` is not a
+/// positive multiple of the 4-byte word.
 LayoutPlan build_layout(const Program& prog, const TransformSet& transforms,
                         i64 block_size);
 

@@ -82,8 +82,8 @@ struct TransformDecision {
   DecisionReason reason;
   /// Field indices for the intra-datum kinds: the full field permutation
   /// for kFieldReorder, the split-out hot fields for kHotColdSplit.
-  /// Empty for every other kind.  (Declared after `reason` so the many
-  /// pre-existing 6-element aggregate initializers stay valid.)
+  /// Empty for every other kind.  (Declared last, so aggregate
+  /// initializers of the other kinds end in an empty `{}` for it.)
   std::vector<int> fields;
 
   bool operator==(const TransformDecision&) const = default;

@@ -106,7 +106,7 @@ TransformPlan ProfilePlanner::plan(const PlannerInputs& in) const {
 
     if (dc->is_lock) {
       out.decisions.push_back({dc->datum, TransformKind::kLockPad, -1,
-                               PartitionShape::kBlocked, 1, reason});
+                               PartitionShape::kBlocked, 1, reason, {}});
       continue;
     }
     // Per-process writes with a detectable linear partition axis: the
@@ -120,13 +120,13 @@ TransformPlan ProfilePlanner::plan(const PlannerInputs& in) const {
         if (dc->pid_dim_is_field_dim && dc->datum.field >= 0) {
           out.decisions.push_back({dc->datum, TransformKind::kIndirection,
                                    dc->pid_dim, shape->first, shape->second,
-                                   reason});
+                                   reason, {}});
           continue;
         }
         if (dc->datum.field < 0) {
           out.decisions.push_back(
               {dc->datum, TransformKind::kGroupTranspose, dc->pid_dim,
-               shape->first, shape->second, reason});
+               shape->first, shape->second, reason, {}});
           continue;
         }
         // Field-level group&transpose needs whole-struct consensus the
@@ -138,7 +138,7 @@ TransformPlan ProfilePlanner::plan(const PlannerInputs& in) const {
     for (i64 ext : dc->extents) elem_count *= ext;
     if (elem_count * in.block_size > opt_.pad_footprint_limit) continue;
     out.decisions.push_back({dc->datum, TransformKind::kPadAlign, -1,
-                             PartitionShape::kBlocked, 1, reason});
+                             PartitionShape::kBlocked, 1, reason, {}});
   }
   return out;
 }
@@ -170,7 +170,7 @@ TransformPlan GraphPlanner::plan(const PlannerInputs& in) const {
       if (!plan_covers(out, key))
         out.decisions.push_back({key, TransformKind::kIntraPad, -1,
                                  PartitionShape::kBlocked, opt_.pad_stride,
-                                 reason});
+                                 reason, {}});
       continue;
     }
 
@@ -318,7 +318,7 @@ TransformPlan GraphPlanner::plan(const PlannerInputs& in) const {
           static_cast<i64>(hot.size()) * gs->elem_count() * in.block_size;
       if (footprint > opt_.profile.pad_footprint_limit) continue;
       TransformDecision d{key, TransformKind::kHotColdSplit, -1,
-                          PartitionShape::kBlocked, 1, reason};
+                          PartitionShape::kBlocked, 1, reason, {}};
       d.fields.assign(hot.begin(), hot.end());
       out.decisions.push_back(std::move(d));
       continue;
@@ -337,7 +337,7 @@ TransformPlan GraphPlanner::plan(const PlannerInputs& in) const {
     if (elems * opt_.pad_stride > opt_.profile.pad_footprint_limit) continue;
     out.decisions.push_back({key, TransformKind::kIntraPad, -1,
                              PartitionShape::kBlocked, opt_.pad_stride,
-                             reason});
+                             reason, {}});
   }
   return out;
 }

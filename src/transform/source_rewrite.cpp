@@ -51,12 +51,22 @@ class SourceRewriter {
  private:
   // -------------------------------------------------------------- rules --
   void skip(const TransformDecision& d, const std::string& why) {
-    result_.skipped.push_back(
-        prog_.globals[static_cast<size_t>(d.datum.sym)]->name + ": " + why);
+    const std::string name =
+        d.datum.sym == kBarrierSym
+            ? std::string(kBarrierName)
+            : prog_.globals[static_cast<size_t>(d.datum.sym)]->name;
+    result_.skipped.push_back(name + ": " + why);
   }
 
   void build_rules() {
     for (const TransformDecision& d : transforms_.decisions) {
+      // The barrier is not a program global: the interpreter places it,
+      // so its stride has no declaration to rewrite.
+      if (d.datum.sym == kBarrierSym) {
+        skip(d, std::string(transform_name(d.kind)) +
+                    " not expressible in PPL");
+        continue;
+      }
       const GlobalSym& g =
           *prog_.globals[static_cast<size_t>(d.datum.sym)];
       i64 eb = elem_bytes(g);
@@ -130,6 +140,14 @@ class SourceRewriter {
           }
           break;
         }
+        case TransformKind::kFieldReorder:
+        case TransformKind::kHotColdSplit:
+        case TransformKind::kIntraPad:
+          // Intra-datum moves re-place fields and elements inside one
+          // datum; no declaration-order layout of the same names does.
+          skip(d, std::string(transform_name(d.kind)) +
+                      " not expressible in PPL");
+          continue;
         case TransformKind::kNone:
           continue;
       }

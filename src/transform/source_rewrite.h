@@ -17,8 +17,9 @@
 //
 // plus alignment filler so every padded object starts on a coherence-unit
 // boundary.  Every access in every function body is rewritten
-// accordingly.  Decisions whose shapes have no PPL expression (blocked
-// 2-D chunks) are skipped and reported in `notes`.
+// accordingly.  Decisions that have no PPL expression (blocked 2-D
+// chunks, the intra-datum moves, the barrier stride) are skipped and
+// reported in `skipped`.
 #pragma once
 
 #include <string>

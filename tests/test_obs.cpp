@@ -4,9 +4,8 @@
 // aggregation, and the must-not-perturb-results guarantee — replay stats
 // bit-identical with tracing on vs. off, alongside the composed-replay
 // suite in test_multi_shard_replay.cpp.  The second half covers the
-// metrics registry (obs/metrics.h): histogram bucket boundaries,
-// concurrent-increment exactness, the kind-mismatch check, both
-// expositions and the partial-data marker.
+// metrics registry (obs/metrics.h): concurrent-increment exactness, the
+// kind-mismatch check, both expositions and the partial-data marker.
 #include "obs/obs.h"
 
 #include <gtest/gtest.h>
@@ -297,69 +296,28 @@ class MetricsTest : public ::testing::Test {
   }
 };
 
-TEST_F(MetricsTest, HistogramBucketBoundariesAreExact) {
-  using H = obs::Histogram;
-  // Bucket 0: everything <= 1 (and non-finite garbage).
-  EXPECT_EQ(H::bucket_index(0.0), 0u);
-  EXPECT_EQ(H::bucket_index(-3.0), 0u);
-  EXPECT_EQ(H::bucket_index(1.0), 0u);
-  // 2^i lands in bucket i; one ulp past it spills into bucket i + 1.
-  for (size_t i = 1; i <= 40; ++i) {
-    double p = static_cast<double>(u64{1} << i);
-    EXPECT_EQ(H::bucket_index(p), i) << "2^" << i;
-    EXPECT_EQ(H::bucket_index(p + 1.0), i + 1) << "2^" << i << " + 1";
-  }
-  EXPECT_EQ(H::bucket_index(1.5), 1u);
-  EXPECT_EQ(H::bucket_index(3.0), 2u);
-  // The overflow bucket absorbs everything past the covered range.
-  EXPECT_EQ(H::bucket_index(1e30), obs::kHistogramBuckets - 1);
-  EXPECT_EQ(obs::histogram_bucket_upper(3), 8.0);
-}
-
-TEST_F(MetricsTest, HistogramObservationsLandInTheirBuckets) {
-  obs::Histogram& h = obs::metric_histogram("test.hist_land");
-  h.observe(1.0);    // bucket 0
-  h.observe(2.0);    // bucket 1
-  h.observe(100.0);  // (64, 128] -> bucket 7
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 103.0);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(7), 1u);
-}
-
 TEST_F(MetricsTest, ConcurrentIncrementsAreLossless) {
   obs::Counter& c = obs::metric_counter("test.concurrent_counter");
-  obs::Histogram& h = obs::metric_histogram("test.concurrent_hist");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&c, &h] {
-      for (int i = 0; i < kPerThread; ++i) {
-        c.inc();
-        h.observe(4.0);
-      }
+    threads.emplace_back([&c] {
+      for (int i = 0; i < kPerThread; ++i) c.inc();
     });
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(c.value(), static_cast<u64>(kThreads) * kPerThread);
-  EXPECT_EQ(h.count(), static_cast<u64>(kThreads) * kPerThread);
-  EXPECT_EQ(h.bucket(2), static_cast<u64>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(h.sum(), 4.0 * kThreads * kPerThread);
 }
 
 TEST_F(MetricsTest, DisabledUpdatesAccumulateNothing) {
   obs::Counter& c = obs::metric_counter("test.disabled_counter");
   obs::Gauge& g = obs::metric_gauge("test.disabled_gauge");
-  obs::Histogram& h = obs::metric_histogram("test.disabled_hist");
   obs::set_metrics_enabled(false);
   c.inc(5);
   g.set(3.0);
   g.add(2.0);
-  h.observe(7.0);
   EXPECT_EQ(c.value(), 0u);
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
 }
 
 TEST_F(MetricsTest, KindMismatchThrows) {
@@ -372,9 +330,6 @@ TEST_F(MetricsTest, KindMismatchThrows) {
 TEST_F(MetricsTest, SnapshotExportsJsonAndPrometheus) {
   obs::metric_counter("test.export_counter").inc(3);
   obs::metric_gauge("test.export_gauge", {{"workload", "fmm"}}).set(1.5);
-  obs::Histogram& h = obs::metric_histogram("test.export_hist");
-  h.observe(2.0);
-  h.observe(5.0);
 
   obs::MetricsSnapshot snap = obs::metrics_snapshot();
   EXPECT_FALSE(snap.partial());
@@ -385,19 +340,13 @@ TEST_F(MetricsTest, SnapshotExportsJsonAndPrometheus) {
   std::string doc = obs::metrics_to_json(snap);
   EXPECT_TRUE(json::validate(doc)) << doc;
   EXPECT_NE(doc.find("\"metrics_version\": 1"), std::string::npos);
-  EXPECT_NE(doc.find("\"test.export_hist\""), std::string::npos);
+  EXPECT_NE(doc.find("\"test.export_gauge\""), std::string::npos);
 
   std::string prom = obs::metrics_to_prometheus(snap);
   EXPECT_NE(prom.find("fsopt_test_export_counter_total 3"),
             std::string::npos);
   EXPECT_NE(prom.find("fsopt_test_export_gauge{workload=\"fmm\"} 1.5"),
             std::string::npos);
-  // Cumulative buckets: both observations are <= 8, one is <= 2.
-  EXPECT_NE(prom.find("fsopt_test_export_hist_bucket{le=\"2\"} 1"),
-            std::string::npos);
-  EXPECT_NE(prom.find("fsopt_test_export_hist_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(prom.find("fsopt_test_export_hist_count 2"), std::string::npos);
   EXPECT_NE(prom.find("fsopt_partial 0"), std::string::npos);
 }
 

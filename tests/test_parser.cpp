@@ -21,9 +21,10 @@ void expect_parse_error(std::string_view src,
     (void)p;
     FAIL() << "expected a parse error";
   } catch (const CompileError& e) {
-    if (!needle.empty())
+    if (!needle.empty()) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
           << "actual: " << e.what();
+    }
   }
 }
 

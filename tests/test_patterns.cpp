@@ -1,8 +1,8 @@
 // Tests for the access-pattern taxonomy (sim/patterns.h) and the
 // diagnosis layer built on it (analysis/diagnose.h): synthetic reference
-// streams with a known shape must get the expected label, an attached
-// collector must never change a single simulated statistic, and the
-// diagnosis report must survive a JSON round trip byte-exactly.
+// streams with a known shape must get the expected label, the diagnosis
+// report must survive a JSON round trip byte-exactly, and every
+// workload's report is pinned to its captured value.
 #include "sim/patterns.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "analysis/diagnose.h"
 #include "driver/experiment.h"
 #include "support/json.h"
+#include "workloads/workloads.h"
 
 namespace fsopt {
 namespace {
@@ -21,8 +22,8 @@ MemRef write_ref(i64 addr, int proc) {
   return {addr, 4, static_cast<u8>(proc), RefType::kWrite};
 }
 
-/// Replay a hand-built stream through a real CacheSim with a
-/// PatternCollector attached; return the labeled summaries.
+/// Feed a hand-built stream to a real CacheSim (for the attributed miss
+/// classes) and to a PatternCollector; return the labeled summaries.
 struct Harness {
   AddressMap map;
   CacheParams params;
@@ -34,10 +35,10 @@ struct Harness {
   std::vector<DatumPattern> run(const std::vector<MemRef>& refs,
                                 const PatternThresholds& t = {}) {
     CacheSim sim(params, &map);
-    PatternCollector pc(&map, params);
-    sim.set_pattern_collector(&pc);
     sim.on_batch(refs.data(), refs.size());
-    return pc.patterns(t);
+    PatternCollector pc(&map, params);
+    pc.on_batch(refs.data(), refs.size());
+    return pc.patterns(sim.by_datum(), t);
   }
 };
 
@@ -199,10 +200,22 @@ TEST(Patterns, TooFewReferencesStayUnlabeled) {
   EXPECT_EQ(p->label, AccessPattern::kNone);  // under min_refs
 }
 
+TEST(Patterns, AttributionOfAnotherStreamIsRejected) {
+  // The summaries take their miss classes from the replay's attribution;
+  // a map that does not count the summarized references is a caller bug.
+  Harness h(2);
+  h.map.add(0, 64, "line");
+  std::vector<MemRef> refs = {write_ref(0, 0), write_ref(32, 1)};
+  PatternCollector pc(&h.map, h.params);
+  pc.on_batch(refs.data(), refs.size());
+  EXPECT_THROW(pc.patterns({}), InternalError);
+  MissStats one;
+  one.refs = 1;
+  EXPECT_THROW(pc.patterns({{"line", one}}), InternalError);
+}
+
 // ---------------------------------------------------------------------------
-// The null-by-default guarantee: attaching the collector must not change
-// a single simulated statistic, and a detached replay must not change
-// behavior relative to the seed.
+// Diagnosis report.
 // ---------------------------------------------------------------------------
 
 const char* kProgram =
@@ -217,40 +230,6 @@ const char* kProgram =
     "  }\n"
     "  barrier();\n"
     "}\n";
-
-TEST(Patterns, CollectorDoesNotPerturbMissStats) {
-  Compiled c = compile_source(kProgram, CompileOptions{});
-  AddressMap map = build_address_map(c);
-  EncodedTrace trace = record_encoded_trace(c);
-  CacheParams params{c.nprocs(), 32 * 1024, 64, c.code.total_bytes};
-
-  CacheSim plain(params, &map);
-  trace.replay(plain);
-
-  CacheSim collected(params, &map);
-  PatternCollector pc(&map, params);
-  collected.set_pattern_collector(&pc);
-  trace.replay(collected);
-
-  EXPECT_EQ(plain.stats(), collected.stats());
-  EXPECT_EQ(plain.by_datum(), collected.by_datum());
-  EXPECT_EQ(pc.refs_seen(), trace.size());
-
-  // Unattributed replays too: attaching the collector re-routes on_batch
-  // through the per-reference path, which must be bit-identical to the
-  // batched fast path.
-  CacheSim fast(params);
-  trace.replay(fast);
-  CacheSim slow(params);
-  PatternCollector pc2(nullptr, params);
-  slow.set_pattern_collector(&pc2);
-  trace.replay(slow);
-  EXPECT_EQ(fast.stats(), slow.stats());
-}
-
-// ---------------------------------------------------------------------------
-// Diagnosis report.
-// ---------------------------------------------------------------------------
 
 TEST(Diagnose, ReportCoversDatumsAndRoundTripsThroughJson) {
   Compiled c = compile_source(kProgram, CompileOptions{});
@@ -309,6 +288,42 @@ TEST(Diagnose, PlannerBackedRecommendationOutranksHeuristics) {
     }
   }
   EXPECT_TRUE(any_planner);
+}
+
+// Every workload's C compile at 128 B, diagnosed with the default
+// options: the report's JSON document, hashed with 64-bit FNV-1a.  Any
+// change to the replay, the attribution, the conflict graph, the pattern
+// summarizer or the planner-backed recommendations moves one of these;
+// a restructuring of how the report is computed must not.
+TEST(Diagnose, GoldenReports) {
+  static const std::pair<const char*, u64> kGolden[] = {
+      {"maxflow", 0x2d6dcc08258f8e7eull},
+      {"pverify", 0x324655a94cdf6dd5ull},
+      {"topopt", 0x750ba21ff37b3a3dull},
+      {"fmm", 0xf9337e86b8968c0dull},
+      {"radiosity", 0x5d3e189772c7dda3ull},
+      {"raytrace", 0xbea6be59b34e96dfull},
+      {"locusroute", 0x5c47886070c78a03ull},
+      {"mp3d", 0x8f9c71d2aabc1c8dull},
+      {"pthor", 0xa101ac0c840a32c3ull},
+      {"water", 0x6d0cfe3428437198ull},
+  };
+  for (const auto& [name, want] : kGolden) {
+    const workloads::Workload& w = workloads::get(name);
+    CompileOptions o;
+    o.overrides = w.sim_overrides;
+    o.overrides["NPROCS"] = w.fig3_procs;
+    o.optimize = true;
+    o.block_size = 128;
+    Compiled c = compile_source(w.natural, o);
+    const std::string doc = diagnosis_to_json(diagnose(c, w.name));
+    u64 h = 14695981039346656037ull;
+    for (unsigned char ch : doc) {
+      h ^= ch;
+      h *= 1099511628211ull;
+    }
+    EXPECT_EQ(h, want) << name;
+  }
 }
 
 TEST(Diagnose, MalformedJsonThrows) {

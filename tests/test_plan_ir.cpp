@@ -201,10 +201,10 @@ TEST(PlanDiffTest, GoldenAddedRemovedChanged) {
   TransformPlan before;
   TransformDecision lock{key_of(c, "l"), TransformKind::kLockPad, -1,
                          PartitionShape::kBlocked, 1,
-                         {ReasonCode::kLockAlwaysPadded}};
+                         {ReasonCode::kLockAlwaysPadded}, {}};
   TransformDecision gt{key_of(c, "a"), TransformKind::kGroupTranspose, 0,
                        PartitionShape::kInterleaved, 1,
-                       {ReasonCode::kPerProcessWrites, Pattern::kNone}};
+                       {ReasonCode::kPerProcessWrites, Pattern::kNone}, {}};
   before.decisions = {lock, gt};
 
   TransformPlan after;
@@ -214,7 +214,8 @@ TEST(PlanDiffTest, GoldenAddedRemovedChanged) {
   TransformDecision pad{key_of(c, "s"), TransformKind::kPadAlign, -1,
                         PartitionShape::kBlocked, 1,
                         {ReasonCode::kProfileFalseSharing, Pattern::kNone,
-                         -1, 120, 0.4}};
+                         -1, 120, 0.4},
+                        {}};
   after.decisions = {gt2, pad};  // lock removed, gt changed, pad added
 
   PlanDiff d = plan_diff(before, after);
@@ -237,7 +238,7 @@ TEST(PlanDiffTest, ReasonOnlyChangeCounts) {
   Ctx c = analyze(kAllKindsSource);
   TransformDecision a{key_of(c, "s"), TransformKind::kPadAlign, -1,
                       PartitionShape::kBlocked, 1,
-                      {ReasonCode::kSharedNonLocal}};
+                      {ReasonCode::kSharedNonLocal}, {}};
   TransformDecision b = a;
   b.reason = {ReasonCode::kProfileFalseSharing, Pattern::kNone, -1, 10, 0.1};
   EXPECT_TRUE(a.same_effect(b));

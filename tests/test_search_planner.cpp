@@ -436,13 +436,13 @@ TEST(SearchRelocation, SearchPlanIdenticalWithAndWithoutRelocation) {
 TEST(ApplySearchMove, DisplacesCollidingDecisionsAndHonorsRemoval) {
   TransformPlan plan;
   plan.decisions.push_back({{7, -1}, TransformKind::kPadAlign, -1,
-                            PartitionShape::kBlocked, 1, {}});
+                            PartitionShape::kBlocked, 1, {}, {}});
   plan.decisions.push_back({{9, 2}, TransformKind::kIntraPad, -1,
-                            PartitionShape::kBlocked, 64, {}});
+                            PartitionShape::kBlocked, 64, {}, {}});
 
   // Symbol-level move on sym 9 displaces the field-level decision.
   TransformDecision mv{{9, -1}, TransformKind::kHotColdSplit, -1,
-                       PartitionShape::kBlocked, 1, {}};
+                       PartitionShape::kBlocked, 1, {}, {}};
   mv.fields = {0, 1};
   TransformPlan next = apply_search_move(plan, mv);
   ASSERT_EQ(next.decisions.size(), 2u);
@@ -451,14 +451,14 @@ TEST(ApplySearchMove, DisplacesCollidingDecisionsAndHonorsRemoval) {
 
   // kNone is pure removal.
   TransformDecision none{{7, -1}, TransformKind::kNone, -1,
-                         PartitionShape::kBlocked, 1, {}};
+                         PartitionShape::kBlocked, 1, {}, {}};
   TransformPlan removed = apply_search_move(next, none);
   ASSERT_EQ(removed.decisions.size(), 1u);
   EXPECT_EQ(removed.decisions[0].datum.sym, 9);
 
   // Unrelated datums stack.
   TransformDecision other{{11, -1}, TransformKind::kPadAlign, -1,
-                          PartitionShape::kBlocked, 1, {}};
+                          PartitionShape::kBlocked, 1, {}, {}};
   EXPECT_EQ(apply_search_move(removed, other).decisions.size(), 2u);
 }
 

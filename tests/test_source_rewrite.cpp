@@ -115,6 +115,35 @@ TEST(SourceRewrite, ExtractedFieldLeavesStruct) {
   EXPECT_GE(st->field_index("w"), 0);
 }
 
+TEST(SourceRewrite, IntraDatumMovesAndTheBarrierStrideAreSkipped) {
+  // The graph planner's intra-datum moves and its barrier stride have no
+  // declaration-order spelling: the rewrite reports them as skipped and
+  // emits the program with those datums untouched.
+  CompileOptions plain;
+  plain.overrides["NPROCS"] = 4;
+  Compiled c = compile_source(kSource, plain);
+  TransformPlan plan;
+  TransformDecision stride;
+  stride.datum = {kBarrierSym, -1};
+  stride.kind = TransformKind::kIntraPad;
+  stride.chunk = 64;
+  TransformDecision split;
+  split.datum = {c.prog->find_global("g")->id, -1};
+  split.kind = TransformKind::kHotColdSplit;
+  split.fields = {0};
+  plan.decisions = {stride, split};
+
+  SourceRewriteResult rw = rewrite_to_source(*c.prog, plan, 128);
+  EXPECT_EQ(rw.skipped,
+            (std::vector<std::string>{
+                "<barrier>: intra-pad not expressible in PPL",
+                "g: hot-cold-split not expressible in PPL"}));
+  EXPECT_TRUE(rw.renames.empty());
+  Compiled s = compile_source(rw.source, plain);
+  ASSERT_NE(s.prog->find_global("g"), nullptr);
+  EXPECT_EQ(run_program(s)->refs(), run_program(c)->refs());
+}
+
 TEST(SourceRewrite, WorksOnTheWorkloads) {
   // The flagship G&T workload round-trips through source rewriting.
   for (const char* name : {"fmm", "water"}) {
