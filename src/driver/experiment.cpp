@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <numeric>
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -711,12 +712,21 @@ SpeedupCurve speedup_sweep(std::string_view source,
                            const std::vector<i64>& procs,
                            const CompileOptions& base, i64 base_cycles,
                            int threads) {
-  // Each processor count is an independent compile+run job.
+  // Each processor count is an independent compile+run job.  Run time
+  // grows with the processor count, so the pool starts the largest
+  // machines first and the small ones fill in behind them; every result
+  // lands in its own slot, so the order does not show in the output.
   SpeedupCurve out;
   out.procs = procs;
   out.speedup.assign(procs.size(), 0.0);
+  std::vector<size_t> order(procs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return procs[a] > procs[b];
+  });
   if (threads <= 0) threads = experiment_threads();
-  parallel_for_each(threads, procs.size(), [&](size_t i) {
+  parallel_for_each(threads, order.size(), [&](size_t k) {
+    const size_t i = order[k];
     obs::Span span("sweep", "compile_and_time");
     if (span.active()) span.arg("procs", static_cast<double>(procs[i]));
     TimingResult t = compile_and_time(source, procs[i], base);

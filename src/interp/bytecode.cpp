@@ -58,6 +58,12 @@ const char* op_name(Op op) {
     case Op::kRtoi: return "rtoi";
     case Op::kSqrt: return "sqrt";
     case Op::kHalt: return "halt";
+    case Op::kIncL: return "inc.l";
+    case Op::kIncLJmp: return "inc.l+jmp";
+    case Op::kLtJz: return "lt.jz";
+    case Op::kLoadL2: return "load.l2";
+    case Op::kAddRImm: return "add.r.imm";
+    case Op::kMulRImm: return "mul.r.imm";
   }
   return "?";
 }

@@ -43,6 +43,15 @@ enum class Op : u8 {
   // Intrinsics.
   kLcg, kAbsI, kAbsR, kMinI, kMaxI, kMinR, kMaxR, kItor, kRtoi, kSqrt,
   kHalt,
+  // Superinstructions: never emitted by the compiler.  The machine puts
+  // one at every pc where the sequence it names starts, and still counts
+  // and charges each instruction of that sequence (interp/machine.cpp).
+  kIncL,     // load.l; push.i; add.i; store.l
+  kIncLJmp,  // load.l; push.i; add.i; store.l; jmp
+  kLtJz,     // load.l; push.i; lt.i; jz
+  kLoadL2,   // load.l; load.l
+  kAddRImm,  // push.r; add.r
+  kMulRImm,  // push.r; mul.r
 };
 
 const char* op_name(Op op);

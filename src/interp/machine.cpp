@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstring>
 
+#include "obs/metrics.h"
+#include "obs/obs.h"
+
 namespace fsopt {
 
 namespace {
@@ -23,6 +26,7 @@ i64 as_bits(double v) { return std::bit_cast<i64>(v); }
 Machine::Machine(const CodeImage& img, const MachineOptions& opt)
     : img_(img),
       opt_(opt),
+      slots_(decode(img.code)),
       mem_(static_cast<size_t>(img.total_bytes), 0) {
   FSOPT_CHECK(img.main_func >= 0, "code image has no main");
   if (opt_.sink != nullptr) {
@@ -39,6 +43,36 @@ Machine::Machine(const CodeImage& img, const MachineOptions& opt)
     if (mf.nparams >= 1) pr.locals[0] = static_cast<i64>(p);  // pid
     pr.frames.push_back({img.main_func, -1, 0});
   }
+}
+
+std::vector<Machine::Slot> Machine::decode(const std::vector<Instr>& code) {
+  std::vector<Slot> slots(code.size());
+  auto starts = [&code](size_t pc, std::initializer_list<Op> ops) {
+    if (code.size() - pc < ops.size()) return false;
+    for (Op op : ops)
+      if (code[pc++].op != op) return false;
+    return true;
+  };
+  for (size_t pc = 0; pc < code.size(); ++pc) {
+    FSOPT_CHECK(code[pc].op <= Op::kHalt,
+                "code image holds a superinstruction or an unknown opcode");
+    auto operand = [&code, pc](size_t k) { return code[pc + k].a; };
+    Slot& s = slots[pc];
+    s = {code[pc].op, operand(0)};
+    if (starts(pc, {Op::kLoadL, Op::kPushI, Op::kAddI, Op::kStoreL, Op::kJmp}))
+      s = {Op::kIncLJmp, operand(1), operand(0), operand(3), operand(4)};
+    else if (starts(pc, {Op::kLoadL, Op::kPushI, Op::kAddI, Op::kStoreL}))
+      s = {Op::kIncL, operand(1), operand(0), operand(3)};
+    else if (starts(pc, {Op::kLoadL, Op::kPushI, Op::kLtI, Op::kJz}))
+      s = {Op::kLtJz, operand(1), operand(0), 0, operand(3)};
+    else if (starts(pc, {Op::kLoadL, Op::kLoadL}))
+      s = {Op::kLoadL2, 0, operand(0), operand(1)};
+    else if (starts(pc, {Op::kPushR, Op::kAddR}))
+      s.op = Op::kAddRImm;
+    else if (starts(pc, {Op::kPushR, Op::kMulR}))
+      s.op = Op::kMulRImm;
+  }
+  return slots;
 }
 
 i64 Machine::load_scalar(i64 addr, i64 size) const {
@@ -92,7 +126,7 @@ void Machine::flush_stage() {
   stage_.clear();
 }
 
-void Machine::exec_sync(Proc& p, const Instr& in) {
+void Machine::exec_sync(Proc& p, const Slot& in) {
   // Every synchronization reference is one 4-byte word at the clock.
   auto sync_ref = [this, &p](i64 addr, bool is_write) {
     p.time += ref(p.id, addr, 4, is_write, p.time);
@@ -171,9 +205,9 @@ void Machine::exec_sync(Proc& p, const Instr& in) {
     if (p.wait == Wait::kNone) {
       // First visit: pop the index values and remember the address.
       size_t n = plan.dims.size();
-      FSOPT_CHECK(p.stack.size() >= n, "stack underflow at lock");
-      p.lock_addr = plan.address(p.stack.data() + (p.stack.size() - n));
-      p.stack.resize(p.stack.size() - n);
+      FSOPT_CHECK(p.sp >= n, "stack underflow at lock");
+      p.sp -= n;
+      p.lock_addr = plan.address(p.stack.data() + p.sp);
       p.wait = Wait::kLockSpin;
     }
     sync_ref(p.lock_addr, false);
@@ -190,9 +224,9 @@ void Machine::exec_sync(Proc& p, const Instr& in) {
   }
   FSOPT_CHECK(in.op == Op::kUnlock, "unexpected sync op");
   size_t n = plan.dims.size();
-  FSOPT_CHECK(p.stack.size() >= n, "stack underflow at unlock");
-  i64 addr = plan.address(p.stack.data() + (p.stack.size() - n));
-  p.stack.resize(p.stack.size() - n);
+  FSOPT_CHECK(p.sp >= n, "stack underflow at unlock");
+  p.sp -= n;
+  i64 addr = plan.address(p.stack.data() + p.sp);
   store_scalar(addr, 4, 0);
   sync_ref(addr, true);
   ++p.pc;
@@ -200,34 +234,48 @@ void Machine::exec_sync(Proc& p, const Instr& in) {
 
 void Machine::step(Proc& p) {
   // Execute instructions until this processor spends simulated time on a
-  // memory reference / sync, or halts.  Plain ALU work costs 1 cycle per
-  // instruction.  The hot state — pc, clock, instruction count, frame
-  // base — stays in locals for the whole step (stores to the i64 operand
-  // stack could otherwise alias the clock and the counter in memory) and
-  // is written back before every exit.
-  const Instr* const code = img_.code.data();
-  std::vector<i64>& st = p.stack;
+  // memory reference / sync, halts, or has run kStepInstrs instructions.
+  // Plain ALU work costs 1 cycle per instruction.  The hot state — pc,
+  // clock, instruction count, stack top, the frame's locals — stays in
+  // locals for the whole step (stores to the i64 operand stack could
+  // otherwise alias the clock and the counter in memory) and is written
+  // back before every exit.
+  //
+  // No instruction leaves more than one value above the depth it found,
+  // so kStepInstrs free slots above the top cover every push of the step;
+  // pops stay checked.  The stack grows to what it needs plus a little
+  // slack, not by doubling: this headroom is per processor.
+  if (p.stack.size() < p.sp + kStepInstrs) {
+    const size_t slots = p.sp + kStepInstrs + kStepInstrs / 8;
+    p.stack.reserve(slots);
+    p.stack.resize(slots);
+  }
+  const Slot* const code = slots_.data();
+  i64* const bottom = p.stack.data();
+  i64* top = bottom + p.sp;  // one past the top value
+  i64* locals = p.locals.data() + p.frames.back().base;
   int pc = p.pc;
   i64 time = p.time;
   u64 executed = instructions_;
-  size_t fp = p.frames.back().base;  // the current frame's first local
+  // One counter ends the step at kStepInstrs or at the instruction
+  // budget, whichever comes first.
+  const u64 budget = opt_.max_instructions - std::min(executed,
+                                                      opt_.max_instructions);
+  const u64 stop = executed + std::min(kStepInstrs, budget);
   auto leave = [&] {
     p.pc = pc;
     p.time = time;
+    p.sp = static_cast<size_t>(top - bottom);
     instructions_ = executed;
   };
-  auto pop = [&st]() {
-    FSOPT_CHECK(!st.empty(), "operand stack underflow");
-    i64 v = st.back();
-    st.pop_back();
-    return v;
+  auto pop = [&] {
+    FSOPT_CHECK(top != bottom, "operand stack underflow");
+    return *--top;
   };
-  auto push = [&st](i64 v) { st.push_back(v); };
-  for (int batch = 0; batch < 256; ++batch) {
-    FSOPT_CHECK(executed < opt_.max_instructions,
-                "instruction budget exceeded (runaway program?)");
+  auto push = [&](i64 v) { *top++ = v; };
+  while (executed != stop) {
     ++executed;
-    const Instr& in = code[pc];
+    const Slot& in = code[pc];
 
     switch (in.op) {
       case Op::kPushI:
@@ -235,10 +283,10 @@ void Machine::step(Proc& p) {
         push(in.a);
         break;
       case Op::kLoadL:
-        push(p.locals[fp + static_cast<size_t>(in.a)]);
+        push(locals[in.a]);
         break;
       case Op::kStoreL:
-        p.locals[fp + static_cast<size_t>(in.a)] = pop();
+        locals[in.a] = pop();
         break;
       case Op::kLoadG:
       case Op::kStoreG: {
@@ -247,21 +295,20 @@ void Machine::step(Proc& p) {
         i64 value = 0;
         if (is_store) value = pop();
         size_t n = plan.dims.size();
-        FSOPT_CHECK(st.size() >= n, "operand stack underflow at access");
-        const i64* idx = st.data() + (st.size() - n);
-        i64 addr = plan.address(idx);
+        FSOPT_CHECK(static_cast<size_t>(top - bottom) >= n,
+                    "operand stack underflow at access");
+        top -= n;
+        i64 addr = plan.address(top);
         if (plan.indirection.has_value()) {
           // Extra pointer-slot load: the run-time cost of indirection.
-          i64 slot = plan.pointer_slot(idx);
+          i64 slot = plan.pointer_slot(top);
           time += ref(p.id, slot, 8, false, time);
         }
-        st.resize(st.size() - n);
         if (is_store) {
           store_scalar(addr, plan.size, value);
           time += ref(p.id, addr, plan.size, true, time);
         } else {
-          i64 v = load_scalar(addr, plan.size);
-          push(v);
+          push(load_scalar(addr, plan.size));
           time += ref(p.id, addr, plan.size, false, time);
         }
         ++pc;
@@ -352,10 +399,10 @@ void Machine::step(Proc& p) {
         continue;
       case Op::kCall: {
         const FuncInfo& f = img_.funcs[static_cast<size_t>(in.a)];
-        fp = p.locals.size();
+        size_t fp = p.locals.size();
         p.locals.resize(fp + static_cast<size_t>(f.nlocals), 0);
-        for (int i = f.nparams - 1; i >= 0; --i)
-          p.locals[fp + static_cast<size_t>(i)] = pop();
+        locals = p.locals.data() + fp;
+        for (int i = f.nparams - 1; i >= 0; --i) locals[i] = pop();
         p.frames.push_back({static_cast<int>(in.a), pc + 1, fp});
         pc = f.entry_pc;
         time += 1;
@@ -372,7 +419,7 @@ void Machine::step(Proc& p) {
           leave();
           return;
         }
-        fp = p.frames.back().base;
+        locals = p.locals.data() + p.frames.back().base;
         pc = ret_pc;
         time += 1;
         continue;
@@ -412,43 +459,124 @@ void Machine::step(Proc& p) {
         p.halted = true;
         leave();
         return;
+      // A superinstruction standing for n instructions runs whole only if
+      // all n fit before the step ends; otherwise it runs just its first
+      // instruction, so no step ever ends inside one.
+      case Op::kIncL:
+      case Op::kIncLJmp: {
+        const u64 rest = in.op == Op::kIncL ? 3 : 4;
+        if (stop - executed < rest) {
+          push(locals[in.x]);
+          break;
+        }
+        locals[in.y] = locals[in.x] + in.a;
+        executed += rest;
+        time += static_cast<i64>(rest) + 1;
+        pc = in.op == Op::kIncL ? pc + 4 : static_cast<int>(in.t);
+        continue;
+      }
+      case Op::kLtJz:
+        if (stop - executed < 3) {
+          push(locals[in.x]);
+          break;
+        }
+        executed += 3;
+        time += 4;
+        pc = locals[in.x] < in.a ? pc + 4 : static_cast<int>(in.t);
+        continue;
+      case Op::kLoadL2:
+        push(locals[in.x]);
+        if (stop - executed < 1) break;
+        push(locals[in.y]);
+        ++executed;
+        ++pc;
+        time += 1;
+        break;
+      case Op::kAddRImm:
+      case Op::kMulRImm: {
+        if (stop - executed < 1) {
+          push(in.a);
+          break;
+        }
+        double a = as_real(pop());
+        double b = as_real(in.a);
+        push(as_bits(in.op == Op::kAddRImm ? a + b : a * b));
+        ++executed;
+        ++pc;
+        time += 1;
+        break;
+      }
     }
     ++pc;
     time += 1;
   }
+  FSOPT_CHECK(budget >= kStepInstrs,
+              "instruction budget exceeded (runaway program?)");
   leave();
 }
 
 void Machine::run() {
+  obs::Span span("interp", "run");
+  const u64 instructions0 = instructions_;
+  const u64 refs0 = refs_;
+  u64 steps = 0;
   // Always advance the processor with the smallest local clock (ties:
   // lowest id) — deterministic event-driven interleaving.  The runnable
-  // processors form a binary min-heap on (time, id); a step only moves
-  // the top processor's clock, so one sift-down restores the heap.
-  auto before = [](const Proc* a, const Proc* b) {
-    return a->time != b->time ? a->time < b->time : a->id < b->id;
+  // processors form a binary min-heap on (time, id), keyed inline so the
+  // sift does not chase Proc pointers; a step only moves the top
+  // processor's clock, so one sift-down restores the heap.
+  struct Ready {
+    i64 time;
+    int id;
+    bool operator<(const Ready& o) const {
+      return time != o.time ? time < o.time : id < o.id;
+    }
   };
-  std::vector<Proc*> ready;
-  for (Proc& p : procs_)
-    if (!p.halted) ready.push_back(&p);
-  std::sort(ready.begin(), ready.end(), before);  // sorted = a valid heap
+  std::vector<Ready> ready;
+  for (const Proc& p : procs_)
+    if (!p.halted) ready.push_back({p.time, p.id});
+  std::sort(ready.begin(), ready.end());  // sorted = a valid heap
   while (!ready.empty()) {
-    Proc& top = *ready.front();
+    Proc& top = procs_[static_cast<size_t>(ready.front().id)];
     step(top);
+    ++steps;
     if (top.halted) {
       ready.front() = ready.back();
       ready.pop_back();
+    } else {
+      ready.front().time = top.time;
     }
     const size_t n = ready.size();
     for (size_t i = 0;;) {
       size_t c = 2 * i + 1;
       if (c >= n) break;
-      if (c + 1 < n && before(ready[c + 1], ready[c])) ++c;
-      if (!before(ready[c], ready[i])) break;
+      if (c + 1 < n && ready[c + 1] < ready[c]) ++c;
+      if (!(ready[c] < ready[i])) break;
       std::swap(ready[i], ready[c]);
       i = c;
     }
   }
   flush_stage();
+
+  // Throughput telemetry: one update per run, never per instruction.
+  const u64 instructions = instructions_ - instructions0;
+  const u64 refs = refs_ - refs0;
+  if (span.active()) {
+    span.arg("mode", opt_.memsys != nullptr ? "timing" : "trace");
+    span.arg("procs", static_cast<double>(procs_.size()));
+    span.arg("instructions", static_cast<double>(instructions));
+    span.arg("refs", static_cast<double>(refs));
+    span.arg("steps", static_cast<double>(steps));
+  }
+  if (obs::metrics_enabled()) {
+    static obs::Counter& instr_total =
+        obs::metric_counter("interp.instructions");
+    static obs::Counter& refs_total = obs::metric_counter("interp.refs");
+    static obs::Counter& steps_total = obs::metric_counter("interp.steps");
+    instr_total.inc(instructions);
+    refs_total.inc(refs);
+    steps_total.inc(steps);
+  }
 }
 
 i64 Machine::finish_cycles() const {

@@ -63,13 +63,29 @@ class Machine {
     int ret_pc = 0;
     size_t base = 0;  // first local slot in Proc::locals
   };
+  /// One instruction as step() dispatches it; the constructor decodes one
+  /// per pc.  Where a superinstruction's sequence starts (bytecode.h), the
+  /// slot holds the superinstruction; the instructions after the first
+  /// keep their own slots, so a jump into the middle of a sequence runs
+  /// them one by one.
+  struct Slot {
+    Op op = Op::kHalt;
+    i64 a = 0;  // the instruction's operand; superinstructions: immediate
+    i64 x = 0;  // superinstructions: the first local slot
+    i64 y = 0;  // superinstructions: the second local slot
+    i64 t = 0;  // superinstructions: the jump target
+  };
   enum class Wait : u8 { kNone, kLockSpin, kBarrier };
   struct Proc {
     int id = 0;
     i64 time = 0;
     int pc = 0;
     bool halted = false;
+    /// Operand stack, shared by every frame: slots [0, sp) are live.
+    /// step() sizes it to at least sp + kStepInstrs slots before running,
+    /// so no push within a step needs a capacity check.
     std::vector<i64> stack;
+    size_t sp = 0;
     /// Every live frame's locals, innermost last (one allocation per
     /// processor instead of one per call).
     std::vector<i64> locals;
@@ -81,8 +97,13 @@ class Machine {
     i64 backoff = 0;  // current poll interval (exponential)
   };
 
+  /// Most instructions one step runs before yielding to the scheduler.
+  /// It decides the interleaving, so it is part of every run's result.
+  static constexpr u64 kStepInstrs = 256;
+
+  static std::vector<Slot> decode(const std::vector<Instr>& code);
   void step(Proc& p);
-  void exec_sync(Proc& p, const Instr& in);
+  void exec_sync(Proc& p, const Slot& in);
   /// Issue one shared-memory reference by `proc` at local time `now`;
   /// returns its latency.
   i64 ref(int proc, i64 addr, i64 size, bool is_write, i64 now);
@@ -92,6 +113,7 @@ class Machine {
 
   const CodeImage& img_;
   MachineOptions opt_;
+  std::vector<Slot> slots_;  // img_.code, decoded
   std::vector<u8> mem_;
   std::vector<Proc> procs_;
   std::vector<MemRef> stage_;  // staged refs awaiting sink delivery

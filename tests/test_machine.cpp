@@ -240,6 +240,84 @@ TEST(Machine, InstructionBudgetGuards) {
   EXPECT_THROW(m.run(), InternalError);
 }
 
+// A one-processor image whose main (one local: the pid) runs `code`, with
+// one global `int g[4]` at address 0 behind access plan 0.
+CodeImage hand_image(std::vector<Instr> code) {
+  CodeImage img;
+  img.code = std::move(code);
+  img.funcs.push_back({0, 1, 1, false, "main"});
+  img.main_func = 0;
+  AccessPlan g;
+  g.dims = {DimMap{1, 0, 4}};
+  g.extents = {4};
+  g.name = "g";
+  img.plans.push_back(g);
+  img.globals_bytes = 16;
+  img.barrier_base = img.globals_bytes;
+  img.total_bytes = img.globals_bytes + 4 * CodeImage::kBarrierWords;
+  return img;
+}
+
+TEST(Machine, DeepOperandStackCrossesStepBoundaries) {
+  // g[0] = 1 + 2 + ... + 700, evaluated as 700 pushes and then 699 adds:
+  // the stack is hundreds of values deep across several 256-instruction
+  // steps, so its headroom has to grow at step boundaries.
+  constexpr i64 kValues = 700;
+  std::vector<Instr> code = {{Op::kPushI, 0}};  // the index
+  for (i64 v = 1; v <= kValues; ++v) code.push_back({Op::kPushI, v});
+  for (i64 v = 1; v < kValues; ++v) code.push_back({Op::kAddI});
+  code.push_back({Op::kStoreG, 0});
+  code.push_back({Op::kHalt});
+  CodeImage img = hand_image(code);
+  Machine m(img, MachineOptions{});
+  m.run();
+  EXPECT_EQ(m.load_int(0), kValues * (kValues + 1) / 2);
+  EXPECT_EQ(m.instructions(), code.size());
+  EXPECT_EQ(m.refs(), 1u);
+}
+
+TEST(Machine, OperandStackUnderflowThrows) {
+  // Every instruction that pops, run on a stack too shallow for it —
+  // including a superinstruction (push.r; add.r) and the lock/unlock
+  // index pops of the sync path.
+  const std::vector<std::vector<Instr>> programs = {
+      {{Op::kPop}},
+      {{Op::kPushI, 1}, {Op::kAddI}},
+      {{Op::kStoreL, 0}},
+      {{Op::kJz, 0}},
+      {{Op::kPushR, 0}, {Op::kAddR}},
+      {{Op::kPushI, 5}, {Op::kStoreG, 0}},
+      {{Op::kLoadG, 0}},
+      {{Op::kLock, 0}},
+      {{Op::kUnlock, 0}},
+  };
+  for (std::vector<Instr> code : programs) {
+    code.push_back({Op::kHalt});
+    CodeImage img = hand_image(code);
+    Machine m(img, MachineOptions{});
+    EXPECT_THROW(m.run(), InternalError) << img.disassemble();
+  }
+}
+
+TEST(Machine, InstructionBudgetIsExact) {
+  // A budget of exactly the instructions a run needs lets it finish; one
+  // fewer stops it.  The loop runs through the superinstructions, which
+  // count every instruction they stand for.
+  Compiled c = build(
+      "param NPROCS = 1; int s;"
+      "void main(int pid) { int i; int t; t = 0;"
+      "  for (i = 0; i < 1000; i = i + 1) { t = t + i; } s = t; }");
+  u64 needed = run_program(c)->instructions();
+  MachineOptions mo;
+  mo.max_instructions = needed;
+  Machine enough(c.code, mo);
+  enough.run();
+  EXPECT_EQ(enough.load_int(c.address_of("s", "", {})), 499500);
+  mo.max_instructions = needed - 1;
+  Machine short_by_one(c.code, mo);
+  EXPECT_THROW(short_by_one.run(), InternalError);
+}
+
 TEST(Machine, FinishCyclesIsMaxOverProcs) {
   Compiled c = build(
       "param NPROCS = 4; int a[4];"
@@ -369,6 +447,48 @@ TEST(MachineGolden, StreamsAndKsrCyclesMatchCapturedValues) {
         std::string(g.workload) + (g.optimize ? "/C" : "/N");
     EXPECT_EQ(n, g.refs) << what;
     EXPECT_EQ(h, g.stream_hash) << what;
+    EXPECT_EQ(t.cycles, g.ksr_cycles) << what;
+    EXPECT_EQ(t.instructions, g.instructions) << what;
+  }
+}
+
+// The KSR2 timing study's widest machine: the timing-size inputs at one
+// and at 48 processors, where the scheduler heap holds 48 entries and the
+// KSR model's sharer masks use most of their 64 bits.  N runs the
+// unoptimized source, C the compiler's plan for it (as speedup_sweep
+// does).
+TEST(MachineGolden, WideMachineKsrTiming) {
+  struct Golden {
+    const char* workload;
+    bool optimize;
+    i64 procs;
+    i64 ksr_cycles;
+    u64 instructions;
+  };
+  static const Golden kGolden[] = {
+      {"maxflow", false, 1, 5061365, 4707116u},
+      {"maxflow", false, 48, 3523857, 4795466u},
+      {"maxflow", true, 1, 5077723, 4707116u},
+      {"maxflow", true, 48, 3336229, 4795981u},
+      {"fmm", false, 1, 13102553, 12583245u},
+      {"fmm", false, 48, 5755735, 12624526u},
+      {"fmm", true, 1, 13118996, 12583245u},
+      {"fmm", true, 48, 2473650, 12617127u},
+      {"raytrace", false, 1, 8063579, 7401560u},
+      {"raytrace", false, 48, 1960347, 7420428u},
+      {"raytrace", true, 1, 8063840, 7401560u},
+      {"raytrace", true, 48, 1032956, 7419647u},
+  };
+  for (const Golden& g : kGolden) {
+    const workloads::Workload& w = workloads::get(g.workload);
+    CompileOptions o;
+    o.overrides = w.time_overrides;
+    o.optimize = g.optimize;
+    TimingResult t = compile_and_time(g.optimize ? w.natural : w.unopt,
+                                      g.procs, o);
+    const std::string what = std::string(g.workload) +
+                             (g.optimize ? "/C@" : "/N@") +
+                             std::to_string(g.procs);
     EXPECT_EQ(t.cycles, g.ksr_cycles) << what;
     EXPECT_EQ(t.instructions, g.instructions) << what;
   }

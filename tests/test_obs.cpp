@@ -5,7 +5,8 @@
 // bit-identical with tracing on vs. off, alongside the composed-replay
 // suite in test_multi_shard_replay.cpp.  The second half covers the
 // metrics registry (obs/metrics.h): concurrent-increment exactness, the
-// kind-mismatch check, both expositions and the partial-data marker.
+// kind-mismatch check, both expositions, the partial-data marker, and the
+// interpreter's run span and counters on a KSR2 timing run.
 #include "obs/obs.h"
 
 #include <gtest/gtest.h>
@@ -381,6 +382,55 @@ TEST_F(MetricsTest, ThreadPoolRegistersQueueDepthAndJobMetrics) {
   const obs::MetricSample* depth = sample(snap, "pool.queue_depth");
   ASSERT_NE(depth, nullptr);
   EXPECT_DOUBLE_EQ(depth->value, 0.0);  // drained at pool shutdown
+}
+
+TEST_F(MetricsTest, KsrRunReportsInterpreterSpanAndCounters) {
+  // One KSR2 timing run: the interpreter opens one interp/run span
+  // carrying its work, and adds the same totals to the registry counters.
+  obs::set_enabled(true);
+  Compiled c = compile_source(kProgram, CompileOptions{});
+  obs::reset();
+  obs::metrics_reset();
+  TimingResult t = run_ksr(c);
+  obs::TraceData data = obs::collect();
+  obs::MetricsSnapshot snap = obs::metrics_snapshot();
+  obs::set_enabled(false);
+
+  const obs::SpanEvent* run = nullptr;
+  int runs = 0;
+  for (const obs::ThreadLog& th : data.threads)
+    for (const obs::SpanEvent& s : th.spans)
+      if (std::string_view(s.category) == "interp" && s.name == "run") {
+        run = &s;
+        ++runs;
+      }
+  ASSERT_EQ(runs, 1);
+  auto arg = [run](std::string_view key) -> const obs::Arg* {
+    for (const obs::Arg& a : run->args)
+      if (a.key == key) return &a;
+    return nullptr;
+  };
+  for (const char* key : {"mode", "procs", "instructions", "refs", "steps"})
+    ASSERT_NE(arg(key), nullptr) << key;
+  EXPECT_EQ(arg("mode")->str, "timing");
+  EXPECT_DOUBLE_EQ(arg("procs")->num, static_cast<double>(c.nprocs()));
+  EXPECT_DOUBLE_EQ(arg("instructions")->num,
+                   static_cast<double>(t.instructions));
+  EXPECT_DOUBLE_EQ(arg("refs")->num, static_cast<double>(t.refs));
+
+  const obs::MetricSample* instructions =
+      sample(snap, "interp.instructions");
+  const obs::MetricSample* refs = sample(snap, "interp.refs");
+  const obs::MetricSample* steps = sample(snap, "interp.steps");
+  ASSERT_NE(instructions, nullptr);
+  ASSERT_NE(refs, nullptr);
+  ASSERT_NE(steps, nullptr);
+  EXPECT_DOUBLE_EQ(instructions->value, static_cast<double>(t.instructions));
+  EXPECT_DOUBLE_EQ(refs->value, static_cast<double>(t.refs));
+  EXPECT_DOUBLE_EQ(steps->value, arg("steps")->num);
+  // Every step runs at least one instruction.
+  EXPECT_GT(steps->value, 0.0);
+  EXPECT_LE(steps->value, instructions->value);
 }
 
 TEST_F(MetricsTest, StatsBitIdenticalWithMetricsOnAndOff) {
