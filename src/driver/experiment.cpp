@@ -150,6 +150,17 @@ constexpr u64 kAutoShardMinRefs = u64{1} << 16;
 /// its slice of the raw stream).
 constexpr int kAutoShardMax = 8;
 
+/// One cache configuration per swept block size for compile `c`.
+std::vector<CacheParams> sweep_params(const Compiled& c,
+                                      const std::vector<i64>& block_sizes,
+                                      i64 l1_bytes) {
+  std::vector<CacheParams> params;
+  params.reserve(block_sizes.size());
+  for (i64 b : block_sizes)
+    params.push_back({c.nprocs(), l1_bytes, b, c.code.total_bytes});
+  return params;
+}
+
 }  // namespace
 
 TraceStudyResult replay_trace_study(const EncodedTrace& trace,
@@ -163,10 +174,8 @@ TraceStudyResult replay_trace_study(const EncodedTrace& trace,
   out.refs = trace.size();
   const size_t nconf = block_sizes.size();
   if (nconf == 0) return out;
-  std::vector<CacheParams> params(nconf);
-  for (size_t i = 0; i < nconf; ++i)
-    params[i] = CacheParams{c.nprocs(), l1_bytes, block_sizes[i],
-                            c.code.total_bytes};
+  const std::vector<CacheParams> params =
+      sweep_params(c, block_sizes, l1_bytes);
 
   // Large traces go through the composed engine: ONE region-granular
   // partition serves every configuration, and each shard replays all of
@@ -212,6 +221,7 @@ TraceStudyResult run_trace_study(const Compiled& c,
 }
 
 EncodedTrace TraceCache::trace(const Compiled& c) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (relocate_) {
     obs::Span span("trace", "relocate");
     for (const Entry& e : entries_) {
@@ -236,6 +246,16 @@ EncodedTrace TraceCache::trace(const Compiled& c) {
   EncodedTrace t = record_encoded_trace(c);
   if (relocate_) entries_.push_back({c.code, t});
   return t;
+}
+
+u64 TraceCache::recordings() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return recordings_;
+}
+
+u64 TraceCache::relocations() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return relocations_;
 }
 
 FalseSharingProfile build_fs_profile(const TraceStudyResult& study,
@@ -545,25 +565,37 @@ SearchPlanResult search_plan(std::string_view source,
               });
   }
 
-  // Candidate evaluation: recompile against the shared front, take the
-  // trace from the cache (a relocation unless the shape is new), replay
-  // every swept size in a single pass.  The replay engine is
-  // bit-identical for any thread count, so the whole search is too.
-  PlanEvaluator evaluate = [&](const TransformPlan& p) {
-    CompileOptions cand_opt = copt;
-    cand_opt.plan = std::make_shared<TransformPlan>(p);
-    Compiled cand = run_back(front, cand_opt);
-    TraceStudyResult study =
-        replay_trace_study(traces.trace(cand), cand, blocks, sopt.l1_bytes,
-                           nullptr, sopt.threads);
-    PlanScore score;
-    for (i64 b : blocks) {
-      const MissStats& s = study.at(b);
-      score.fs[b] = s.false_sharing;
-      score.cold_capacity[b] = s.cold + s.replacement;
-    }
-    score.footprint = cand.layout.total_bytes();
-    return score;
+  // Candidate evaluation, one candidate per worker: each job recompiles
+  // against the shared front (the Program is immutable after sema, so
+  // back halves run concurrently), takes the trace from the cache (a
+  // relocation unless the shape is new) and replays every swept size in
+  // one walk on its share of the thread budget.  A batch already keeps
+  // the workers busy, so no candidate is region-partitioned.  Each job
+  // writes only its own slot and drops its compile and trace on return:
+  // at most `threads` candidates are live, whatever the budget.  The
+  // replay engine is bit-identical for any thread count, so the whole
+  // search is too.
+  const int threads = sopt.threads > 0 ? sopt.threads : experiment_threads();
+  PlanEvaluator evaluate = [&](const std::vector<TransformPlan>& batch) {
+    std::vector<PlanScore> scores(batch.size());
+    const int jobs = static_cast<int>(batch.size());
+    const int plane_threads = jobs > 0 ? std::max(1, threads / jobs) : 1;
+    parallel_for_each(threads, batch.size(), [&](size_t i) {
+      CompileOptions cand_opt = copt;
+      cand_opt.plan = std::make_shared<TransformPlan>(batch[i]);
+      Compiled cand = run_back(front, cand_opt);
+      MultiReplayResult multi = replay_multi(
+          traces.trace(cand), sweep_params(cand, blocks, sopt.l1_bytes),
+          nullptr, plane_threads);
+      PlanScore& score = scores[i];
+      for (size_t k = 0; k < blocks.size(); ++k) {
+        const MissStats& s = multi.stats[k];
+        score.fs[blocks[k]] = s.false_sharing;
+        score.cold_capacity[blocks[k]] = s.cold + s.replacement;
+      }
+      score.footprint = cand.layout.total_bytes();
+    });
+    return scores;
   };
 
   TransformPlan seed_plan = out.seed.final_plan();

@@ -6,13 +6,14 @@
 // of that recording (sim/multi.h).  Large traces are additionally split
 // into region shards (trace/shard.h) that replay all planes
 // concurrently; planes and shards share one thread budget, as do the
-// compile+run timing jobs of a processor-count sweep.  Each job owns its
-// simulator and writes into its own result slot, and slots are merged in
-// a fixed order, so results are bit-identical for any thread count and
-// any shard count.
+// compile+run timing jobs of a processor-count sweep and the candidates
+// of a plan-search batch.  Each job owns its simulator and writes into
+// its own result slot, and slots are merged in a fixed order, so results
+// are bit-identical for any thread count and any shard count.
 #pragma once
 
 #include <map>
+#include <mutex>
 
 #include "driver/compiler.h"
 #include "driver/pipeline.h"
@@ -129,12 +130,13 @@ class TraceCache {
 
   /// The encoded trace of `c`: a relocated view of a cached recording of
   /// the same shape when there is one, else a fresh recording (which is
-  /// then cached).  Not thread-safe.
+  /// then cached).  Thread-safe: one lock is held across the lookup and
+  /// any recording, so concurrent callers still record each shape once.
   EncodedTrace trace(const Compiled& c);
 
   /// Interpreter recordings made / traces served by relocation.
-  u64 recordings() const { return recordings_; }
-  u64 relocations() const { return relocations_; }
+  u64 recordings() const;
+  u64 relocations() const;
 
  private:
   struct Entry {
@@ -142,6 +144,7 @@ class TraceCache {
     EncodedTrace trace;
   };
   bool relocate_;
+  mutable std::mutex mu_;       // guards everything below
   std::vector<Entry> entries_;  // one per distinct shape
   u64 recordings_ = 0;
   u64 relocations_ = 0;
@@ -281,11 +284,13 @@ RepairResult repair_loop(std::string_view source, const CompileOptions& base,
 // The graph repair loop seeds the search: its converged plan becomes
 // candidate 0, so the search result can never be worse than the greedy
 // planner at any swept block size — per-block winners are argmins over
-// evaluated candidates and the seed is always evaluated.  Every further
-// candidate is compiled against the same shared front half (symbol ids
-// stay stable, so plans remain valid), its trace taken from the
-// TraceCache the seed loop filled (recorded only when its shape is new),
-// and all swept block sizes replayed in a single pass (replay_multi).
+// evaluated candidates and the seed is always evaluated.  The search
+// hands over its candidates in batches, and each batch is scored one
+// candidate per worker: every candidate is compiled against the same
+// shared front half (symbol ids stay stable, so plans remain valid), its
+// trace taken from the TraceCache the seed loop filled (recorded only
+// when its shape is new), and all swept block sizes replayed in a single
+// walk (replay_multi) with its share of the thread budget.
 // ---------------------------------------------------------------------------
 
 struct SearchPlanOptions {

@@ -83,7 +83,9 @@ TraceSummary summarize(const TraceData& data) {
   // category -> name -> line index; ordered maps keep the rendering
   // deterministic for a given trace.
   std::map<std::string, std::map<std::string, size_t>> index;
-  std::map<u32, bool> pool_threads;
+  // Pool jobs as (time, +1 start / -1 end) edges, for the peak number
+  // running at once.
+  std::vector<std::pair<u64, int>> job_edges;
   u64 pool_min = ~u64{0}, pool_max = 0;
 
   for (const ThreadLog& t : data.threads) {
@@ -107,9 +109,12 @@ TraceSummary summarize(const TraceData& data) {
 
       if (std::string_view(s.category) == "pool") {
         out.pool_busy_seconds += sec;
-        pool_threads[t.tid] = true;
         pool_min = std::min(pool_min, s.start_ns);
         pool_max = std::max(pool_max, s.start_ns + s.dur_ns);
+        if (s.name == "job") {
+          job_edges.push_back({s.start_ns, +1});
+          job_edges.push_back({s.start_ns + s.dur_ns, -1});
+        }
       }
       if (std::string_view(s.category) == "pass" &&
           sec > out.slowest_pass_seconds) {
@@ -128,7 +133,16 @@ TraceSummary summarize(const TraceData& data) {
   }
   if (max_end >= min_start && max_end != 0)
     out.wall_seconds = static_cast<double>(max_end - min_start) * kNsToSec;
-  out.pool_workers = static_cast<int>(pool_threads.size());
+  // Every parallel call builds a fresh pool, so counting each pool
+  // thread ever seen would charge a long run for hundreds of workers it
+  // never had at once.  An end sorts before a start at the same instant:
+  // back-to-back jobs do not overlap.
+  std::sort(job_edges.begin(), job_edges.end());
+  int running = 0;
+  for (const auto& [ts, delta] : job_edges) {
+    running += delta;
+    out.pool_workers = std::max(out.pool_workers, running);
+  }
   if (pool_max >= pool_min && pool_max != 0)
     out.pool_wall_seconds =
         static_cast<double>(pool_max - pool_min) * kNsToSec;
@@ -161,8 +175,8 @@ std::string render_summary(const TraceData& data) {
 
   if (s.pool_workers > 0) {
     std::snprintf(buf, sizeof(buf),
-                  "pool utilization: %.3fs busy / (%d workers x %.3fs wall)"
-                  " = %.1f%%\n",
+                  "pool utilization: %.3fs busy / (%d peak workers x "
+                  "%.3fs wall) = %.1f%%\n",
                   s.pool_busy_seconds, s.pool_workers, s.pool_wall_seconds,
                   100.0 * s.pool_utilization());
     out += buf;

@@ -6,8 +6,8 @@
 // event per recorded span/counter — load the file in Perfetto or
 // chrome://tracing.  The summary aggregates the same data for a
 // terminal: per-(category, name) count/total/max, pool utilization
-// (busy ÷ workers × wall), the slowest pass and the slowest replay
-// shard.  Serialization rides on support/json.h.
+// (busy ÷ peak concurrent jobs × wall), the slowest pass and the slowest
+// replay shard.  Serialization rides on support/json.h.
 #pragma once
 
 #include <string>
@@ -34,8 +34,9 @@ struct TraceSummary {
   size_t thread_count = 0;        // threads that recorded anything
   std::vector<CategoryLine> lines;  // category-major, insertion order
 
-  // Pool utilization: busy = total "pool" span time, workers = distinct
-  // threads with "pool" spans, wall = span of the "pool" category.
+  // Pool utilization: busy = total "pool" span time, workers = the peak
+  // number of "pool"/"job" spans running at once, wall = span of the
+  // "pool" category.
   double pool_busy_seconds = 0.0;
   int pool_workers = 0;
   double pool_wall_seconds = 0.0;

@@ -4,10 +4,14 @@
 // Jeremiassen & Eggers (PPoPP'95).  See DESIGN.md for the system map.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace fsopt {
 
@@ -45,6 +49,20 @@ constexpr int pow2_shift(i64 v) {
   int s = 0;
   while ((i64{1} << s) < v) ++s;
   return s;
+}
+
+/// `text` as a count in [0, INT_MAX] when it is exactly one: decimal
+/// digits only, no sign, no spaces, nothing after them.  Anything else —
+/// "12x", "-2", "4294967295" — is nullopt, so a command-line flag or an
+/// environment variable is either taken whole or rejected.
+inline std::optional<int> parse_count(std::string_view text) {
+  unsigned v = 0;  // from_chars takes no sign for an unsigned type
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      v > static_cast<unsigned>(std::numeric_limits<int>::max()))
+    return std::nullopt;
+  return static_cast<int>(v);
 }
 
 }  // namespace fsopt

@@ -8,17 +8,14 @@
 
 #include "lang/ast.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "support/json.h"
 
 namespace fsopt {
 
 SearchBudget search_budget_from_env(SearchBudget base) {
-  if (const char* env = std::getenv("FSOPT_SEARCH_BUDGET")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 0)
-      base.max_replays = static_cast<int>(v);
-  }
+  if (const char* env = std::getenv("FSOPT_SEARCH_BUDGET"))
+    if (std::optional<int> v = parse_count(env)) base.max_replays = *v;
   return base;
 }
 
@@ -376,30 +373,69 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
   std::set<std::string> seen;
   std::optional<PlanScore> baseline;  // the seed's score, set after [0]
 
-  auto evaluate = [&](TransformPlan p) {
-    SearchCandidate c;
-    c.order = static_cast<int>(out.evaluated.size());
-    c.score = evaluate_(p);
-    ++out.replays;
-    c.fs_total = c.score.fs_total();
-    if (baseline.has_value()) {
-      for (const auto& [b, v] : c.score.cold_capacity) {
-        auto it = baseline->cold_capacity.find(b);
-        u64 base = it != baseline->cold_capacity.end() ? it->second : 0;
-        if (v > base) c.spatial_loss += v - base;
+  // Candidates admitted for the next batch, with the counters as they
+  // stood right after each admission (what the zero-loss exit restores).
+  struct Admitted {
+    TransformPlan plan;
+    u64 generated = 0;
+    u64 pruned = 0;
+  };
+
+  // Score a batch in one evaluator call and commit the scores in
+  // generation order.  With `stop_at_zero`, a candidate with zero false
+  // sharing and zero loss cannot be beaten: it is committed, the rest of
+  // the batch is discarded, and the counters go back to where they stood
+  // when it was admitted — exactly where a one-at-a-time loop stops.
+  // Returns true when that exit was taken.
+  auto evaluate_batch = [&](std::vector<Admitted> batch, bool stop_at_zero) {
+    obs::Span span("search", "batch");
+    std::vector<TransformPlan> plans;
+    plans.reserve(batch.size());
+    for (Admitted& a : batch) plans.push_back(std::move(a.plan));
+    std::vector<PlanScore> scores = evaluate_(plans);
+    FSOPT_CHECK(scores.size() == plans.size(),
+                "PlanEvaluator returned " + std::to_string(scores.size()) +
+                    " scores for a batch of " + std::to_string(plans.size()));
+    bool stopped = false;
+    size_t committed = 0;
+    while (committed < plans.size() && !stopped) {
+      SearchCandidate c;
+      c.order = static_cast<int>(out.evaluated.size());
+      c.score = std::move(scores[committed]);
+      c.fs_total = c.score.fs_total();
+      if (baseline.has_value()) {
+        for (const auto& [b, v] : c.score.cold_capacity) {
+          auto it = baseline->cold_capacity.find(b);
+          u64 base = it != baseline->cold_capacity.end() ? it->second : 0;
+          if (v > base) c.spatial_loss += v - base;
+        }
+        if (c.score.footprint > baseline->footprint)
+          c.spatial_loss += static_cast<u64>(
+              (c.score.footprint - baseline->footprint + in.block_size - 1) /
+              in.block_size);
       }
-      if (c.score.footprint > baseline->footprint)
-        c.spatial_loss += static_cast<u64>(
-            (c.score.footprint - baseline->footprint + in.block_size - 1) /
-            in.block_size);
+      c.plan = std::move(plans[committed]);
+      ++out.replays;
+      stopped = stop_at_zero && c.fs_total == 0 && c.spatial_loss == 0;
+      if (stopped) {
+        out.generated = batch[committed].generated;
+        out.pruned = batch[committed].pruned;
+      }
+      out.evaluated.push_back(std::move(c));
+      ++committed;
     }
-    c.plan = std::move(p);
-    out.evaluated.push_back(std::move(c));
+    const u64 discarded = plans.size() - committed;
+    out.discarded += discarded;
+    if (span.active()) {
+      span.arg("candidates", static_cast<double>(plans.size()));
+      span.arg("discarded", static_cast<double>(discarded));
+    }
+    return stopped;
   };
 
   ++out.generated;
   seen.insert(plan_key(seed));
-  evaluate(seed);
+  evaluate_batch({{seed, out.generated, out.pruned}}, false);
   baseline = out.evaluated.front().score;
 
   // A seed with zero false sharing at every swept size is already
@@ -417,38 +453,45 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
       return move_growth(m, gs, in.block_size);
     };
 
-    // Candidate admission: dedup against every plan already evaluated
-    // and enforce the footprint constraint over the assignment's summed
-    // move growth.  Returns true when the candidate was evaluated.
-    auto try_candidate = [&](const TransformPlan& p, i64 growth) -> bool {
+    // Candidate admission: dedup against every plan already admitted and
+    // enforce the footprint constraint over the assignment's summed move
+    // growth.  Neither reads a score, so a whole batch is admitted before
+    // any of it is evaluated.  Returns true when `p` joined `batch`.
+    auto admit = [&](std::vector<Admitted>& batch, TransformPlan p,
+                     i64 growth) -> bool {
       ++out.generated;
       if (growth > budget_.footprint_limit) {
         ++out.pruned;
         return false;
       }
-      std::string key = plan_key(p);
-      if (!seen.insert(key).second) {
+      if (!seen.insert(plan_key(p)).second) {
         ++out.pruned;
         return false;
       }
-      evaluate(p);
+      batch.push_back({std::move(p), out.generated, out.pruned});
       return true;
+    };
+    // The replay budget as a count: another candidate may be generated
+    // while the committed ones plus those already admitted fit it.
+    auto budget_left = [&](const std::vector<Admitted>& batch) {
+      return out.replays + batch.size() <=
+             static_cast<u64>(budget_.max_replays);
     };
 
     // Exhaustive regime: when the pruned domain product fits the replay
     // budget, enumerate every assignment (mixed-radix counter; digit 0
-    // keeps the seed's treatment of that datum).  This is the regime the
-    // brute-force oracle test exercises.
+    // keeps the seed's treatment of that datum) as one batch.  This is
+    // the regime the brute-force oracle test exercises.
     u64 space = 1;
     for (const SearchDomain& d : domains) {
       space *= static_cast<u64>(d.moves.size()) + 1;
       if (space > 100000) break;  // avoid overflow; clearly not enumerable
     }
-    bool budget_left = true;
     if (!domains.empty() &&
         space - 1 <= static_cast<u64>(budget_.max_replays)) {
       out.exhaustive = true;
-      for (u64 idx = 1; idx < space && budget_left; ++idx) {
+      std::vector<Admitted> batch;
+      for (u64 idx = 1; idx < space && budget_left(batch); ++idx) {
         u64 rem = idx;
         TransformPlan p = seed;
         i64 growth = 0;
@@ -460,14 +503,14 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
           p = apply_search_move(p, m);
           growth += growth_of(m);
         }
-        try_candidate(p, growth);
-        budget_left =
-            out.replays <= static_cast<u64>(budget_.max_replays);
+        admit(batch, std::move(p), growth);
       }
+      if (!batch.empty()) evaluate_batch(std::move(batch), false);
     } else if (!domains.empty()) {
       // Beam search: each round expands every beam plan by every single
-      // feasible move, in deterministic (beam, domain, move) order, then
-      // keeps the lexicographically best `beam_width` candidates.
+      // feasible move, in deterministic (beam, domain, move) order, as
+      // one batch, then keeps the lexicographically best `beam_width`
+      // candidates.
       auto better = [&](size_t a, size_t b) {
         const SearchCandidate& ca = out.evaluated[a];
         const SearchCandidate& cb = out.evaluated[b];
@@ -480,36 +523,32 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
       // footprint constraint as assignments compose.
       std::vector<i64> growth_acc = {0};
       std::vector<size_t> beam = {0};
-      for (int round = 0; round < budget_.max_rounds && budget_left;
-           ++round) {
-        std::vector<size_t> next;
+      bool searching = true;
+      for (int round = 0; round < budget_.max_rounds && searching; ++round) {
+        std::vector<Admitted> batch;
+        std::vector<i64> growths;  // per admitted candidate
         for (size_t bi : beam) {
           for (const SearchDomain& d : domains) {
             for (const TransformDecision& m : d.moves) {
-              if (out.replays >
-                  static_cast<u64>(budget_.max_replays)) {
-                budget_left = false;
-                break;
-              }
-              TransformPlan p = apply_search_move(out.evaluated[bi].plan, m);
+              searching = budget_left(batch);
+              if (!searching) break;
               i64 growth = growth_acc[bi] + growth_of(m);
-              size_t before = out.evaluated.size();
-              if (try_candidate(p, growth)) {
-                growth_acc.push_back(growth);
-                next.push_back(before);
-                if (out.evaluated.back().fs_total == 0 &&
-                    out.evaluated.back().spatial_loss == 0)
-                  budget_left = false;  // cannot be beaten
-              }
-              if (!budget_left) break;
+              if (admit(batch, apply_search_move(out.evaluated[bi].plan, m),
+                        growth))
+                growths.push_back(growth);
             }
-            if (!budget_left) break;
+            if (!searching) break;
           }
-          if (!budget_left) break;
+          if (!searching) break;
         }
-        if (next.empty()) break;
+        if (batch.empty()) break;
+        const size_t first = out.evaluated.size();
+        if (evaluate_batch(std::move(batch), true)) searching = false;
         std::vector<size_t> pool = beam;
-        pool.insert(pool.end(), next.begin(), next.end());
+        for (size_t i = first; i < out.evaluated.size(); ++i) {
+          growth_acc.push_back(growths[i - first]);
+          pool.push_back(i);
+        }
         std::sort(pool.begin(), pool.end(), better);
         pool.resize(std::min<size_t>(pool.size(),
                                      static_cast<size_t>(std::max(
@@ -585,10 +624,12 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
   static obs::Counter& candidates = obs::metric_counter("search.candidates");
   static obs::Counter& pruned = obs::metric_counter("search.pruned");
   static obs::Counter& replays = obs::metric_counter("search.replays");
+  static obs::Counter& discarded = obs::metric_counter("search.discarded");
   static obs::Gauge& frontier = obs::metric_gauge("search.frontier_size");
   candidates.inc(out.generated);
   pruned.inc(out.pruned);
   replays.inc(out.replays);
+  discarded.inc(out.discarded);
   frontier.set(static_cast<double>(out.frontier.size()));
   return out;
 }

@@ -13,12 +13,21 @@
 // pruned space fits the replay budget, enumerated exhaustively, which is
 // what makes the brute-force oracle test sound.
 //
-// Layering: transform/ stays independent of sim/ and driver/.  The
-// search never simulates anything itself — the driver passes in a
-// PlanEvaluator callback (driver/experiment.h search_plan) that compiles
-// a candidate plan against the shared front half, records its trace once
-// and replays it across the swept block sizes in a single pass; this
-// layer only sees the resulting plain-number PlanScore.
+// Layering: transform/ stays independent of sim/, driver/ and threads.
+// The search never simulates anything itself — search_plan
+// (driver/experiment.h) passes in a PlanEvaluator callback that compiles
+// each candidate plan against the shared front half, takes its trace
+// from a cache and replays it across the swept block sizes in a single
+// pass; this layer only sees the resulting plain-number PlanScores.
+//
+// Batches: admission (dedup and the footprint constraint) never reads a
+// score, so the candidates of one exhaustive enumeration or one beam
+// round are independent.  The search hands each such set to the
+// evaluator as one batch, which may score its plans concurrently, then
+// commits the scores in generation order and stops exactly where a
+// one-at-a-time loop would: the replay budget is a count known before
+// anything is scored, and the one score-dependent exit (a beam candidate
+// with zero false sharing and zero loss) discards the rest of its batch.
 //
 // Objective: two axes.  The primary axis is total false-sharing misses
 // summed across the swept block sizes; the secondary axis is
@@ -54,10 +63,13 @@ struct PlanScore {
   }
 };
 
-/// Compile + trace + replay one candidate plan.  Must be deterministic:
-/// the same plan must always produce the same score (the replay engine
-/// guarantees bit-identical stats for any thread count).
-using PlanEvaluator = std::function<PlanScore(const TransformPlan&)>;
+/// Compile + trace + replay a batch of candidate plans: one score per
+/// plan, in the batch's order.  The plans of a batch are independent, so
+/// they may be scored concurrently.  Must be deterministic: a plan's
+/// score may not depend on its batch or on the thread count (the replay
+/// engine guarantees bit-identical stats for any thread count).
+using PlanEvaluator =
+    std::function<std::vector<PlanScore>(const std::vector<TransformPlan>&)>;
 
 /// Cost bound for the search.  `max_replays` caps candidate evaluations
 /// *beyond* the seed plan (the seed is always evaluated — it is the
@@ -76,7 +88,8 @@ struct SearchBudget {
 };
 
 /// `base` overridden by FSOPT_SEARCH_BUDGET (max candidate replays) when
-/// the variable is set to a non-negative integer.
+/// the variable is set to an integer in [0, INT_MAX]; any other value is
+/// ignored.
 SearchBudget search_budget_from_env(SearchBudget base = {});
 
 /// The feasible moves for one datum, after node-level constraint pruning
@@ -125,7 +138,10 @@ struct SearchResult {
   bool exhaustive = false;
   u64 generated = 0;  // candidate plans considered (including pruned)
   u64 pruned = 0;     // rejected by constraint propagation / dedup
-  u64 replays = 0;    // evaluator invocations (seed included)
+  u64 replays = 0;    // scores committed to `evaluated` (seed included)
+  /// Scores computed for the rest of a batch past the zero-loss exit and
+  /// thrown away (not in `evaluated`, `replays` or the JSON record).
+  u64 discarded = 0;
 
   const SearchCandidate& best() const { return evaluated[best_overall]; }
 };

@@ -169,6 +169,32 @@ TEST_F(ObsTest, ThreadPoolRecordsQueueDepthAndBusySpans) {
   EXPECT_LE(summary.pool_utilization(), 1.0 + 1e-9);
 }
 
+// Every parallel call builds a fresh pool, so a run sees many more pool
+// threads than ever work at once.  Utilization divides by the peak number
+// of jobs running at once: two pools of four, one after the other, are
+// four workers, not eight.
+TEST_F(ObsTest, PoolUtilizationDividesByPeakConcurrentJobs) {
+  obs::TraceData data;
+  u32 tid = 1;
+  for (u64 start : {u64{0}, u64{2'000'000}}) {
+    for (int w = 0; w < 4; ++w) {
+      obs::ThreadLog log;
+      log.tid = tid++;
+      obs::SpanEvent job;
+      job.category = "pool";
+      job.name = "job";
+      job.start_ns = start + static_cast<u64>(w) * 100'000;
+      job.dur_ns = 1'000'000;
+      log.spans.push_back(job);
+      data.threads.push_back(std::move(log));
+    }
+  }
+  obs::TraceSummary summary = obs::summarize(data);
+  EXPECT_EQ(summary.pool_workers, 4);
+  EXPECT_GT(summary.pool_utilization(), 0.0);
+  EXPECT_LE(summary.pool_utilization(), 1.0);
+}
+
 const char* kProgram =
     "param NPROCS = 4;\n"
     "param N = 64;\n"

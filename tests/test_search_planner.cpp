@@ -9,9 +9,11 @@
 // (never worse than the seed at any swept size, in both the exhaustive
 // and the beam regime), graceful degradation at budget 0, bit-identical
 // results across thread counts and repeated runs, the FSOPT_SEARCH_BUDGET
-// override, a property-fuzz pass over random budgets (FSOPT_FUZZ_ITERS
-// scales it), and the kFieldReorder path: planner emission, JSON
-// round-trip and plan re-injection producing identical miss tables.
+// override, batched scoring's one speculative exit, the search records of
+// all ten workloads pinned byte for byte, a property-fuzz pass over
+// random budgets (FSOPT_FUZZ_ITERS scales it), and the kFieldReorder
+// path: planner emission, JSON round-trip and plan re-injection
+// producing identical miss tables.
 #include "transform/search.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +24,8 @@
 
 #include "driver/experiment.h"
 #include "lang/sema.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "support/json.h"
 #include "workloads/workloads.h"
 
@@ -141,13 +145,18 @@ struct SearchHarness {
   }
 
   PlanEvaluator evaluator() {
-    return [this](const TransformPlan& p) {
-      auto it = memo->find(key_of(p));
-      if (it != memo->end()) return it->second;
-      Compiled c = compile_with(p);
-      PlanScore s = score(c, record_encoded_trace(c));
-      (*memo)[key_of(p)] = s;
-      return s;
+    return [this](const std::vector<TransformPlan>& batch) {
+      std::vector<PlanScore> scores;
+      for (const TransformPlan& p : batch) {
+        auto it = memo->find(key_of(p));
+        if (it == memo->end()) {
+          Compiled c = compile_with(p);
+          it = memo->emplace(key_of(p), score(c, record_encoded_trace(c)))
+                   .first;
+        }
+        scores.push_back(it->second);
+      }
+      return scores;
     };
   }
 };
@@ -222,7 +231,7 @@ TEST(SearchOracle, ExhaustiveRegimeMatchesBruteForce) {
   ASSERT_LE(space - 1, static_cast<u64>(budget.max_replays));
 
   PlanEvaluator eval = h.evaluator();
-  PlanScore seed_score = eval(h.empty_base);
+  PlanScore seed_score = eval({h.empty_base})[0];
   bool have_best = false;
   u64 best_fs = 0, best_loss = 0;
   TransformPlan best_plan;
@@ -234,7 +243,7 @@ TEST(SearchOracle, ExhaustiveRegimeMatchesBruteForce) {
       rem /= d.moves.size() + 1;
       if (digit > 0) p = apply_search_move(p, d.moves[digit - 1]);
     }
-    PlanScore s = eval(p);
+    PlanScore s = eval({p})[0];
     // The oracle optimum honors the same contract as the search: weakly
     // dominate the seed at every swept size.
     bool dominates = true;
@@ -277,7 +286,7 @@ TEST(SearchOracle, NeverWorseThanGraphPlannerSeed) {
   SearchResult r = planner.search(in);
   PlannerInputs gin = h.inputs();
   gin.base = nullptr;
-  PlanScore graph_score = h.evaluator()(GraphPlanner().plan(gin));
+  PlanScore graph_score = h.evaluator()({GraphPlanner().plan(gin)})[0];
   for (i64 b : h.blocks)
     EXPECT_LE(r.best().score.fs.at(b), graph_score.fs.at(b))
         << "block " << b;
@@ -325,6 +334,9 @@ TEST(SearchBudgetTest, EnvOverrideParsesAndIgnoresGarbage) {
   EXPECT_EQ(search_budget_from_env().max_replays, SearchBudget{}.max_replays);
   ASSERT_EQ(setenv("FSOPT_SEARCH_BUDGET", "nope", 1), 0);
   EXPECT_EQ(search_budget_from_env().max_replays, SearchBudget{}.max_replays);
+  // Past INT_MAX: ignored, not wrapped to -1 (an unbounded search).
+  ASSERT_EQ(setenv("FSOPT_SEARCH_BUDGET", "4294967295", 1), 0);
+  EXPECT_EQ(search_budget_from_env().max_replays, SearchBudget{}.max_replays);
   unsetenv("FSOPT_SEARCH_BUDGET");
 }
 
@@ -351,6 +363,157 @@ TEST(SearchDeterminism, BitIdenticalAcrossThreadsAndRuns) {
 }
 
 // ---------------------------------------------------------------------------
+// Batched evaluation: the search hands the evaluator one exhaustive
+// enumeration or one beam round at a time and commits the scores in
+// generation order.  The one exit that reads a score — a beam candidate
+// with zero false sharing and zero loss — must leave the result exactly
+// where a one-candidate-at-a-time loop leaves it.  No workload reaches
+// that exit, so a scripted evaluator forces it.
+// ---------------------------------------------------------------------------
+
+u64 fnv1a(const std::string& doc) {
+  u64 h = 14695981039346656037ull;
+  for (unsigned char ch : doc) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// A score that is a pure function of the plan's canonical key, so it
+// never depends on the batch the plan arrives in.  The plan keyed `zero`
+// (when set) scores no misses and no footprint: zero loss against any
+// seed.
+PlanScore scripted_score(const TransformPlan& p, const std::string& zero) {
+  const std::string key = key_of(p);
+  const bool unbeatable = !zero.empty() && key == zero;
+  PlanScore s;
+  u64 h = fnv1a(key);
+  for (i64 b : {32, 64, 128, 256}) {
+    s.fs[b] = unbeatable ? 0 : 1 + h % 97;
+    h /= 97;
+    s.cold_capacity[b] = unbeatable ? 0 : 50 + h % 13;
+    h /= 13;
+  }
+  s.footprint = unbeatable ? 0 : 4096 + static_cast<i64>(h % 8) * 64;
+  return s;
+}
+
+TEST(SearchBatch, ZeroLossExitCommitsLikeTheSerialLoop) {
+  SearchHarness h = SearchHarness::make(kTwoArrays, 4);
+  std::string zero;
+  PlanEvaluator scripted = [&](const std::vector<TransformPlan>& batch) {
+    std::vector<PlanScore> scores;
+    for (const TransformPlan& p : batch)
+      scores.push_back(scripted_score(p, zero));
+    return scores;
+  };
+  auto run = [&](int rounds) {
+    SearchBudget budget;
+    budget.max_replays = 20;  // under the space's 24 candidates: beam
+    budget.max_rounds = rounds;
+    return SearchPlanner(budget, h.blocks, scripted).search(h.inputs());
+  };
+
+  // Without the exit, round 1 is candidates 1-8 and round 2 is 9-18,
+  // with dedup pruning interleaved in round 2.
+  SearchResult plain = run(3);
+  ASSERT_FALSE(plain.exhaustive);
+  EXPECT_EQ(plain.discarded, 0u);
+  const u64 round2_end = run(2).replays - 1;
+  ASSERT_EQ(run(1).replays - 1, 8u);
+  ASSERT_EQ(round2_end, 18u);
+
+  // Candidate 13, mid round 2, becomes unbeatable.
+  constexpr size_t kExit = 13;
+  zero = key_of(plain.evaluated[kExit].plan);
+  obs::set_enabled(true);
+  obs::set_metrics_enabled(true);
+  obs::reset();
+  obs::Counter& discarded = obs::metric_counter("search.discarded");
+  const u64 discarded_before = discarded.value();
+  SearchResult r = run(3);
+  const u64 discarded_counted = discarded.value() - discarded_before;
+  obs::TraceData trace = obs::collect();
+  obs::set_enabled(false);
+  obs::set_metrics_enabled(false);
+  obs::reset();
+
+  // Captured from a search that scored one candidate per evaluator call,
+  // with the same scripted scores.
+  EXPECT_EQ(fnv1a(search_result_to_json(r, *h.compiled.prog)),
+            0x89d3c579a7af3363ull);
+  EXPECT_EQ(r.generated, 18u);
+  EXPECT_EQ(r.pruned, 4u);
+  EXPECT_EQ(r.replays, 14u);
+  ASSERT_EQ(r.evaluated.size(), kExit + 1);
+  EXPECT_EQ(r.best_overall, kExit);
+  // The rest of round 2 was scored and thrown away.
+  EXPECT_EQ(r.discarded, round2_end - kExit);
+  EXPECT_EQ(discarded_counted, r.discarded);
+
+  // One span per batch: the seed, round 1, round 2.
+  std::vector<std::pair<double, double>> batches;
+  for (const obs::ThreadLog& t : trace.threads)
+    for (const obs::SpanEvent& sp : t.spans) {
+      if (std::string_view(sp.category) != "search" || sp.name != "batch")
+        continue;
+      std::pair<double, double> args{-1, -1};
+      for (const obs::Arg& a : sp.args) {
+        if (a.key == "candidates") args.first = a.num;
+        if (a.key == "discarded") args.second = a.num;
+      }
+      batches.push_back(args);
+    }
+  EXPECT_EQ(batches, (std::vector<std::pair<double, double>>{
+                         {1, 0}, {8, 0}, {10, 5}}));
+}
+
+// ---------------------------------------------------------------------------
+// All ten workloads searched as `fsoptc --workload W --planner search`
+// does (block 128, sweep {32, 64, 128, 256}, default budget): the search
+// record's JSON document, hashed with 64-bit FNV-1a.  Captured when every
+// candidate was scored alone and replayed on the whole thread budget, so
+// scoring a batch one candidate per worker must not move one byte.  All
+// ten at 4 threads; water (exhaustive) and fmm (beam) at 1 thread too.
+// ---------------------------------------------------------------------------
+
+TEST(SearchGolden, TenWorkloads) {
+  static const std::map<std::string, u64> kGolden = {
+      {"maxflow", 0xf33297d9dec6f3cdull},
+      {"pverify", 0x1bc91ab4dda0e445ull},
+      {"topopt", 0x52099097ffe339cbull},
+      {"fmm", 0x7045fa66403cff75ull},
+      {"radiosity", 0xd7ac90ea3b2a8c6cull},
+      {"raytrace", 0x827839e3db28680aull},
+      {"locusroute", 0xbfd60da8201324a7ull},
+      {"mp3d", 0xbf6e721a2521eef9ull},
+      {"pthor", 0x786d7b603529e5f4ull},
+      {"water", 0x977fa3cfe2943950ull},
+  };
+  auto search = [](const std::string& name, int threads) {
+    const workloads::Workload& w = workloads::get(name);
+    CompileOptions base;
+    base.overrides = w.sim_overrides;
+    base.overrides["NPROCS"] = w.fig3_procs;
+    base.block_size = 128;
+    SearchPlanOptions so;
+    so.seed.block_size = 128;
+    so.seed.sweep_blocks = {32, 64, 128, 256};
+    so.seed.threads = threads;
+    SearchPlanResult r = search_plan(w.natural, base, so);
+    EXPECT_EQ(r.search.discarded, 0u) << name;
+    return std::make_pair(
+        fnv1a(search_result_to_json(r.search, *r.final_compiled.prog)),
+        r.search.exhaustive);
+  };
+  for (const auto& [name, want] : kGolden)
+    EXPECT_EQ(search(name, 4).first, want) << name;
+  EXPECT_EQ(search("water", 1), std::make_pair(kGolden.at("water"), true));
+  EXPECT_EQ(search("fmm", 1), std::make_pair(kGolden.at("fmm"), false));
+}
+
+// ---------------------------------------------------------------------------
 // Relocated candidate traces: every candidate takes its trace from a
 // TraceCache.  Each relocated trace must equal a fresh recording of the
 // candidate reference for reference, the cache must record once per plan
@@ -367,15 +530,19 @@ TEST(SearchRelocation, EveryCandidateTraceEqualsAFreshRecording) {
     SearchHarness h = SearchHarness::make(k.src, k.nprocs);
     TraceCache cache;
     u64 evaluated = 0;
-    PlanEvaluator relocating = [&](const TransformPlan& p) {
-      Compiled c = h.compile_with(p);
-      EncodedTrace trace = cache.trace(c);
-      VectorSink got, want;
-      trace.replay(got);
-      record_encoded_trace(c).replay(want);
-      EXPECT_EQ(got.refs(), want.refs()) << key_of(p);
-      ++evaluated;
-      return h.score(c, trace);
+    PlanEvaluator relocating = [&](const std::vector<TransformPlan>& batch) {
+      std::vector<PlanScore> scores;
+      for (const TransformPlan& p : batch) {
+        Compiled c = h.compile_with(p);
+        EncodedTrace trace = cache.trace(c);
+        VectorSink got, want;
+        trace.replay(got);
+        record_encoded_trace(c).replay(want);
+        EXPECT_EQ(got.refs(), want.refs()) << key_of(p);
+        ++evaluated;
+        scores.push_back(h.score(c, trace));
+      }
+      return scores;
     };
     SearchBudget budget;
     budget.max_replays = 40;

@@ -58,8 +58,9 @@
 //   --timings[=json]    per-pass compile metrics (pipeline pass times,
 //                       allocation traffic, domain counters); =json emits
 //                       the machine-readable form
-//   --threads N         worker threads for the miss-study replays
-//                       (default: FSOPT_THREADS env, else all cores)
+//   --threads N         worker threads for the replays and the search's
+//                       candidate batches (0 or absent: FSOPT_THREADS
+//                       env, else all cores)
 //   --trace-out PATH    write a Chrome trace of the whole run (passes,
 //                       pool jobs, replay shards) to PATH at exit; same
 //                       as FSOPT_TRACE=PATH in the environment
@@ -78,6 +79,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -147,6 +149,12 @@ Cli parse_cli(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value after " + a).c_str());
       return argv[++i];
     };
+    // The value after `a` as a count in [0, INT_MAX], taken whole.
+    auto next_count = [&]() -> int {
+      std::optional<int> v = parse_count(next());
+      if (!v) usage((a + " expects a non-negative integer").c_str());
+      return *v;
+    };
     if (a == "--nprocs") {
       cli.options.overrides["NPROCS"] = std::atoll(next().c_str());
     } else if (a == "--param") {
@@ -168,9 +176,7 @@ Cli parse_cli(int argc, char** argv) {
           cli.planner != "graph" && cli.planner != "search")
         usage("--planner expects static, profile, graph or search");
     } else if (a == "--search-budget") {
-      cli.search_budget = std::atoi(next().c_str());
-      if (cli.search_budget < 0)
-        usage("--search-budget expects a non-negative integer");
+      cli.search_budget = next_count();
     } else if (a == "--pareto-out") {
       cli.pareto_out = next();
     } else if (a == "--plan-out") {
@@ -211,7 +217,7 @@ Cli parse_cli(int argc, char** argv) {
     } else if (a == "--timings=json") {
       cli.timings = cli.timings_json = true;
     } else if (a == "--threads") {
-      set_experiment_threads(std::atoi(next().c_str()));
+      set_experiment_threads(next_count());
     } else if (a == "--trace-out") {
       obs::set_trace_path(next());
     } else if (a == "--trace-summary") {
