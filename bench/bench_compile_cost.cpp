@@ -5,13 +5,36 @@
 // the added analyses and transformation planning.
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "bench_util.h"
 #include "lang/sema.h"
+#include "obs/trace_writer.h"
 
 using namespace fsopt;
 using namespace fsopt::benchx;
 
 namespace {
+
+/// Seconds per pass of one traced compile, from its `pass` spans.
+std::map<std::string, double> traced_pass_seconds(
+    const workloads::Workload& w, const CompileOptions& opt) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const u64 t0 = obs::now_ns();
+  compile_source(w.natural, opt);
+  obs::set_enabled(was_enabled);
+  // Summarize this compile's spans only; what the log held before (a
+  // --trace-out run) stays in it untouched.
+  obs::TraceData data = obs::collect();
+  for (obs::ThreadLog& t : data.threads)
+    std::erase_if(t.spans,
+                  [&](const obs::SpanEvent& s) { return s.start_ns < t0; });
+  std::map<std::string, double> out;
+  for (const obs::CategoryLine& line : obs::summarize(data).lines)
+    if (line.category == "pass") out[line.name] = line.total_seconds;
+  return out;
+}
 
 const workloads::Workload& biggest() { return workloads::get("pverify"); }
 
@@ -67,18 +90,16 @@ int main(int argc, char** argv) {
     const auto& w = workloads::get(name);
     CompileOptions opt = options_for(w, 12, /*optimize=*/true,
                                      /*timing=*/false);
-    PipelineMetrics m;
-    compile_source_metered(w.natural, opt, &m);
+    std::map<std::string, double> pass = traced_pass_seconds(w, opt);
     // The paper's split: the front end every compiler pays (parse+sema),
     // the added analyses/planning, and code generation.
-    double front = m.find("parse")->seconds + m.find("sema")->seconds;
-    double back = m.find("codegen")->seconds;
-    double ana = m.total_seconds() - front - back;
+    double total = 0.0;
+    for (const auto& [pass_name, sec] : pass) total += sec;
+    double ana = total - pass["parse"] - pass["sema"] - pass["codegen"];
     std::printf("%-11s analyses %.0f us = %.1f%% of compile\n", name.c_str(),
-                ana * 1e6, 100.0 * ana / (front + ana + back));
+                ana * 1e6, 100.0 * ana / total);
     json.add(name, "analyses_seconds", ana);
-    json.add(name, "analyses_fraction_of_compile",
-             ana / (front + ana + back));
+    json.add(name, "analyses_fraction_of_compile", ana / total);
   }
   std::printf("\n");
   json.write(bo.json_path);

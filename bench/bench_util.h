@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,14 @@ inline BenchOptions parse_bench_args(int& argc, char** argv,
                                      bool allow_unknown = false) {
   BenchOptions o;
   int out = 1;
+  auto usage = [&](const char* msg) {
+    if (msg != nullptr) std::fprintf(stderr, "%s: %s\n", argv[0], msg);
+    std::fprintf(stderr,
+                 "usage: %s [--threads N] [--json PATH] "
+                 "[--trace-out PATH] [--trace-summary]\n",
+                 argv[0]);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     auto next = [&]() -> const char* {
@@ -54,7 +63,9 @@ inline BenchOptions parse_bench_args(int& argc, char** argv,
       return argv[++i];
     };
     if (a == "--threads") {
-      o.threads = std::atoi(next());
+      std::optional<int> n = parse_count(next());
+      if (!n) usage("--threads expects a non-negative integer");
+      o.threads = *n;
     } else if (a == "--json") {
       o.json_path = next();
     } else if (a == "--trace-out") {
@@ -62,11 +73,7 @@ inline BenchOptions parse_bench_args(int& argc, char** argv,
     } else if (a == "--trace-summary") {
       obs::set_summary(true);
     } else if (!allow_unknown) {
-      std::fprintf(stderr,
-                   "usage: %s [--threads N] [--json PATH] "
-                   "[--trace-out PATH] [--trace-summary]\n",
-                   argv[0]);
-      std::exit(2);
+      usage(nullptr);
     } else {
       argv[out++] = argv[i];
     }

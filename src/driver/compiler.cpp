@@ -7,7 +7,7 @@ namespace fsopt {
 
 Compiled compile_source(std::string_view source,
                         const CompileOptions& options) {
-  return compile_source_metered(source, options, nullptr);
+  return run_back(run_front(source, options.overrides), options);
 }
 
 // The pre-refactor compile path, retained verbatim as the regression

@@ -31,7 +31,7 @@ struct CompileOptions {
   /// running a planner, regardless of `optimize`; its DatumKeys must have
   /// been resolved against the same source + overrides (plan_from_json
   /// does this by name).  Shared, not unique: CompileOptions is copied
-  /// freely by the matrix harness.
+  /// freely by the experiment harness.
   std::shared_ptr<const TransformPlan> plan;
 };
 
@@ -61,9 +61,9 @@ class Compiled {
                             const std::string& field) const;
 };
 
-/// Full pipeline.  Throws CompileError on invalid programs.  Runs the
-/// metered pass pipeline of driver/pipeline.h (without collecting
-/// metrics); use compile_source_metered there for per-pass timings.
+/// Full pipeline.  Throws CompileError on invalid programs.  Runs the pass
+/// pipeline of driver/pipeline.h; with tracing on (obs/obs.h) each pass
+/// records a `pass` span carrying its domain counters.
 Compiled compile_source(std::string_view source,
                         const CompileOptions& options = {});
 

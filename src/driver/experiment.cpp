@@ -611,74 +611,6 @@ SearchPlanResult search_plan(std::string_view source,
   return out;
 }
 
-namespace {
-
-/// Value key identifying a shareable parse+sema front: the source text
-/// plus the param overrides, serialized deterministically.  Keyed by
-/// content (not pointer) so the N and C variants share a front even when
-/// their Workload fields hold separate copies of the same source.
-std::string front_key(const CompileJob& job) {
-  std::vector<std::pair<std::string, i64>> ov(job.options.overrides.begin(),
-                                              job.options.overrides.end());
-  std::sort(ov.begin(), ov.end());
-  std::string key;
-  for (const auto& [k, v] : ov) key += k + "=" + std::to_string(v) + ";";
-  key += "\n";
-  key.append(job.source);
-  return key;
-}
-
-}  // namespace
-
-std::vector<CompiledVariant> compile_matrix(
-    const std::vector<CompileJob>& jobs, int threads) {
-  if (threads <= 0) threads = experiment_threads();
-
-  // Group jobs by front key, groups in first-appearance order.  The
-  // grouping depends only on the job list, so the sharing structure (and
-  // with it every job's reported metrics layout) is thread-count
-  // invariant.
-  struct Group {
-    std::vector<size_t> jobs;  // indices in job order
-    FrontHalf front;
-  };
-  std::vector<Group> groups;
-  std::map<std::string, size_t> by_key;
-  std::vector<size_t> group_of(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    auto [it, inserted] = by_key.try_emplace(front_key(jobs[i]),
-                                             groups.size());
-    if (inserted) groups.push_back({});
-    group_of[i] = it->second;
-    groups[it->second].jobs.push_back(i);
-  }
-
-  // Phase 1: one parse+sema front per unique (source, overrides).
-  parallel_for_each(threads, groups.size(), [&](size_t g) {
-    const CompileJob& job = jobs[groups[g].jobs.front()];
-    obs::Span span("compile", "front");
-    if (span.active()) {
-      span.arg("job", job.label);
-      span.arg("sharers", static_cast<double>(groups[g].jobs.size()));
-    }
-    groups[g].front = run_front(job.source, job.options.overrides);
-  });
-
-  // Phase 2: every job's back half, against its group's front.  The
-  // Program is immutable after sema, so concurrent back halves can share
-  // it; each job writes only its own slot.
-  std::vector<CompiledVariant> out(jobs.size());
-  parallel_for_each(threads, jobs.size(), [&](size_t i) {
-    const Group& g = groups[group_of[i]];
-    obs::Span span("compile", "back");
-    if (span.active()) span.arg("job", jobs[i].label);
-    out[i].label = jobs[i].label;
-    out[i].compiled = run_back(g.front, jobs[i].options, &out[i].metrics);
-    out[i].front_shared = g.jobs.size() > 1 && g.jobs.front() != i;
-  });
-  return out;
-}
-
 std::vector<CompileJob> workload_matrix_jobs(i64 block_size) {
   std::vector<CompileJob> jobs;
   for (const workloads::Workload& w : workloads::all()) {

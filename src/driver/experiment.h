@@ -322,43 +322,17 @@ SearchPlanResult search_plan(std::string_view source,
                              const SearchPlanOptions& opt = {});
 
 // ---------------------------------------------------------------------------
-// Parallel workload-matrix compilation.
-//
-// The experiment suite compiles a whole matrix of (workload, version,
-// param-override) combinations — ten workloads x {N,C,P} for the paper's
-// tables.  Compiles are pure and independent, so the matrix fans out
-// across the thread pool; jobs whose (source, overrides) agree — the N
-// and C variants of one source — additionally share a single parse+sema
-// front half (driver/pipeline.h).  Grouping and result order depend only
-// on the job list, never on the thread count, so outputs and reported
-// pass structure are bit-identical for any --threads value.
+// The workload matrix: every (workload, version, param-override)
+// combination the paper's tables compile.
 // ---------------------------------------------------------------------------
 
-/// One compile of the matrix.  `source` must outlive the compile_matrix
-/// call (workload sources are static, so this is free in practice).
+/// One compile of the matrix.  `source` must outlive the job (workload
+/// sources are static, so this is free in practice).
 struct CompileJob {
   std::string label;        // e.g. "fmm/C"
   std::string_view source;
   CompileOptions options;
 };
-
-/// One compiled matrix entry, in job order.
-struct CompiledVariant {
-  std::string label;
-  Compiled compiled;
-  /// Full per-pass metrics (front passes included; for jobs that reused a
-  /// shared front the front timings are those of the one shared run).
-  PipelineMetrics metrics;
-  /// True when this job reused another job's parse+sema front.
-  bool front_shared = false;
-};
-
-/// Compile every job, fanning out across `threads` workers (0 = the
-/// experiment_threads() knob).  Runs as two parallel phases over one
-/// thread budget: unique (source, overrides) fronts first, then every
-/// job's back half against its (possibly shared) front.
-std::vector<CompiledVariant> compile_matrix(
-    const std::vector<CompileJob>& jobs, int threads = 0);
 
 /// The standard experiment matrix: every workload in version N (natural
 /// source, no transformations), C (natural source, compiler-optimized)

@@ -1,36 +1,22 @@
 #include "driver/pipeline.h"
 
+#include "cfg/cfg.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
-#include "obs/obs.h"
 #include "transform/planner.h"
-#include "support/timing.h"
 
 namespace fsopt {
 
 PassManager& PassManager::add(
-    std::string name, std::function<void(PassContext&, PassMetrics&)> fn) {
+    std::string name, std::function<void(PassContext&, obs::Span&)> fn) {
   passes_.push_back({std::move(name), std::move(fn)});
   return *this;
 }
 
-void PassManager::run(PassContext& ctx, PipelineMetrics& metrics) const {
+void PassManager::run(PassContext& ctx) const {
   for (const Pass& p : passes_) {
-    PassMetrics pm;
-    pm.name = p.name;
     obs::Span span("pass", p.name);
-    AllocCounters before = thread_alloc_counters();
-    Stopwatch sw;
-    p.run(ctx, pm);
-    pm.seconds = sw.seconds();
-    AllocCounters after = thread_alloc_counters();
-    pm.alloc_count = after.count - before.count;
-    pm.alloc_bytes = after.bytes - before.bytes;
-    if (span.active()) {
-      span.arg("alloc_count", static_cast<double>(pm.alloc_count));
-      span.arg("alloc_bytes", static_cast<double>(pm.alloc_bytes));
-    }
-    metrics.passes.push_back(std::move(pm));
+    p.run(ctx, span);
   }
 }
 
@@ -43,6 +29,11 @@ std::vector<std::string> PassManager::pass_names() const {
 
 namespace {
 
+/// Attach one domain counter to a pass span (a no-op when tracing is off).
+void count(obs::Span& span, std::string_view key, i64 value) {
+  span.arg(key, static_cast<double>(value));
+}
+
 i64 count_stmts(const Program& prog) {
   i64 n = 0;
   for (const auto& fn : prog.funcs)
@@ -53,89 +44,89 @@ i64 count_stmts(const Program& prog) {
 
 PassManager build_front() {
   PassManager pm;
-  pm.add("parse", [](PassContext& ctx, PassMetrics& m) {
+  pm.add("parse", [](PassContext& ctx, obs::Span& span) {
     ctx.prog = Parser::parse(ctx.source, ctx.diags, ctx.options.overrides);
-    m.set_counter("functions", static_cast<i64>(ctx.prog->funcs.size()));
-    m.set_counter("globals", static_cast<i64>(ctx.prog->globals.size()));
-    m.set_counter("stmts", count_stmts(*ctx.prog));
+    count(span, "functions", static_cast<i64>(ctx.prog->funcs.size()));
+    count(span, "globals", static_cast<i64>(ctx.prog->globals.size()));
+    if (span.active()) count(span, "stmts", count_stmts(*ctx.prog));
   });
-  pm.add("sema", [](PassContext& ctx, PassMetrics& m) {
+  pm.add("sema", [](PassContext& ctx, obs::Span& span) {
     Sema sema(ctx.diags);
     sema.run(*ctx.prog);
-    m.set_counter("structs", static_cast<i64>(ctx.prog->structs.size()));
-    m.set_counter("nprocs", ctx.prog->nprocs);
+    count(span, "structs", static_cast<i64>(ctx.prog->structs.size()));
+    count(span, "nprocs", ctx.prog->nprocs);
   });
   return pm;
 }
 
 PassManager build_back() {
   PassManager pm;
-  pm.add("callgraph", [](PassContext& ctx, PassMetrics& m) {
+  pm.add("callgraph", [](PassContext& ctx, obs::Span& span) {
     ctx.callgraph = std::make_unique<CallGraph>(*ctx.prog);
-    i64 cfg_nodes = 0;
-    for (const auto& fn : ctx.prog->funcs) {
-      Cfg cfg(*fn);
-      cfg_nodes += static_cast<i64>(cfg.nodes().size());
+    count(span, "call_sites",
+          static_cast<i64>(ctx.callgraph->sites().size()));
+    if (span.active()) {
+      // No analysis reads a CFG; they are built only to be counted.
+      i64 cfg_nodes = 0;
+      for (const auto& fn : ctx.prog->funcs)
+        cfg_nodes += static_cast<i64>(Cfg(*fn).nodes().size());
+      count(span, "cfg_nodes", cfg_nodes);
     }
-    if (ctx.prog->main != nullptr)
-      ctx.main_cfg = std::make_unique<Cfg>(*ctx.prog->main);
-    m.set_counter("call_sites",
-                  static_cast<i64>(ctx.callgraph->sites().size()));
-    m.set_counter("cfg_nodes", cfg_nodes);
   });
-  pm.add("pdv", [](PassContext& ctx, PassMetrics& m) {
+  pm.add("pdv", [](PassContext& ctx, obs::Span& span) {
     ctx.summary.prog = ctx.prog.get();
     ctx.summary.nprocs = ctx.prog->nprocs;
     ctx.summary.pdvs = analyze_pdvs(*ctx.prog, *ctx.callgraph);
-    m.set_counter("pdvs", static_cast<i64>(ctx.summary.pdvs.pdvs.size()));
+    count(span, "pdvs", static_cast<i64>(ctx.summary.pdvs.pdvs.size()));
   });
-  pm.add("percf", [](PassContext& ctx, PassMetrics& m) {
+  pm.add("percf", [](PassContext& ctx, obs::Span& span) {
     ctx.summary.percf = analyze_per_process_cf(*ctx.prog, ctx.summary.pdvs);
-    m.set_counter("decided_branches",
-                  static_cast<i64>(ctx.summary.percf.divergences.size()));
+    count(span, "decided_branches",
+          static_cast<i64>(ctx.summary.percf.divergences.size()));
   });
-  pm.add("phases", [](PassContext& ctx, PassMetrics& m) {
+  pm.add("phases", [](PassContext& ctx, obs::Span& span) {
     ctx.summary.phases = analyze_phases(*ctx.prog);
-    m.set_counter("phases", ctx.summary.phases.phase_count);
-    m.set_counter("suspicious_barriers",
-                  static_cast<i64>(
-                      ctx.summary.phases.suspicious_barriers.size()));
+    count(span, "phases", ctx.summary.phases.phase_count);
+    count(span, "suspicious_barriers",
+          static_cast<i64>(ctx.summary.phases.suspicious_barriers.size()));
   });
-  pm.add("sideeffects", [](PassContext& ctx, PassMetrics& m) {
+  pm.add("sideeffects", [](PassContext& ctx, obs::Span& span) {
     summarize_side_effects(*ctx.callgraph, ctx.summary);
-    i64 merged = 0;
-    for (const FuncSummary& fs : ctx.summary.func_summaries)
-      merged += static_cast<i64>(fs.records.size());
-    m.set_counter("records", static_cast<i64>(ctx.summary.records.size()));
-    m.set_counter("rsds_merged", merged);
+    count(span, "records", static_cast<i64>(ctx.summary.records.size()));
+    if (span.active()) {
+      i64 merged = 0;
+      for (const FuncSummary& fs : ctx.summary.func_summaries)
+        merged += static_cast<i64>(fs.records.size());
+      count(span, "rsds_merged", merged);
+    }
   });
-  pm.add("report", [](PassContext& ctx, PassMetrics& m) {
+  pm.add("report", [](PassContext& ctx, obs::Span& span) {
     ctx.report = classify_sharing(ctx.summary);
-    m.set_counter("data", static_cast<i64>(ctx.report.data.size()));
+    count(span, "data", static_cast<i64>(ctx.report.data.size()));
   });
-  pm.add("plan", [](PassContext& ctx, PassMetrics& m) {
+  pm.add("plan", [](PassContext& ctx, obs::Span& span) {
     if (ctx.options.plan != nullptr) {
       // Injected plan (--plan-in, repair-loop recompiles): used verbatim.
       ctx.transforms = *ctx.options.plan;
-      m.set_counter("injected", 1);
+      count(span, "injected", 1);
     } else if (ctx.options.optimize) {
       StaticPlanner planner;
       ctx.transforms = planner.plan({ctx.report, ctx.summary,
                                      ctx.options.decision,
                                      ctx.options.block_size});
     }
-    m.set_counter("decisions",
-                  static_cast<i64>(ctx.transforms.decisions.size()));
+    count(span, "decisions",
+          static_cast<i64>(ctx.transforms.decisions.size()));
   });
-  pm.add("layout", [](PassContext& ctx, PassMetrics& m) {
+  pm.add("layout", [](PassContext& ctx, obs::Span& span) {
     ctx.layout =
         build_layout(*ctx.prog, ctx.transforms, ctx.options.block_size);
-    m.set_counter("total_bytes", ctx.layout.total_bytes());
+    count(span, "total_bytes", ctx.layout.total_bytes());
   });
-  pm.add("codegen", [](PassContext& ctx, PassMetrics& m) {
+  pm.add("codegen", [](PassContext& ctx, obs::Span& span) {
     ctx.code = compile_code(*ctx.prog, ctx.layout);
-    m.set_counter("instructions", static_cast<i64>(ctx.code.code.size()));
-    m.set_counter("plans", static_cast<i64>(ctx.code.plans.size()));
+    count(span, "instructions", static_cast<i64>(ctx.code.code.size()));
+    count(span, "plans", static_cast<i64>(ctx.code.plans.size()));
   });
   return pm;
 }
@@ -164,19 +155,15 @@ FrontHalf run_front(std::string_view source,
   PassContext ctx;
   ctx.source = source;
   ctx.options.overrides = overrides;
-  FrontHalf out;
-  front_pipeline().run(ctx, out.metrics);
-  out.prog = std::move(ctx.prog);
-  return out;
+  front_pipeline().run(ctx);
+  return {std::move(ctx.prog)};
 }
 
-Compiled run_back(const FrontHalf& front, const CompileOptions& options,
-                  PipelineMetrics* metrics) {
+Compiled run_back(const FrontHalf& front, const CompileOptions& options) {
   PassContext ctx;
   ctx.options = options;
   ctx.prog = front.prog;
-  PipelineMetrics back_metrics;
-  back_pipeline().run(ctx, back_metrics);
+  back_pipeline().run(ctx);
 
   Compiled out;
   out.options = options;
@@ -186,18 +173,7 @@ Compiled run_back(const FrontHalf& front, const CompileOptions& options,
   out.transforms = std::move(ctx.transforms);
   out.layout = std::move(ctx.layout);
   out.code = std::move(ctx.code);
-  if (metrics != nullptr) {
-    metrics->append(front.metrics);
-    metrics->append(back_metrics);
-  }
   return out;
-}
-
-Compiled compile_source_metered(std::string_view source,
-                                const CompileOptions& options,
-                                PipelineMetrics* metrics) {
-  FrontHalf front = run_front(source, options.overrides);
-  return run_back(front, options, metrics);
 }
 
 std::string compile_fingerprint(const Compiled& c) {

@@ -1,25 +1,25 @@
-// The compile path as an explicit, metered pass pipeline.
+// The compile path as an explicit pass pipeline.
 //
 // compile_source (driver/compiler.h) used to run the paper's system as one
-// opaque monolith.  Here every stage — lex/parse, sema, callgraph+CFG,
-// PDV detection, per-process control flow, non-concurrency phases, RSD
-// side effects, sharing report, transformation decisions, layout, bytecode
-// — is a named Pass over a shared PassContext.  The PassManager times each
-// pass (support/timing.h), meters its allocation traffic and domain
-// counters (support/metrics.h), and collects everything into a
-// PipelineMetrics that serializes to JSON (`fsoptc --timings=json`).
+// opaque monolith.  Here every stage — lex/parse, sema, callgraph, PDV
+// detection, per-process control flow, non-concurrency phases, RSD side
+// effects, sharing report, transformation decisions, layout, bytecode — is
+// a named Pass over a shared PassContext.  The PassManager opens one
+// `pass` obs span (obs/obs.h) around every pass, and the pass attaches its
+// domain counters (functions, pdvs, decisions, instructions, ...) to that
+// span.  The span is the only per-pass record: with tracing off it is
+// inert, and `--trace-out` / `--trace-summary` carry and aggregate it.
 //
 // The pipeline is split into a *front* half (parse + sema, a function of
 // (source, param overrides) only) and a *back* half (everything after,
-// which additionally depends on optimize/block-size options).  The front
-// half's Program is immutable once sema finishes, so one FrontHalf can be
-// shared — including concurrently — by every variant of a workload that
-// differs only in back-half options (the N and C versions of one source).
-// driver/experiment.h's compile_matrix exploits exactly this.
+// which additionally depends on optimize/block-size options and an
+// injected plan).  The front half's Program is immutable once sema
+// finishes, so one FrontHalf can be shared — including concurrently — by
+// every back half that differs only in those options: the plan search and
+// the repair loop recompile every candidate against one front.
 //
 // The pre-refactor monolith is retained as compile_source_reference();
-// bench/bench_compile_throughput.cpp hard-fails if the pipeline's outputs
-// ever diverge from it.
+// the tests diff the pipeline against it on every workload-matrix cell.
 #pragma once
 
 #include <functional>
@@ -27,7 +27,7 @@
 #include <string_view>
 
 #include "driver/compiler.h"
-#include "support/metrics.h"
+#include "obs/obs.h"
 
 namespace fsopt {
 
@@ -45,7 +45,6 @@ struct PassContext {
 
   // Back half products, in pass order.
   std::unique_ptr<CallGraph> callgraph;
-  std::unique_ptr<Cfg> main_cfg;
   ProgramSummary summary;
   SharingReport report;
   TransformSet transforms;
@@ -54,25 +53,25 @@ struct PassContext {
 };
 
 /// One named stage.  `run` must be a pure function of the context slots it
-/// reads (no hidden state): the pass structure and products must be
-/// identical for any thread count of a surrounding matrix compile.
+/// reads (no hidden state), so concurrent back halves over one shared
+/// front produce identical products.  It receives its own `pass` span and
+/// attaches domain counters with `span.arg`; a counter that costs more
+/// than reading a size is computed only when `span.active()`.
 struct Pass {
   std::string name;
-  std::function<void(PassContext&, PassMetrics&)> run;
+  std::function<void(PassContext&, obs::Span&)> run;
 };
 
-/// An ordered list of passes with per-pass metering.
+/// An ordered list of passes, each run inside its own `pass` span.
 class PassManager {
  public:
   PassManager& add(std::string name,
-                   std::function<void(PassContext&, PassMetrics&)> fn);
+                   std::function<void(PassContext&, obs::Span&)> fn);
 
-  /// Run every pass in order on `ctx`, appending one PassMetrics per pass
-  /// (wall time via Stopwatch, allocation deltas of this thread, whatever
-  /// domain counters the pass sets).
-  void run(PassContext& ctx, PipelineMetrics& metrics) const;
+  /// Run every pass in order on `ctx`, each inside an obs::Span of
+  /// category "pass" named after it.
+  void run(PassContext& ctx) const;
 
-  const std::vector<Pass>& passes() const { return passes_; }
   std::vector<std::string> pass_names() const;
 
  private:
@@ -85,40 +84,31 @@ const PassManager& back_pipeline();   // callgraph ... codegen
 /// Pass names of the full pipeline, front + back, in execution order.
 std::vector<std::string> compile_pass_names();
 
-/// A parsed and sema-checked program plus the front-pass metrics.  The
-/// Program is treated as immutable from here on, so a FrontHalf may be
-/// shared by concurrent back-half runs.
+/// A parsed and sema-checked program.  The Program is treated as
+/// immutable from here on, so a FrontHalf may be shared by concurrent
+/// back-half runs.
 struct FrontHalf {
   std::shared_ptr<Program> prog;
-  PipelineMetrics metrics;
 };
 
 /// Run the front half.  Throws CompileError on invalid programs.
 FrontHalf run_front(std::string_view source, const ParamOverrides& overrides);
 
 /// Run the back half against a (possibly shared) front.  `options`
-/// supplies optimize/decision/block_size; its overrides must be the ones
-/// the front was parsed with.  When `metrics` is non-null the front's
-/// passes are prepended so the result always reports the full pipeline.
-Compiled run_back(const FrontHalf& front, const CompileOptions& options,
-                  PipelineMetrics* metrics = nullptr);
-
-/// Full pipeline: run_front + run_back, with per-pass metrics out-param.
-/// compile_source (driver/compiler.h) is this with metrics == nullptr.
-Compiled compile_source_metered(std::string_view source,
-                                const CompileOptions& options,
-                                PipelineMetrics* metrics);
+/// supplies optimize/decision/block_size/plan; its overrides must be the
+/// ones the front was parsed with.
+Compiled run_back(const FrontHalf& front, const CompileOptions& options);
 
 /// The retained pre-refactor compile path: the original straight-line
 /// monolith, kept verbatim as the regression reference for the pipeline.
-/// bench_compile_throughput cross-checks every workload/version against it
-/// and hard-fails on any divergence.
+/// StaticPlannerTest.MatchesReferenceAcrossWorkloadMatrix (test_plan_ir)
+/// diffs every workload/version against it.
 Compiled compile_source_reference(std::string_view source,
                                   const CompileOptions& options = {});
 
 /// Deterministic fingerprint of a Compiled's observable outputs (sharing
 /// report, transform decisions, layout-resolved code image, sizes), used
-/// by the cross-check bench and the determinism tests.  Two Compiled
+/// by the reference cross-check and the determinism tests.  Two Compiled
 /// objects with equal fingerprints behave identically under the
 /// interpreter and simulators.
 std::string compile_fingerprint(const Compiled& c);

@@ -1,12 +1,14 @@
 // Runtime tracing: spans, counters, thread attribution.
 //
-// The compile pipeline got per-pass metering in driver/pipeline.h; this
-// module gives the *runtime* side — thread-pool job execution, trace
-// recording, shard-parallel replay, matrix compiles — the same
-// visibility.  Every instrumented site creates an RAII Span (or emits a
-// named counter); events land in per-thread buffers and are exported as
-// Chrome trace-event JSON (obs/trace_writer.h) loadable in Perfetto /
-// chrome://tracing, or aggregated into a human-readable summary.
+// The one per-event instrumentation surface of the tree: compile passes
+// (driver/pipeline.h opens a `pass` span around each and the pass
+// attaches its domain counters), thread-pool jobs, trace recording,
+// replays, the search and the sweeps.  Every instrumented site creates an
+// RAII Span (or emits a named counter); events land in per-thread buffers
+// and are exported as Chrome trace-event JSON (obs/trace_writer.h)
+// loadable in Perfetto / chrome://tracing, or aggregated into a
+// human-readable summary.  Process-wide totals live in the metrics
+// registry (obs/metrics.h).
 //
 // Design constraints, in priority order:
 //   1. Must not perturb results.  Instrumentation only ever reads clocks

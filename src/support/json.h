@@ -1,15 +1,16 @@
 // Minimal JSON reading and writing shared by every emitter in the tree.
 //
-// Three hand-rolled JSON serializers had grown independently — the bench
-// harness's JsonReport, PipelineMetrics::to_json, and (new) the runtime
-// trace writer.  Each re-derived escaping and comma placement; this header
-// is the one copy.  Writer is a streaming builder over a std::string:
-// begin/end object/array, key, value — no allocation beyond the output
-// string.  `validate` is a strict syntax checker used by the tests to
-// assert emitted documents are well-formed.  `parse` is a small DOM
-// parser for the inputs the tree must *read back* — transform-plan files
-// (`fsoptc --plan-in`, transform/plan_ir.h); object members preserve
-// document order so a parse → re-serialize round trip is byte-stable.
+// The library's JSON emitters — the runtime trace writer, the metrics
+// exposition, plan and search records, conflict graphs, diagnosis
+// reports — and the bench harness's JsonReport all write through this
+// header, so escaping and comma placement live in one place.  Writer is
+// a streaming builder over a std::string: begin/end object/array, key,
+// value — no allocation beyond the output string.  `validate` is a
+// strict syntax checker used by the tests to assert emitted documents
+// are well-formed.  `parse` is a small DOM parser for the inputs the tree
+// must *read back* — transform-plan files (`fsoptc --plan-in`,
+// transform/plan_ir.h); object members preserve document order so a
+// parse → re-serialize round trip is byte-stable.
 #pragma once
 
 #include <cctype>

@@ -1,5 +1,4 @@
-// Wall-clock timing helpers shared by the pass-pipeline metrics layer and
-// the benchmark binaries.
+// Wall-clock timing helpers for the benchmark binaries.
 //
 // Everything here is a thin wrapper over std::chrono::steady_clock; the
 // point is that there is exactly one place that picks the clock and the

@@ -1,12 +1,13 @@
-// Golden-message coverage for the PPL diagnostics path and the metered
+// Golden-message coverage for the PPL diagnostics path and the compile
 // pass pipeline: invalid programs must produce the exact messages (with
-// source locations) that tools/fsoptc.cpp prints, and the pipeline must
-// report the fixed pass structure with populated timings — identically
-// for any thread count of a matrix compile.
+// source locations) that tools/fsoptc.cpp prints, and a traced compile
+// must record the fixed pass structure as `pass` spans carrying each
+// pass's domain counters.
 #include <gtest/gtest.h>
 
 #include "driver/experiment.h"
 #include "driver/pipeline.h"
+#include "obs/obs.h"
 #include "support/timing.h"
 
 namespace fsopt {
@@ -124,7 +125,7 @@ TEST(Diagnostics, ParserErrorsCarryDiagnosticsToo) {
 }
 
 // ---------------------------------------------------------------------
-// Pipeline metrics: pass structure, timings, determinism.
+// Pass spans: pass structure and domain counters.
 // ---------------------------------------------------------------------
 
 const char* kSmall =
@@ -146,52 +147,63 @@ std::vector<std::string> expected_pass_names() {
           "plan",        "layout", "codegen"};
 }
 
-TEST(PipelineMetrics, PassNamesAndOrdering) {
+/// Every span one compile of kSmall records, in order; tracing is on for
+/// the compile only when `traced`.
+std::vector<obs::SpanEvent> compile_spans(const CompileOptions& opt,
+                                          bool traced) {
+  obs::set_enabled(traced);
+  obs::reset();
+  Compiled c = compile_source(kSmall, opt);
+  obs::set_enabled(false);
+  EXPECT_EQ(c.nprocs(), 4);
+  std::vector<obs::SpanEvent> out;
+  for (const obs::ThreadLog& t : obs::collect().threads)
+    out.insert(out.end(), t.spans.begin(), t.spans.end());
+  obs::reset();
+  return out;
+}
+
+/// The counter `key` on the span of pass `pass`, or -1 when absent.
+double counter(const std::vector<obs::SpanEvent>& spans,
+               std::string_view pass, std::string_view key) {
+  for (const obs::SpanEvent& s : spans)
+    if (s.name == pass)
+      for (const obs::Arg& a : s.args)
+        if (!a.is_str && a.key == key) return a.num;
+  return -1;
+}
+
+TEST(PassSpans, PassNamesAndOrdering) {
   EXPECT_EQ(compile_pass_names(), expected_pass_names());
   // Front half is exactly the (source, overrides)-only prefix.
   EXPECT_EQ(front_pipeline().pass_names(),
             (std::vector<std::string>{"parse", "sema"}));
 }
 
-TEST(PipelineMetrics, MeteredCompilePopulatesEveryPass) {
-  PipelineMetrics m;
-  CompileOptions opt;
-  opt.optimize = true;
-  Compiled c = compile_source_metered(kSmall, opt, &m);
-  EXPECT_EQ(m.pass_names(), expected_pass_names());
-  for (const PassMetrics& p : m.passes) {
-    EXPECT_GE(p.seconds, 0.0) << p.name;
+TEST(PassSpans, TracedCompileRecordsOneSpanPerPass) {
+  for (bool optimize : {true, false}) {
+    CompileOptions opt;
+    opt.optimize = optimize;
+    std::vector<obs::SpanEvent> spans = compile_spans(opt, /*traced=*/true);
+    std::vector<std::string> names;
+    for (const obs::SpanEvent& s : spans) {
+      EXPECT_STREQ(s.category, "pass") << s.name;
+      names.push_back(s.name);
+    }
+    EXPECT_EQ(names, compile_pass_names()) << "optimize=" << optimize;
+    // Structure of the compiled program shows up in the domain counters.
+    EXPECT_EQ(counter(spans, "parse", "functions"), 1);
+    EXPECT_EQ(counter(spans, "sema", "nprocs"), 4);
+    EXPECT_GE(counter(spans, "pdv", "pdvs"), 1);
+    EXPECT_GE(counter(spans, "codegen", "instructions"), 1);
   }
-  EXPECT_GT(m.total_seconds(), 0.0);
-  // Structure of the compiled program shows up in the domain counters.
-  ASSERT_NE(m.find("parse"), nullptr);
-  EXPECT_EQ(m.find("parse")->counter("functions"), 1);
-  EXPECT_EQ(m.find("sema")->counter("nprocs"), 4);
-  EXPECT_GE(m.find("pdv")->counter("pdvs"), 1);
-  EXPECT_GE(m.find("codegen")->counter("instructions"), 1);
-  EXPECT_EQ(c.nprocs(), 4);
 }
 
-TEST(PipelineMetrics, PassStructureIndependentOfOptions) {
-  PipelineMetrics with, without;
-  CompileOptions opt;
-  opt.optimize = true;
-  compile_source_metered(kSmall, opt, &with);
-  opt.optimize = false;
-  compile_source_metered(kSmall, opt, &without);
-  EXPECT_EQ(with.pass_names(), without.pass_names());
+TEST(PassSpans, UntracedCompileRecordsNoSpan) {
+  EXPECT_TRUE(compile_spans(CompileOptions{}, /*traced=*/false).empty());
 }
 
-TEST(PipelineMetrics, JsonAndTableRender) {
-  PipelineMetrics m;
-  compile_source_metered(kSmall, CompileOptions{}, &m);
-  std::string json = m.to_json();
-  EXPECT_NE(json.find("\"passes\""), std::string::npos);
-  EXPECT_NE(json.find("\"sideeffects\""), std::string::npos);
-  EXPECT_NE(m.render().find("codegen"), std::string::npos);
-}
-
-TEST(PipelineMetrics, StopwatchAndBestOfBehave) {
+TEST(Timing, StopwatchAndBestOfBehave) {
   Stopwatch sw;
   EXPECT_GE(sw.seconds(), 0.0);
   sw.reset();
@@ -202,24 +214,8 @@ TEST(PipelineMetrics, StopwatchAndBestOfBehave) {
   EXPECT_GE(t, 0.0);
 }
 
-#ifndef FSOPT_NO_ALLOC_METRICS
-TEST(PipelineMetrics, AllocationTrafficIsMetered) {
-  AllocCounters before = thread_alloc_counters();
-  auto* sink = new std::vector<int>(4096);
-  AllocCounters after = thread_alloc_counters();
-  delete sink;
-  EXPECT_GT(after.count, before.count);
-  EXPECT_GE(after.bytes - before.bytes, 4096 * sizeof(int));
-
-  PipelineMetrics m;
-  compile_source_metered(kSmall, CompileOptions{}, &m);
-  EXPECT_GT(m.total_alloc_bytes(), 0u);
-  EXPECT_GT(m.find("parse")->alloc_count, 0u);
-}
-#endif
-
 // ---------------------------------------------------------------------
-// Pipeline vs. retained reference path, and matrix determinism.
+// Pipeline vs. retained reference path, and the shared front.
 // ---------------------------------------------------------------------
 
 TEST(Pipeline, MatchesReferencePath) {
@@ -246,55 +242,6 @@ TEST(Pipeline, SharedFrontMatchesPrivateFront) {
             compile_fingerprint(compile_source(kSmall, c)));
   // Both backs share one Program instance.
   EXPECT_EQ(from_shared_n.prog.get(), from_shared_c.prog.get());
-}
-
-TEST(Pipeline, MatrixIsDeterministicAcrossThreadCounts) {
-  std::string src2 =
-      "param NPROCS = 2; int x[16];\n"
-      "void main(int pid) { x[pid] = pid; barrier(); }\n";
-  CompileOptions n, c;
-  n.optimize = false;
-  c.optimize = true;
-  std::vector<CompileJob> jobs = {
-      {"small/N", kSmall, n},
-      {"small/C", kSmall, c},
-      {"tiny/N", src2, n},
-      {"tiny/C", src2, c},
-  };
-  std::vector<CompiledVariant> base = compile_matrix(jobs, 1);
-  ASSERT_EQ(base.size(), jobs.size());
-  // N owns the group front; C rides on it.
-  EXPECT_FALSE(base[0].front_shared);
-  EXPECT_TRUE(base[1].front_shared);
-  EXPECT_FALSE(base[2].front_shared);
-  EXPECT_TRUE(base[3].front_shared);
-  for (int threads : {2, 4, 8}) {
-    std::vector<CompiledVariant> again = compile_matrix(jobs, threads);
-    ASSERT_EQ(again.size(), jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      EXPECT_EQ(compile_fingerprint(again[i].compiled),
-                compile_fingerprint(base[i].compiled))
-          << jobs[i].label << " threads=" << threads;
-      EXPECT_EQ(again[i].metrics.pass_names(), expected_pass_names())
-          << jobs[i].label;
-      EXPECT_EQ(again[i].front_shared, base[i].front_shared)
-          << jobs[i].label;
-    }
-  }
-}
-
-TEST(Pipeline, MatrixSeparatesDifferentOverrides) {
-  // Same text, different overrides: must NOT share a front.
-  std::vector<CompileJob> jobs = {
-      {"p4", kSmall, CompileOptions{}},
-      {"p8", kSmall, CompileOptions{}},
-  };
-  jobs[1].options.overrides["NPROCS"] = 8;
-  std::vector<CompiledVariant> r = compile_matrix(jobs, 2);
-  EXPECT_FALSE(r[0].front_shared);
-  EXPECT_FALSE(r[1].front_shared);
-  EXPECT_EQ(r[0].compiled.nprocs(), 4);
-  EXPECT_EQ(r[1].compiled.nprocs(), 8);
 }
 
 TEST(Pipeline, WorkloadMatrixJobsCoverEveryVersion) {

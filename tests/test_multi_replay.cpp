@@ -147,15 +147,18 @@ TEST(MultiReplay, PerDatumAttributionMatchesSoloSim) {
 TEST(MultiReplayMatrix, BitIdenticalToPerPlaneCacheSimAcrossAllCells) {
   std::vector<CompileJob> jobs = workload_matrix_jobs();
   ASSERT_EQ(jobs.size(), 29u);  // 10 N + 10 C + 9 P
-  std::vector<CompiledVariant> cells = compile_matrix(jobs);
+  std::vector<Compiled> cells;
+  for (const CompileJob& job : jobs)
+    cells.push_back(compile_source(job.source, job.options));
   ASSERT_EQ(cells.size(), jobs.size());
 
   const std::vector<i64> blocks = {4, 16, 64, 256};
-  for (const CompiledVariant& cell : cells) {
-    const Compiled& c = cell.compiled;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const Compiled& c = cells[i];
+    const std::string& label = jobs[i].label;
     AddressMap am = build_address_map(c);
     EncodedTrace trace = record_encoded_trace(c);
-    ASSERT_GT(trace.size(), 0u) << cell.label;
+    ASSERT_GT(trace.size(), 0u) << label;
 
     std::vector<CacheParams> params =
         sweep_params(c.nprocs(), c.code.total_bytes, blocks);
@@ -165,9 +168,9 @@ TEST(MultiReplayMatrix, BitIdenticalToPerPlaneCacheSimAcrossAllCells) {
       CacheSim solo(params[p], &am);
       trace.replay(solo);
       EXPECT_EQ(multi.stats[p], solo.stats())
-          << cell.label << " block=" << params[p].block_size;
+          << label << " block=" << params[p].block_size;
       EXPECT_EQ(multi.by_datum[p], solo.by_datum())
-          << cell.label << " block=" << params[p].block_size;
+          << label << " block=" << params[p].block_size;
     }
   }
 }

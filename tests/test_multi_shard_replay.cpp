@@ -187,15 +187,18 @@ TEST(MultiShardReplay, StudyOfNonNestingSweepMatchesPerPlaneCacheSim) {
 TEST(MultiShardReplayMatrix, BitIdenticalAcrossAllCellsAndShardCounts) {
   std::vector<CompileJob> jobs = workload_matrix_jobs();
   ASSERT_EQ(jobs.size(), 29u);  // 10 N + 10 C + 9 P
-  std::vector<CompiledVariant> cells = compile_matrix(jobs);
+  std::vector<Compiled> cells;
+  for (const CompileJob& job : jobs)
+    cells.push_back(compile_source(job.source, job.options));
   ASSERT_EQ(cells.size(), jobs.size());
 
   const std::vector<i64> blocks = {4, 16, 64, 256};
-  for (const CompiledVariant& cell : cells) {
-    const Compiled& c = cell.compiled;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const Compiled& c = cells[i];
+    const std::string& label = jobs[i].label;
     AddressMap am = build_address_map(c);
     EncodedTrace trace = record_encoded_trace(c);
-    ASSERT_GT(trace.size(), 0u) << cell.label;
+    ASSERT_GT(trace.size(), 0u) << label;
 
     std::vector<CacheParams> params =
         sweep_params(c.nprocs(), c.code.total_bytes, blocks);
@@ -209,10 +212,10 @@ TEST(MultiShardReplayMatrix, BitIdenticalAcrossAllCellsAndShardCounts) {
           replay_multi_partitioned(part, params, &am);
       for (size_t p = 0; p < params.size(); ++p) {
         EXPECT_EQ(serial.stats[p], composed.stats[p])
-            << cell.label << " block=" << params[p].block_size
+            << label << " block=" << params[p].block_size
             << " shards=" << plan.shards;
         EXPECT_EQ(serial.by_datum[p], composed.by_datum[p])
-            << cell.label << " block=" << params[p].block_size
+            << label << " block=" << params[p].block_size
             << " shards=" << plan.shards;
       }
     }

@@ -220,21 +220,23 @@ TEST(TraceCache, RecordsOncePerShape) {
 TEST(RelocationMatrix, RelocatedNRecordingEqualsEveryAdmittedCell) {
   std::vector<CompileJob> jobs = workload_matrix_jobs();
   ASSERT_EQ(jobs.size(), 29u);  // 10 N + 10 C + 9 P
-  std::vector<CompiledVariant> cells = compile_matrix(jobs);
+  std::vector<Compiled> cells;
+  for (const CompileJob& job : jobs)
+    cells.push_back(compile_source(job.source, job.options));
 
   std::map<std::string, size_t> n_cell;  // workload -> its N cell
   std::map<std::string, EncodedTrace> n_trace;
   int relocated_c = 0;
   for (size_t i = 0; i < cells.size(); ++i) {
-    const std::string& label = cells[i].label;
+    const std::string& label = jobs[i].label;
     const std::string workload = label.substr(0, label.find('/'));
     const std::string variant = label.substr(label.find('/') + 1);
-    const Compiled& to = cells[i].compiled;
+    const Compiled& to = cells[i];
     if (variant == "N") {
       n_cell[workload] = i;
       n_trace[workload] = record_encoded_trace(to);
     }
-    const Compiled& from = cells.at(n_cell.at(workload)).compiled;
+    const Compiled& from = cells.at(n_cell.at(workload));
     auto rel = relocation_between(from.code, to.code);
     if (rel == nullptr) {
       // Refused: only another source (P) or added pointer-slot loads (a

@@ -55,18 +55,16 @@
 //                       datum; =json emits the machine-readable report
 //                       (schema diagnosis_version 1) to stdout
 //   --disasm            dump the bytecode
-//   --timings[=json]    per-pass compile metrics (pipeline pass times,
-//                       allocation traffic, domain counters); =json emits
-//                       the machine-readable form
 //   --threads N         worker threads for the replays and the search's
 //                       candidate batches (0 or absent: FSOPT_THREADS
 //                       env, else all cores)
-//   --trace-out PATH    write a Chrome trace of the whole run (passes,
-//                       pool jobs, replay shards) to PATH at exit; same
-//                       as FSOPT_TRACE=PATH in the environment
-//   --trace-summary     print the runtime-trace aggregation (per-category
-//                       time, pool utilization, slowest pass/shard) to
-//                       stderr at exit
+//   --trace-out PATH    write a Chrome trace of the whole run (compile
+//                       passes with their domain counters, pool jobs,
+//                       replay shards) to PATH at exit; same as
+//                       FSOPT_TRACE=PATH in the environment
+//   --trace-summary     print the runtime-trace aggregation (per-pass and
+//                       per-category count/total/max, pool utilization,
+//                       slowest pass/shard) to stderr at exit
 //   --metrics-out PATH  write a metrics snapshot (obs/metrics.h) to PATH
 //                       at exit — Prometheus text exposition, or JSON when
 //                       PATH ends in .json; same as FSOPT_METRICS=PATH
@@ -76,6 +74,7 @@
 // Compile errors are reported one diagnostic per line to stderr as
 //   FILE:LINE:COL: error: MESSAGE
 // and exit with status 1.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -117,8 +116,6 @@ struct Cli {
   bool disasm = false;
   bool diagnose = false;
   bool diagnose_json = false;
-  bool timings = false;
-  bool timings_json = false;
   std::vector<i64> blocks = {16, 128};
 };
 
@@ -134,11 +131,20 @@ struct Cli {
                "              [--plan-diff] [--conflict-graph-out PATH]\n"
                "              [--report] [--transforms]\n"
                "              [--rewrite] [--run] [--miss [B,...]] [--ksr]\n"
-               "              [--disasm] [--diagnose[=json]]\n"
-               "              [--timings[=json]] [--threads N]\n"
+               "              [--disasm] [--diagnose[=json]] [--threads N]\n"
                "              [--trace-out PATH] [--trace-summary]\n"
                "              [--metrics-out PATH]\n");
   std::exit(2);
+}
+
+/// `text` as a signed 64-bit integer when it is exactly one: an optional
+/// '-', decimal digits, nothing after them.
+std::optional<i64> parse_i64(std::string_view text) {
+  i64 v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
 }
 
 Cli parse_cli(int argc, char** argv) {
@@ -156,15 +162,17 @@ Cli parse_cli(int argc, char** argv) {
       return *v;
     };
     if (a == "--nprocs") {
-      cli.options.overrides["NPROCS"] = std::atoll(next().c_str());
+      cli.options.overrides["NPROCS"] = next_count();
     } else if (a == "--param") {
+      // A param is a constant expression: any signed 64-bit value.
       std::string kv = next();
       size_t eq = kv.find('=');
-      if (eq == std::string::npos) usage("--param expects NAME=VALUE");
-      cli.options.overrides[kv.substr(0, eq)] =
-          std::atoll(kv.c_str() + eq + 1);
+      std::optional<i64> v;
+      if (eq != std::string::npos) v = parse_i64(kv.substr(eq + 1));
+      if (!v) usage("--param expects NAME=VALUE with an integer VALUE");
+      cli.options.overrides[kv.substr(0, eq)] = *v;
     } else if (a == "--block") {
-      cli.options.block_size = std::atoll(next().c_str());
+      cli.options.block_size = next_count();
       cli.block_given = true;
     } else if (a == "--no-optimize") {
       cli.optimize = false;
@@ -201,8 +209,12 @@ Cli parse_cli(int argc, char** argv) {
         cli.blocks.clear();
         std::stringstream ss(next());
         std::string tok;
-        while (std::getline(ss, tok, ','))
-          cli.blocks.push_back(std::atoll(tok.c_str()));
+        while (std::getline(ss, tok, ',')) {
+          std::optional<int> b = parse_count(tok);
+          if (!b) usage("--miss expects a comma-separated list of "
+                        "non-negative integers");
+          cli.blocks.push_back(*b);
+        }
       }
     } else if (a == "--ksr") {
       cli.ksr = true;
@@ -212,10 +224,6 @@ Cli parse_cli(int argc, char** argv) {
       cli.diagnose = true;
     } else if (a == "--diagnose=json") {
       cli.diagnose = cli.diagnose_json = true;
-    } else if (a == "--timings") {
-      cli.timings = true;
-    } else if (a == "--timings=json") {
-      cli.timings = cli.timings_json = true;
     } else if (a == "--threads") {
       set_experiment_threads(next_count());
     } else if (a == "--trace-out") {
@@ -245,7 +253,7 @@ Cli parse_cli(int argc, char** argv) {
     usage("--search-budget requires --planner search");
   if (!cli.report && !cli.transforms && !cli.rewrite && !cli.run &&
       !cli.miss && !cli.ksr && !cli.disasm && !cli.diagnose &&
-      !cli.timings && cli.plan_out.empty() && !cli.plan_diff &&
+      cli.plan_out.empty() && !cli.plan_diff &&
       cli.conflict_graph_out.empty() && cli.pareto_out.empty()) {
     cli.transforms = cli.miss = cli.ksr = true;
   }
@@ -301,7 +309,6 @@ int main(int argc, char** argv) {
   try {
     cli.options.optimize = cli.optimize;
 
-    PipelineMetrics metrics;
     Compiled c;
     // Every trace below (planner candidates, --diagnose, --miss) comes
     // from one cache: recorded once per plan shape, relocated otherwise.
@@ -406,7 +413,7 @@ int main(int argc, char** argv) {
         cli.options.plan =
             std::make_shared<const TransformPlan>(std::move(plan));
       }
-      c = run_back(front, cli.options, &metrics);
+      c = run_back(front, cli.options);
       if (cli.plan_diff) {
         TransformSet staticplan = decide_transforms(
             c.report, c.summary, cli.options.block_size, cli.options.decision);
@@ -419,12 +426,6 @@ int main(int argc, char** argv) {
     if (!cli.plan_out.empty())
       write_file(cli.plan_out, plan_to_json(c.transforms, *c.prog));
 
-    if (cli.timings) {
-      if (cli.timings_json)
-        std::printf("%s", metrics.to_json().c_str());
-      else
-        std::printf("--- pass timings ---\n%s\n", metrics.render().c_str());
-    }
     if (cli.report)
       std::printf("--- sharing classification ---\n%s\n",
                   c.report.render().c_str());
