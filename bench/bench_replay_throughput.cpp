@@ -10,7 +10,7 @@
 //      decode throughput, then the block-size sweep run as N dedicated
 //      per-configuration passes vs one single-pass multi-plane walk
 //      (sim/multi.h), across workloads (4b), and composed with region
-//      sharding (4f);
+//      sharding, every shard decoding the trace itself (4f);
 //   4c. address-map lookup.
 // Every timed replay is cross-checked against the others — the bench
 // fails loudly if any pair of implementations disagrees on a single
@@ -329,13 +329,13 @@ int main(int argc, char** argv) {
   }
 
   // --- 4f: composed sharded x multi-configuration sweep ----------------
-  // replay_multi_partitioned: one region-granular partition, each shard
-  // simulating every plane of the sweep at once.  Hard-fails on any
-  // counter or attribution drift vs the serial single-pass walk — the
-  // composition is supposed to be exact, not approximate.  Speedup over
-  // the serial walk needs >= 2 cores to materialize; on one core the
-  // interesting numbers are the (reusable) partition cost and the
-  // near-1.0 replay ratio.
+  // replay_multi_sharded: K region shards, each decoding the whole
+  // encoded trace, keeping its own regions and simulating every plane of
+  // the sweep at once.  The timings include every shard's decode, so
+  // they are end to end.  Hard-fails on any counter drift vs the serial
+  // single-pass walk — the composition is supposed to be exact, not
+  // approximate.  Speedup over the serial walk needs >= 2 cores to
+  // materialize; on one core the K decodes run one after another.
   {
     MultiReplayResult m_serial;
     double t_serial = best_of(repeats, [&] {
@@ -344,8 +344,8 @@ int main(int argc, char** argv) {
 
     std::printf("--- composed sharded x multi-config sweep (%d cpu%s) ---\n",
                 cpus, cpus == 1 ? "" : "s");
-    TextTable ct({"shards", "partition", "replay", "refs/s", "vs serial"});
-    ct.add_row({"1 (serial)", "-", fixed(t_serial, 3) + "s",
+    TextTable ct({"shards", "replay", "refs/s", "vs serial"});
+    ct.add_row({"1 (serial)", fixed(t_serial, 3) + "s",
                 human(refs / t_serial), "1.00x"});
     json.add(workload, "composed_serial_sec", t_serial);
     const double nwork = refs * static_cast<double>(params.size());
@@ -357,23 +357,17 @@ int main(int argc, char** argv) {
                     k, plan.shards);
         continue;
       }
-      TracePartition part;
-      double t_part = time_once([&] {
-        part = partition_trace(enc, plan.region_bytes, plan.shards);
-      });
       MultiReplayResult m_comp;
       double t_replay = best_of(repeats, [&] {
-        m_comp = replay_multi_partitioned(part, params, nullptr, k);
+        m_comp = replay_multi_sharded(enc, params, k, nullptr, k);
       });
       for (size_t i = 0; i < params.size(); ++i)
         if (m_comp.stats[i] != m_serial.stats[i])
           mismatch("serial and composed sharded sweep stats",
                    params[i].block_size);
       std::string ks = std::to_string(k);
-      ct.add_row({ks, fixed(t_part, 3) + "s", fixed(t_replay, 3) + "s",
-                  human(refs / t_replay),
+      ct.add_row({ks, fixed(t_replay, 3) + "s", human(refs / t_replay),
                   fixed(t_serial / t_replay, 2) + "x"});
-      json.add(workload, "composed_shard" + ks + "_partition_sec", t_part);
       json.add(workload, "composed_shard" + ks + "_sec", t_replay);
       json.add(workload, "composed_shard" + ks + "_speedup",
                t_serial / t_replay);
@@ -444,13 +438,11 @@ int main(int argc, char** argv) {
   {
     bool was_enabled = obs::enabled();
     const MultiShardPlan plan = multi_shard_plan(params, 4);
-    TracePartition part =
-        partition_trace(enc, plan.region_bytes, plan.shards);
 
     obs::set_enabled(true);
     obs::TraceData before = obs::collect();
     MultiReplayResult traced =
-        replay_multi_partitioned(part, params, nullptr, plan.shards);
+        replay_multi_sharded(enc, params, plan.shards, nullptr, plan.shards);
     obs::TraceData after = obs::collect();
     size_t events =
         (after.span_count() - before.span_count()) +
@@ -459,7 +451,8 @@ int main(int argc, char** argv) {
     obs::set_enabled(false);
     MultiReplayResult untraced;
     double t_replay = best_of(repeats, [&] {
-      untraced = replay_multi_partitioned(part, params, nullptr, plan.shards);
+      untraced =
+          replay_multi_sharded(enc, params, plan.shards, nullptr, plan.shards);
     });
     if (traced.stats != untraced.stats || traced.stats != flat_by_block) {
       std::fprintf(stderr,

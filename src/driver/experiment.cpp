@@ -143,11 +143,8 @@ EncodedTrace record_encoded_trace(const Compiled& c) {
 
 namespace {
 
-/// Traces below this size replay faster than they partition; the study
-/// leaves them unsharded.
-constexpr u64 kAutoShardMinRefs = u64{1} << 16;
-/// The study never splits a trace further than this (each shard holds
-/// its slice of the raw stream).
+/// The study never splits a trace further than this (each shard decodes
+/// the whole trace, and the K decodes should run side by side).
 constexpr int kAutoShardMax = 8;
 
 /// One cache configuration per swept block size for compile `c`.
@@ -177,26 +174,24 @@ TraceStudyResult replay_trace_study(const EncodedTrace& trace,
   const std::vector<CacheParams> params =
       sweep_params(c, block_sizes, l1_bytes);
 
-  // Large traces go through the composed engine: ONE region-granular
-  // partition serves every configuration, and each shard replays all of
-  // them in a single walk (replay_multi_partitioned), claiming the whole
-  // thread budget.  Conflict collection stays unsharded, so one
-  // per-plane collector sees every false-sharing miss.
+  // Sweeps go through the composed engine: each of up to
+  // min(8, threads) region shards decodes the trace and replays every
+  // configuration on its own regions in a single walk
+  // (replay_multi_sharded), claiming the whole thread budget.  Conflict
+  // collection stays unsharded, so one per-plane collector sees every
+  // false-sharing miss.
   const int requested =
-      collect_conflicts || trace.size() < kAutoShardMinRefs
-          ? 1
-          : std::min(kAutoShardMax, threads);
+      collect_conflicts ? 1 : std::min(kAutoShardMax, threads);
   const MultiShardPlan plan = multi_shard_plan(params, requested);
   std::vector<ConflictGraph> graphs;
   MultiReplayResult multi;
   if (plan.shards > 1) {
-    multi = replay_multi_partitioned(
-        partition_trace(trace, plan.region_bytes, plan.shards), params,
-        attribution, threads);
+    multi = replay_multi_sharded(trace, params, plan.shards, attribution,
+                                 threads);
   } else {
     // Single pass: every block size is a plane of one walk, the planes
     // divided among the workers — exact for any geometry, including
-    // sweeps the region partition cannot nest.
+    // sweeps the region cannot nest.
     multi = replay_multi(trace, params, attribution, threads,
                          collect_conflicts ? &graphs : nullptr);
   }
@@ -570,7 +565,7 @@ SearchPlanResult search_plan(std::string_view source,
   // back halves run concurrently), takes the trace from the cache (a
   // relocation unless the shape is new) and replays every swept size in
   // one walk on its share of the thread budget.  A batch already keeps
-  // the workers busy, so no candidate is region-partitioned.  Each job
+  // the workers busy, so no candidate is region-sharded.  Each job
   // writes only its own slot and drops its compile and trace on return:
   // at most `threads` candidates are live, whatever the budget.  The
   // replay engine is bit-identical for any thread count, so the whole

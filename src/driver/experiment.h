@@ -3,9 +3,10 @@
 // The pipeline is record-once / replay-many: one interpreter run records
 // the compressed reference stream (EncodedTrace); every cache
 // configuration (block size) is then a plane of one multi-plane replay
-// of that recording (sim/multi.h).  Large traces are additionally split
-// into region shards (trace/shard.h) that replay all planes
-// concurrently; planes and shards share one thread budget, as do the
+// of that recording (sim/multi.h).  With more than one thread, a sweep
+// is additionally split into region shards that each decode the
+// recording and replay all planes on their own regions; planes and
+// shards share one thread budget, as do the
 // compile+run timing jobs of a processor-count sweep and the candidates
 // of a plan-search batch.  Each job owns its simulator and writes into
 // its own result slot, and slots are merged in a fixed order, so results
@@ -22,7 +23,6 @@
 #include "sim/multi.h"
 #include "support/thread_pool.h"
 #include "trace/encode.h"
-#include "trace/shard.h"
 #include "transform/planner.h"
 #include "transform/search.h"
 
@@ -73,15 +73,15 @@ EncodedTrace record_encoded_trace(const Compiled& c);
 /// (0 = the experiment_threads() knob).  `c` only supplies
 /// nprocs/total_bytes.
 ///
-/// Traces of at least 64 Ki references whose sweep the region partition
-/// can nest (multi_shard_plan) are split into up to min(8, threads)
-/// region shards, each simulating every block size
-/// (replay_multi_partitioned);
-/// everything else — small traces, geometries that do not nest such as
-/// {48, 64} B — walks the unpartitioned trace once with the planes
-/// divided among the workers (replay_multi), which is exact for any
-/// geometry.  Results are bit-identical on both routes and for every
-/// thread count.
+/// With more than one thread, a sweep whose blocks the region can nest
+/// (multi_shard_plan) is split into up to min(8, threads) region shards
+/// (a power of two), each decoding the whole trace and simulating every
+/// block size on its own regions (replay_multi_sharded); everything
+/// else — one thread, geometries that do not nest such as {48, 64} B or
+/// whose region is not a power of two — walks the trace once with the
+/// planes divided among the workers (replay_multi), which is exact for
+/// any geometry.  Results are bit-identical on both routes and
+/// for every thread count.
 ///
 /// `collect_conflicts` additionally accumulates each block size's
 /// word-granularity false-sharing conflict graph (TraceStudyResult::

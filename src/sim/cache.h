@@ -6,9 +6,9 @@
 // snapshots) is held in dense arrays indexed by block number — sized once
 // from total_bytes, never rehashed or grown during replay — and every
 // piece of it is strictly per-block (the directory, the classifier) or
-// per-set (LRU stamps).  That makes the simulation region-partitionable:
-// the composed sharded replay (sim/multi.h, trace/shard.h) hands each
-// shard whole regions, and a cache fed only those regions replays them
+// per-set (LRU stamps).  That makes the simulation region-shardable:
+// the composed sharded replay (sim/multi.h) hands each shard whole
+// regions, and a cache fed only those regions replays them
 // independently of the other shards.
 #pragma once
 

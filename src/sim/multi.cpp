@@ -1,11 +1,11 @@
 #include "sim/multi.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
 
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "support/thread_pool.h"
 
@@ -28,6 +28,13 @@ bool plane_shareable(const CacheParams& p) {
     return false;
   if (!is_pow2(p.cache_bytes / p.block_size)) return false;
   return p.total_bytes > 0;
+}
+
+/// Add one walk's simulated work, references × planes, to the metrics.
+void count_plane_refs(u64 plane_refs) {
+  if (!obs::metrics_enabled()) return;
+  static obs::Counter& counter = obs::metric_counter("sim.replay.plane_refs");
+  counter.inc(plane_refs);
 }
 
 }  // namespace
@@ -746,6 +753,7 @@ MultiReplayResult replay_multi(const EncodedTrace& trace,
       sim.set_conflict_collectors(ptrs);
     }
     trace.replay(sim);
+    count_plane_refs(trace.size() * (last - first));
     for (size_t p = first; p < last; ++p) {
       out.stats[p] = sim.stats(p - first);
       if (attribution != nullptr) out.by_datum[p] = sim.by_datum(p - first);
@@ -783,6 +791,9 @@ MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
   FSOPT_CHECK(!params.empty(), "multi-replay needs at least one plane");
   for (const CacheParams& p : params)
     plan.region_bytes = std::max(plan.region_bytes, p.block_size);
+  // Shards route by shift and mask (ShardFilter), so the region and K
+  // are powers of two; any other geometry replays unsharded.
+  if (!is_pow2(plan.region_bytes)) return plan;
   // Exactness needs (a) every block to divide the region, so no plane's
   // block straddles two shards, and (b) K to divide every plane's
   // region count per cache, cache_bytes / region / assoc, so no plane's
@@ -809,91 +820,163 @@ MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
     }
     return true;
   };
-  while (k > 1 && !divides_all(k)) --k;
+  while (k > 1 && !(is_pow2(k) && divides_all(k))) --k;
   plan.shards = static_cast<int>(k);
   return plan;
 }
 
-MultiReplayResult replay_multi_partitioned(
-    const TracePartition& part, const std::vector<CacheParams>& params,
-    const AddressMap* attribution, int threads) {
+namespace {
+
+/// The most region pieces one reference can split into: a reference
+/// spans at most 8 bytes, and regions are at least 4 bytes wide.
+constexpr size_t kMaxPieces = 4;
+
+/// The pieces of region-spanning references one shard simulated.
+struct ShardSplits {
+  struct Piece {
+    u64 ordinal = 0;  // index among the trace's region-spanning refs
+    i64 origin = 0;   // the spanning reference's address (attribution)
+    u8 part = 0;      // the piece's index in address order
+  };
+  std::vector<Piece> pieces;            // in ordinal order
+  std::vector<AccessOutcome> outcomes;  // [piece * planes + plane]
+  u64 spanning = 0;  // region-spanning refs seen (every shard sees all)
+};
+
+/// Shard `k` of `shards`: takes the whole decoded stream and feeds its
+/// MultiCacheSim the references whose region r has r % shards == k, in
+/// trace order.  Every shard sees every region-spanning reference, so
+/// all shards number them alike; each runs only its own pieces through
+/// access_reported, at that point of its stream, and logs their
+/// per-plane outcomes for the combine step.  One shard keeps every
+/// reference whole, whatever the region.
+class ShardFilter final : public TraceSink {
+ public:
+  /// `shards` is a power of two, and so is `region_bytes` when shards > 1
+  /// (multi_shard_plan).
+  ShardFilter(MultiCacheSim& sim, i64 region_bytes, size_t shards, size_t k,
+              ShardSplits& splits)
+      : sim_(sim),
+        splits_(splits),
+        shift_(pow2_shift(region_bytes)),
+        shards_(shards),
+        k_(k) {}
+
+  void on_ref(const MemRef& ref) override { on_batch(&ref, 1); }
+  void on_batch(const MemRef* refs, size_t n) override {
+    if (shards_ == 1) {
+      sim_.on_batch(refs, n);
+      return;
+    }
+    if (buf_.size() < n) buf_.resize(n);
+    MemRef* buf = buf_.data();
+    size_t m = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const MemRef& r = refs[i];
+      const u64 addr = static_cast<u64>(r.addr);
+      const u64 first = region_of(addr);
+      const u64 last = region_of(addr + r.size - 1);
+      if (first != last) [[unlikely]] {
+        flush(m);
+        m = 0;
+        split(r, first, last);
+        continue;
+      }
+      // Branch-free compaction: always copy, advance only when kept.
+      buf[m] = r;
+      m += mine(first) ? 1 : 0;
+    }
+    flush(m);
+  }
+
+ private:
+  u64 region_of(u64 addr) const { return addr >> shift_; }
+  bool mine(u64 region) const { return (region & (shards_ - 1)) == k_; }
+
+  void flush(size_t m) {
+    if (m != 0) sim_.on_batch(buf_.data(), m);
+  }
+
+  void split(const MemRef& r, u64 first, u64 last) {
+    const u64 ordinal = splits_.spanning++;
+    const u64 lo_addr = static_cast<u64>(r.addr);
+    const u64 hi_addr = lo_addr + r.size;
+    const size_t planes = sim_.planes();
+    u8 part = 0;
+    for (u64 g = first; g <= last; ++g, ++part) {
+      if (!mine(g)) continue;
+      const u64 lo = std::max(lo_addr, g << shift_);
+      const u64 hi = std::min(hi_addr, (g + 1) << shift_);
+      splits_.pieces.push_back({ordinal, r.addr, part});
+      std::vector<AccessOutcome>& out = splits_.outcomes;
+      out.resize(out.size() + planes);
+      sim_.access_reported(MemRef{static_cast<i64>(lo),
+                                  static_cast<u8>(hi - lo), r.proc, r.type},
+                           out.data() + out.size() - planes);
+    }
+  }
+
+  MultiCacheSim& sim_;
+  ShardSplits& splits_;
+  const int shift_;  // log2 of the region size
+  const u64 shards_;
+  const u64 k_;
+  std::vector<MemRef> buf_;
+};
+
+}  // namespace
+
+MultiReplayResult replay_multi_sharded(const EncodedTrace& trace,
+                                       const std::vector<CacheParams>& params,
+                                       int shards,
+                                       const AddressMap* attribution,
+                                       int threads) {
   const size_t nplanes = params.size();
   FSOPT_CHECK(nplanes > 0, "multi-replay needs at least one plane");
-  FSOPT_CHECK(part.shards >= 1 &&
-                  part.shard.size() == static_cast<size_t>(part.shards),
-              "malformed region partition");
-  {
-    // The partition must be at least as constrained as the plan for
-    // this plane set: same region, and a shard count the plan's
-    // divisibility rules admit.
-    MultiShardPlan plan = multi_shard_plan(params, part.shards);
-    FSOPT_CHECK(plan.region_bytes == part.region_bytes,
-                "partition region does not match the planes' block sizes");
-    FSOPT_CHECK(plan.shards == part.shards,
-                "partition shard count is not exact for these planes"
-                " (use multi_shard_plan)");
-  }
+  FSOPT_CHECK(shards >= 1, "shard count must be >= 1");
+  const MultiShardPlan plan = multi_shard_plan(params, shards);
+  FSOPT_CHECK(plan.shards == shards,
+              "shard count is not exact for these planes"
+              " (use multi_shard_plan)");
   if (threads == 0) threads = default_thread_count();
 
-  // Per-shard job: one MultiCacheSim over ALL planes walks just the
-  // shard's slice of the stream.  Normal references count directly
-  // (their block, set, and word state is wholly shard-owned); split
-  // pieces only record per-plane outcomes for reassembly.
+  // Per-shard job: one MultiCacheSim over ALL planes, fed by a filter
+  // over the shard's own decode of the trace.  Normal references count
+  // directly (their block, set, and word state is wholly shard-owned);
+  // split pieces only record per-plane outcomes for reassembly.
   struct Job {
     std::vector<MissStats> stats;               // [plane]
     std::vector<std::vector<MissStats>> datum;  // [plane][slot]
-    struct SplitOutcome {
-      u32 ordinal = 0;
-      u8 part = 0;
-      std::vector<AccessOutcome> out;  // [plane]
-    };
-    std::vector<SplitOutcome> splits;
+    ShardSplits splits;
   };
-  const size_t K = static_cast<size_t>(part.shards);
+  const size_t K = static_cast<size_t>(shards);
   std::vector<Job> jobs(K);
-  const size_t batch = replay_batch_refs();
   parallel_for_each(threads, K, [&](size_t k) {
     obs::Span span("replay", "multi_shard");
+    Job& job = jobs[k];
     MultiCacheSim sim(params, attribution);
-    const TraceShard& sh = part.shard[k];
-    size_t si = 0;
-    u64 pos = 0;
-    while (true) {
-      while (si < sh.splits.size() && sh.splits[si].pos == pos) {
-        const TraceShard::SplitPart& sp = sh.splits[si++];
-        Job::SplitOutcome so{sp.ordinal, sp.part,
-                             std::vector<AccessOutcome>(nplanes)};
-        sim.access_reported(sp.sub, so.out.data());
-        jobs[k].splits.push_back(std::move(so));
-      }
-      if (pos == sh.refs.size()) break;
-      // Contiguous run up to the next split position, fed in
-      // replay()-sized sub-batches so a slice stays cache-resident
-      // across the decode/simulate hand-off.
-      const u64 next = si < sh.splits.size()
-                           ? std::min<u64>(sh.splits[si].pos, sh.refs.size())
-                           : sh.refs.size();
-      for (u64 off = pos; off < next; off += batch)
-        sim.on_batch(sh.refs.data() + off,
-                     static_cast<size_t>(std::min<u64>(batch, next - off)));
-      pos = next;
-    }
-    jobs[k].stats.resize(nplanes);
-    jobs[k].datum.resize(nplanes);
+    ShardFilter filter(sim, plan.region_bytes, K, k, job.splits);
+    trace.replay(filter);
+    job.stats.resize(nplanes);
+    job.datum.resize(nplanes);
     for (size_t p = 0; p < nplanes; ++p) {
-      jobs[k].stats[p] = sim.stats(p);
-      if (attribution != nullptr) jobs[k].datum[p] = sim.datum_stats(p);
+      job.stats[p] = sim.stats(p);
+      if (attribution != nullptr) job.datum[p] = sim.datum_stats(p);
     }
     if (span.active()) {
-      const double refs =
-          static_cast<double>(sh.refs.size() + sh.splits.size());
+      // Simulated: the counted references plus the uncounted pieces.
+      // Scanned: every shard decodes the whole trace.
+      const double refs = static_cast<double>(job.stats[0].refs +
+                                              job.splits.pieces.size());
       span.arg("shard", static_cast<double>(k));
       span.arg("planes", static_cast<double>(nplanes));
       span.arg("refs", refs);
+      span.arg("scanned", static_cast<double>(trace.size()));
       const double sec = span.elapsed_seconds();
       if (sec > 0.0) span.arg("refs_per_sec", refs / sec);
     }
   });
+  count_plane_refs(trace.size() * nplanes);
 
   // Combine: the per-plane counters are additive across shards, and
   // split pieces reassemble per plane with the same severity/OR/sum
@@ -906,39 +989,44 @@ MultiReplayResult replay_multi_partitioned(
       attribution != nullptr ? attribution->ranges().size() + 1 : 0;
   std::vector<std::vector<MissStats>> dense(
       nplanes, std::vector<MissStats>(slots));
-  for (size_t k = 0; k < K; ++k) {
+  for (const Job& job : jobs) {
+    FSOPT_CHECK(job.splits.spanning == jobs[0].splits.spanning,
+                "shards disagree on the region-spanning references");
     for (size_t p = 0; p < nplanes; ++p) {
-      out.stats[p].merge(jobs[k].stats[p]);
-      for (size_t s = 0; s < slots; ++s)
-        dense[p][s].merge(jobs[k].datum[p][s]);
+      out.stats[p].merge(job.stats[p]);
+      for (size_t s = 0; s < slots; ++s) dense[p][s].merge(job.datum[p][s]);
     }
   }
-  if (!part.split_origin.empty()) {
-    // pieces[ordinal][plane][part], arriving in block order per shard.
-    std::vector<std::vector<std::array<AccessOutcome, 4>>> pieces(
-        part.split_origin.size(),
-        std::vector<std::array<AccessOutcome, 4>>(nplanes));
-    std::vector<u8> counts(part.split_origin.size(), 0);
+  // Each shard logs its pieces in ordinal order, so one cursor per shard
+  // gathers every spanning reference's pieces: parts[plane][part].
+  std::vector<size_t> cursor(K, 0);
+  std::vector<AccessOutcome> parts(nplanes * kMaxPieces);
+  for (u64 ordinal = 0; ordinal < jobs[0].splits.spanning; ++ordinal) {
+    size_t count = 0;
+    i64 origin = 0;
     for (size_t k = 0; k < K; ++k) {
-      for (const Job::SplitOutcome& so : jobs[k].splits) {
-        FSOPT_CHECK(so.part < 4, "split reference with too many pieces");
+      const ShardSplits& sp = jobs[k].splits;
+      for (size_t& i = cursor[k];
+           i < sp.pieces.size() && sp.pieces[i].ordinal == ordinal; ++i) {
+        const ShardSplits::Piece& pc = sp.pieces[i];
+        FSOPT_CHECK(pc.part < kMaxPieces,
+                    "split reference with too many pieces");
         for (size_t p = 0; p < nplanes; ++p)
-          pieces[so.ordinal][p][so.part] = so.out[p];
-        ++counts[so.ordinal];
+          parts[p * kMaxPieces + pc.part] = sp.outcomes[i * nplanes + p];
+        origin = pc.origin;
+        ++count;
       }
     }
-    for (size_t i = 0; i < pieces.size(); ++i) {
-      int slot = -1;
-      if (attribution != nullptr) {
-        const int d = attribution->index_of(part.split_origin[i].addr);
-        slot = d >= 0 ? d : static_cast<int>(slots) - 1;
-      }
-      for (size_t p = 0; p < nplanes; ++p) {
-        const AccessOutcome o =
-            combine_split_outcomes(pieces[i][p].data(), counts[i]);
-        out.stats[p].add(o);
-        if (slot >= 0) dense[p][static_cast<size_t>(slot)].add(o);
-      }
+    int slot = -1;
+    if (attribution != nullptr) {
+      const int d = attribution->index_of(origin);
+      slot = d >= 0 ? d : static_cast<int>(slots) - 1;
+    }
+    for (size_t p = 0; p < nplanes; ++p) {
+      const AccessOutcome o =
+          combine_split_outcomes(parts.data() + p * kMaxPieces, count);
+      out.stats[p].add(o);
+      if (slot >= 0) dense[p][static_cast<size_t>(slot)].add(o);
     }
   }
   if (attribution != nullptr)

@@ -59,7 +59,6 @@
 
 #include "sim/cache.h"
 #include "trace/encode.h"
-#include "trace/shard.h"
 
 namespace fsopt {
 
@@ -90,8 +89,8 @@ class MultiCacheSim : public TraceSink {
   /// Process one reference through every plane and report each plane's
   /// outcome in `out` (planes() entries) WITHOUT counting it into
   /// stats()/datum_stats().  State advances exactly as for a counted
-  /// reference.  The composed sharded replay uses this for
-  /// region-spanning split pieces, whose per-plane outcomes must be
+  /// reference.  The sharded replay uses this for the pieces of
+  /// region-spanning references, whose per-plane outcomes must be
   /// merged across shards before the reference is counted once.
   void access_reported(const MemRef& ref, AccessOutcome* out);
 
@@ -130,7 +129,8 @@ class MultiCacheSim : public TraceSink {
 /// to min(threads, planes) workers, each walking the (cheap, encoded)
 /// stream once for its plane subset — results are bit-identical for any
 /// thread count because planes never interact.  0 = default_thread_count()
-/// (the FSOPT_THREADS env var, else hardware concurrency).
+/// (the FSOPT_THREADS env var, else hardware concurrency).  Adds
+/// trace refs × planes to the sim.replay.plane_refs metric.
 ///
 /// With a non-null `conflicts`, each plane additionally accumulates its
 /// word-granularity false-sharing conflict graph; on return *conflicts
@@ -146,41 +146,50 @@ MultiReplayResult replay_multi(const EncodedTrace& trace,
 // ---------------------------------------------------------------------------
 // Composed sharded × multi-configuration replay.
 //
-// Region partitioning (trace/shard.h) and the single-pass multi-plane
-// walk compose: partition the trace once at *region* granularity (a
-// common multiple of every plane's block size), then each shard runs
-// one MultiCacheSim over ALL planes on just its slice of the stream.  A
-// K-shard sweep therefore decodes and partitions the trace once and
-// walks it K ways in parallel, while remaining bit-identical to the
-// serial replay_multi result: regions nest every plane's blocks, so
-// per-block directory and classifier state never straddles shards, and
-// a shard count dividing every plane's cache_bytes / region keeps LRU
-// sets shard-pure too.  Region-spanning references are replayed
-// piecewise via access_reported and merged across shards with the same
-// severity/OR/sum rules the unsharded simulator applies inline.
+// Region sharding and the single-pass multi-plane walk compose.  Shard k
+// of K keeps the references whose *region* r = addr / region_bytes (the
+// largest plane block, a power of two that every other block divides)
+// has r % K == k, a shift and a mask for a power-of-two K, and runs
+// one MultiCacheSim over ALL planes on just that sub-stream.  Each shard
+// decodes the whole compressed trace and filters it as it goes, so no
+// partition is ever built and the K decodes run side by side.  The
+// result is bit-identical to the serial replay_multi: regions nest every
+// plane's blocks, so per-block directory and classifier state never
+// straddles shards, and a shard count dividing every plane's
+// cache_bytes / region keeps LRU sets shard-pure too.  Region-spanning
+// references are replayed piecewise via access_reported and merged
+// across shards with the same severity/OR/sum rules the unsharded
+// simulator applies inline.
 // ---------------------------------------------------------------------------
 
 /// Shard geometry valid for a whole plane set at once.
 struct MultiShardPlan {
-  i64 region_bytes = 4;  // partition granularity: the largest plane block
-  int shards = 1;        // largest exact K <= requested (1: don't shard)
+  i64 region_bytes = 4;  // shard granularity: the largest plane block
+  int shards = 1;  // largest exact power of two <= requested (1: unsharded)
 };
 
-/// The largest shard count <= `requested` for which the composed replay
-/// is exact across every plane in `params`, together with the region
-/// size.  Returns shards == 1 when the planes cannot be composed (a
-/// block size that does not divide the region) or requested <= 1.
+/// The largest power-of-two shard count <= `requested` for which the
+/// composed replay is exact across every plane in `params`, together
+/// with the region size.  Returns shards == 1 when the planes cannot be
+/// composed (a block size that does not divide the region, a region
+/// that is not a power of two) or requested <= 1.  Shards route
+/// references by shift and mask, so a sweep with any other geometry
+/// replays unsharded through replay_multi, which is exact for it.
 MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
                                 int requested);
 
-/// Replay a region-partitioned trace (partition_trace) across its
-/// shards, every shard simulating all of `params` at once.  The
-/// partition must come from a plan valid for `params` (multi_shard_plan;
-/// anything else throws InternalError); results are bit-identical to
-/// replay_multi on the unpartitioned trace for every shard count and
-/// thread count.  `threads` = 0 uses default_thread_count().
-MultiReplayResult replay_multi_partitioned(
-    const TracePartition& part, const std::vector<CacheParams>& params,
-    const AddressMap* attribution = nullptr, int threads = 0);
+/// Replay `trace` across `shards` region shards, every shard simulating
+/// all of `params` at once.  The shard count must be one
+/// multi_shard_plan admits for `params` (anything else throws
+/// InternalError); results are bit-identical to replay_multi for every
+/// shard count and thread count.  Every shard decodes the whole trace,
+/// so `threads` >= `shards` keeps those decodes concurrent.  `threads` =
+/// 0 uses default_thread_count().  Adds trace refs × planes to the
+/// sim.replay.plane_refs metric.
+MultiReplayResult replay_multi_sharded(const EncodedTrace& trace,
+                                       const std::vector<CacheParams>& params,
+                                       int shards,
+                                       const AddressMap* attribution = nullptr,
+                                       int threads = 0);
 
 }  // namespace fsopt

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "obs/metrics.h"
+
 namespace fsopt {
 
 namespace {
@@ -29,6 +31,24 @@ inline u64 get_varint(const u8*& p, const u8* end) {
     shift += 7;
     FSOPT_CHECK(shift < 64, "overlong varint in encoded trace chunk");
   }
+}
+
+/// The longest varint get_varint accepts: 64 bits at 7 per byte.
+constexpr std::ptrdiff_t kMaxVarintBytes = 10;
+
+/// get_varint for a column with at least kMaxVarintBytes left: no
+/// accepted varint can run past the end, so only the overlong check
+/// stays.
+inline u64 get_varint_unchecked(const u8*& p) {
+  u64 b = *p++;
+  if (b < 0x80) [[likely]] return b;
+  u64 v = b & 0x7F;
+  for (int shift = 7; shift < 64; shift += 7) {
+    b = *p++;
+    v |= (b & 0x7F) << shift;
+    if (b < 0x80) return v;
+  }
+  throw InternalError("overlong varint in encoded trace chunk");
 }
 
 inline u64 zigzag(i64 v) {
@@ -106,8 +126,6 @@ struct ChunkCursor {
   const u8 *mp, *mend, *ap, *aend;
   i64 last_addr[TraceEncoder::kMaxProcs] = {};
   u32 decoded = 0;
-  MemRef run_ref{};   // meta of the open run
-  u64 run_left = 0;
 
   explicit ChunkCursor(const EncodedChunk& ch)
       : c(ch),
@@ -120,56 +138,34 @@ struct ChunkCursor {
 
   /// Decode up to `cap` references into `out`; returns the count.
   size_t next(MemRef* out, size_t cap) {
-    size_t n = 0;
-    while (n < cap && decoded < c.refs) {
-      if (run_left == 0) {
-        FSOPT_CHECK(mp != mend,
-                    "truncated meta column in encoded trace chunk");
-        u8 meta = *mp++;
-        run_left = get_varint(mp, mend);
-        FSOPT_CHECK(run_left > 0 && decoded + run_left <= c.refs,
-                    "corrupt run length in encoded trace chunk");
-        run_ref.proc = static_cast<u8>(meta >> 2);
-        run_ref.type = (meta & 2) != 0 ? RefType::kWrite : RefType::kRead;
-        run_ref.size = (meta & 1) != 0 ? 8 : 4;
-      }
-      i64& last = last_addr[run_ref.proc];
-      const u64 take = std::min<u64>(run_left, cap - n);
-      u64 done = 0;
-      // SWAR fast path: most address deltas are one byte (|delta| < 64
-      // after zigzag), so one 8-byte load whose continuation bits are
-      // all clear yields eight complete varints — decoded with shifts
-      // instead of eight bounds-checked byte loops.  A window with any
-      // continuation bit falls back to one scalar varint, then retries
-      // the fast path on the next window.
-      while (done + 8 <= take && aend - ap >= 8) {
-        u64 x;
-        std::memcpy(&x, ap, 8);
-        if ((x & 0x8080808080808080ull) == 0) {
-          ap += 8;
-          for (int j = 0; j < 8; ++j) {
-            last += unzigzag((x >> (8 * j)) & 0xFF);
-            run_ref.addr = last;
-            out[n++] = run_ref;
-          }
-          done += 8;
-        } else {
-          last += unzigzag(get_varint(ap, aend));
-          run_ref.addr = last;
-          out[n++] = run_ref;
-          ++done;
-        }
-      }
-      for (; done < take; ++done) {
-        last += unzigzag(get_varint(ap, aend));
-        run_ref.addr = last;
-        out[n++] = run_ref;
-      }
-      run_left -= take;
-      decoded += static_cast<u32>(take);
-    }
+    const size_t n = std::min<size_t>(cap, c.refs - decoded);
+    FSOPT_CHECK(static_cast<size_t>(mend - mp) >= n,
+                "truncated meta column in encoded trace chunk");
+    // Column pointers live in locals: the byte stores into `out` could
+    // otherwise alias the members and force a reload per reference.
+    const u8* const meta = mp;
+    const u8* a = ap;
+    const u8* const end = aend;
+    const auto emit = [&](size_t i, u64 delta) {
+      const u8 m = meta[i];
+      i64& last = last_addr[m >> 2];
+      last += unzigzag(delta);
+      out[i] = MemRef{last, static_cast<u8>((m & 1) != 0 ? 8 : 4),
+                      static_cast<u8>(m >> 2),
+                      (m & 2) != 0 ? RefType::kWrite : RefType::kRead};
+    };
+    // get_varint_unchecked reads at most kMaxVarintBytes before it
+    // returns or throws, so while that many remain it never passes the
+    // column end; the last few varints take the checked decoder.
+    size_t i = 0;
+    for (; i < n && end - a >= kMaxVarintBytes; ++i)
+      emit(i, get_varint_unchecked(a));
+    for (; i < n; ++i) emit(i, get_varint(a, end));
+    mp += n;
+    ap = a;
+    decoded += static_cast<u32>(n);
     if (done())
-      FSOPT_CHECK(mp == mend && ap == aend && run_left == 0,
+      FSOPT_CHECK(mp == mend && ap == aend,
                   "trailing bytes in encoded trace chunk");
     return n;
   }
@@ -187,10 +183,7 @@ struct ChunkCursor {
 void EncodedTrace::decode_chunk(size_t k, std::vector<MemRef>& out) const {
   const EncodedChunk& c = chunks()[k];
   out.resize(c.refs);
-  ChunkCursor cur(c);
-  const size_t n = cur.next(out.data(), c.refs, reloc_.get());
-  FSOPT_CHECK(n == c.refs && cur.done(),
-              "corrupt run length in encoded trace chunk");
+  ChunkCursor(c).next(out.data(), c.refs, reloc_.get());
 }
 
 void EncodedTrace::replay(TraceSink& sink) const {
@@ -199,8 +192,12 @@ void EncodedTrace::replay(TraceSink& sink) const {
     ChunkCursor cur(c);
     while (!cur.done()) {
       const size_t n = cur.next(scratch.data(), scratch.size(), reloc_.get());
-      if (n != 0) sink.on_batch(scratch.data(), n);
+      sink.on_batch(scratch.data(), n);
     }
+  }
+  if (obs::metrics_enabled()) {
+    static obs::Counter& decoded = obs::metric_counter("trace.decoded_refs");
+    decoded.inc(size_);
   }
 }
 
@@ -210,13 +207,6 @@ TraceEncoder::TraceEncoder(size_t chunk_refs)
   std::memset(last_addr_, 0, sizeof(last_addr_));
 }
 
-void TraceEncoder::flush_run() {
-  if (run_len_ == 0) return;
-  cur_.meta.push_back(run_meta_);
-  put_varint(cur_.meta, run_len_);
-  run_len_ = 0;
-}
-
 void TraceEncoder::append(const MemRef* refs, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     const MemRef& r = refs[i];
@@ -224,15 +214,11 @@ void TraceEncoder::append(const MemRef* refs, size_t n) {
                 "trace encoder supports at most 64 processors");
     FSOPT_CHECK(r.size == 4 || r.size == 8,
                 "trace encoder supports 4- and 8-byte references");
-    u8 meta = pack_meta(r);
-    if (run_len_ > 0 && meta != run_meta_) flush_run();
-    run_meta_ = meta;
-    ++run_len_;
+    cur_.meta.push_back(pack_meta(r));
     i64& last = last_addr_[r.proc];
     put_varint(cur_.addr, zigzag(r.addr - last));
     last = r.addr;
     if (++cur_.refs == chunk_refs_) {
-      flush_run();
       cur_.meta.shrink_to_fit();
       cur_.addr.shrink_to_fit();
       chunks_.push_back(std::move(cur_));
@@ -244,7 +230,6 @@ void TraceEncoder::append(const MemRef* refs, size_t n) {
 }
 
 EncodedTrace TraceEncoder::take() {
-  flush_run();
   if (cur_.refs > 0) {
     cur_.meta.shrink_to_fit();
     cur_.addr.shrink_to_fit();

@@ -6,9 +6,11 @@
 // traffic.  EncodedTrace stores the same stream in independently
 // decodable structure-of-arrays chunks at ~2-4 bytes per reference:
 //
-//   * meta column — (proc, type, size) packed into one byte and
-//     run-length encoded: consecutive references by the same processor
-//     with the same type and size collapse to (byte, varint count).
+//   * meta column — (proc, type, size) packed into one byte per
+//     reference.  The scheduler interleaves processors, so runs of one
+//     meta byte are short (1.00-1.11 references on average over the ten
+//     compiler-optimized workloads), and a run-length code would add a
+//     length byte to nearly every reference.
 //   * addr column — per-processor delta encoding: each reference stores
 //     the zigzag-varint difference from the *same processor's* previous
 //     address.  Per-processor deltas are small (each simulated process
@@ -17,9 +19,9 @@
 //
 // Every chunk encodes up to chunk_refs references and resets the
 // per-processor address state, so chunks decode independently and in any
-// order — a replay can stream chunk by chunk through a small scratch
-// buffer, and partition_trace can consume the stream without ever
-// materializing the full raw trace.
+// order — a replay streams chunk by chunk through a small scratch
+// buffer, and the sharded replay (sim/multi.h) can afford to have every
+// shard decode the whole stream itself.
 //
 // TraceEncoder is a TraceSink, so the interpreter can record straight
 // into the compressed form (driver record_encoded_trace) — the raw
@@ -41,7 +43,7 @@ namespace fsopt {
 /// One independently decodable run of up to chunk_refs references.
 struct EncodedChunk {
   u32 refs = 0;
-  std::vector<u8> meta;  // RLE (packed meta byte, varint run length)
+  std::vector<u8> meta;  // one packed meta byte per reference
   std::vector<u8> addr;  // per-proc delta, zigzag varint
 };
 
@@ -107,7 +109,7 @@ class EncodedTrace {
   /// decoded incrementally through a resumable cursor and delivered in
   /// sub-batches of replay_batch_refs() references, so peak extra
   /// memory is a fixed small scratch buffer regardless of trace or
-  /// chunk size.
+  /// chunk size.  Adds size() to the trace.decoded_refs metric.
   void replay(TraceSink& sink) const;
 
  private:
@@ -142,16 +144,12 @@ class TraceEncoder : public TraceSink {
 
  private:
   void append(const MemRef* refs, size_t n);
-  void flush_run();
 
   std::vector<EncodedChunk> chunks_;
   u64 size_ = 0;
   EncodedChunk cur_;
   size_t chunk_refs_;
   i64 last_addr_[kMaxProcs];
-  // Open RLE run (not yet flushed into cur_.meta).
-  u8 run_meta_ = 0;
-  u64 run_len_ = 0;
 };
 
 /// Encode an already-recorded raw trace.

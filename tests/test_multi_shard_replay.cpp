@@ -1,16 +1,15 @@
 // Differential suite for the composed sharded × multi-configuration
-// replay (replay_multi_partitioned): one region-granular partition,
-// each shard simulating every plane, must be bit-identical — aggregate
-// stats AND per-datum attribution — to the serial single-pass
-// replay_multi, for every shard count and across the full 29-cell
-// workload matrix.  Also covers replay_trace_study's choice between the
-// two engines, including a sweep the region partition cannot nest.
+// replay (replay_multi_sharded): region shards, each filtering its own
+// decode of the trace and simulating every plane, must be bit-identical
+// — aggregate stats AND per-datum attribution — to the serial
+// single-pass replay_multi, for every shard count and across the full
+// 29-cell workload matrix.  Also covers replay_trace_study's choice
+// between the two engines, including a sweep the region cannot nest.
 #include "sim/multi.h"
 
 #include <gtest/gtest.h>
 
 #include "driver/experiment.h"
-#include "trace/shard.h"
 #include "workloads/workloads.h"
 
 namespace fsopt {
@@ -73,10 +72,8 @@ TEST(MultiShardReplay, SyntheticStreamMatchesSerialForEveryShardCount) {
   for (int k : {1, 2, 4, 8}) {
     MultiShardPlan plan = multi_shard_plan(params, k);
     EXPECT_EQ(plan.shards, k);
-    TracePartition part =
-        partition_trace(enc, plan.region_bytes, plan.shards);
     MultiReplayResult composed =
-        replay_multi_partitioned(part, params, &am);
+        replay_multi_sharded(enc, params, plan.shards, &am);
     EXPECT_EQ(serial.stats, composed.stats) << "shards=" << k;
     EXPECT_EQ(serial.by_datum, composed.by_datum) << "shards=" << k;
   }
@@ -90,13 +87,10 @@ TEST(MultiShardReplay, ChunkBoundariesNeverChangeResults) {
                     i % 5 == 0 ? RefType::kWrite : RefType::kRead});
   std::vector<CacheParams> params = sweep_params(3, 1 << 13, {4, 32, 128});
   MultiShardPlan plan = multi_shard_plan(params, 4);
-  MultiReplayResult a = replay_multi_partitioned(
-      partition_trace(encoded(refs), plan.region_bytes, plan.shards),
-      params);
-  MultiReplayResult b = replay_multi_partitioned(
-      partition_trace(encoded(refs, /*chunk_refs=*/128), plan.region_bytes,
-                      plan.shards),
-      params);
+  MultiReplayResult a =
+      replay_multi_sharded(encoded(refs), params, plan.shards);
+  MultiReplayResult b = replay_multi_sharded(
+      encoded(refs, /*chunk_refs=*/128), params, plan.shards);
   EXPECT_EQ(a.stats, b.stats);
 }
 
@@ -108,19 +102,19 @@ TEST(MultiShardReplay, ThreadCountNeverChangesResults) {
   std::vector<CacheParams> params =
       sweep_params(8, 1 << 13, {4, 8, 16, 32, 64, 128, 256});
   MultiShardPlan plan = multi_shard_plan(params, 8);
-  TracePartition part =
-      partition_trace(encoded(refs), plan.region_bytes, plan.shards);
-  MultiReplayResult one = replay_multi_partitioned(part, params, nullptr, 1);
+  const EncodedTrace enc = encoded(refs);
+  MultiReplayResult one =
+      replay_multi_sharded(enc, params, plan.shards, nullptr, 1);
   for (int threads : {2, 3, 8}) {
     MultiReplayResult many =
-        replay_multi_partitioned(part, params, nullptr, threads);
+        replay_multi_sharded(enc, params, plan.shards, nullptr, threads);
     EXPECT_EQ(one.stats, many.stats) << "threads=" << threads;
   }
 }
 
-/// fmm's natural version on four processors: its recording is large
-/// enough (>= 64 Ki references) that replay_trace_study shards it
-/// whenever it has more than one thread.
+/// fmm's natural version on four processors, a recording of at least
+/// one full 64 Ki-reference chunk.  replay_trace_study shards it, like
+/// any sweep the region nests, whenever it has more than one thread.
 struct FmmStudy {
   Compiled c;
   EncodedTrace trace;
@@ -206,10 +200,8 @@ TEST(MultiShardReplayMatrix, BitIdenticalAcrossAllCellsAndShardCounts) {
 
     for (int k : {2, 8}) {
       MultiShardPlan plan = multi_shard_plan(params, k);
-      TracePartition part =
-          partition_trace(trace, plan.region_bytes, plan.shards);
       MultiReplayResult composed =
-          replay_multi_partitioned(part, params, &am);
+          replay_multi_sharded(trace, params, plan.shards, &am);
       for (size_t p = 0; p < params.size(); ++p) {
         EXPECT_EQ(serial.stats[p], composed.stats[p])
             << label << " block=" << params[p].block_size

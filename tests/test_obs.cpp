@@ -5,8 +5,9 @@
 // bit-identical with tracing on vs. off, alongside the composed-replay
 // suite in test_multi_shard_replay.cpp.  The second half covers the
 // metrics registry (obs/metrics.h): concurrent-increment exactness, the
-// kind-mismatch check, both expositions, the partial-data marker, and the
-// interpreter's run span and counters on a KSR2 timing run.
+// kind-mismatch check, both expositions, the partial-data marker, the
+// interpreter's run span and counters on a KSR2 timing run, and the
+// decode and plane work counters of a sharded sweep.
 #include "obs/obs.h"
 
 #include <gtest/gtest.h>
@@ -208,18 +209,19 @@ const char* kProgram =
     "  barrier();\n"
     "}\n";
 
-/// A two-shard composed sweep of `c` over the paper block sizes — the
-/// engine replay_trace_study picks for large traces, called directly so
-/// this small program exercises it too.
-MultiReplayResult composed_sweep(const Compiled& c) {
+/// One cache configuration per paper block size for compile `c`.
+std::vector<CacheParams> paper_params(const Compiled& c) {
   std::vector<CacheParams> params;
   for (i64 b : paper_block_sizes())
     params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
-  const MultiShardPlan plan = multi_shard_plan(params, 2);
-  return replay_multi_partitioned(
-      partition_trace(record_encoded_trace(c), plan.region_bytes,
-                      plan.shards),
-      params, nullptr, /*threads=*/2);
+  return params;
+}
+
+/// A two-shard composed sweep of `c` over the paper block sizes — the
+/// engine replay_trace_study picks with two threads, called directly.
+MultiReplayResult composed_sweep(const Compiled& c) {
+  return replay_multi_sharded(record_encoded_trace(c), paper_params(c),
+                              /*shards=*/2, nullptr, /*threads=*/2);
 }
 
 TEST_F(ObsTest, EndToEndRunEmitsPassRecordAndReplaySpans) {
@@ -230,14 +232,18 @@ TEST_F(ObsTest, EndToEndRunEmitsPassRecordAndReplaySpans) {
   EXPECT_NE(find_span(data, "parse"), nullptr);
   EXPECT_NE(find_span(data, "codegen"), nullptr);
   EXPECT_NE(find_span(data, "record_encoded_trace"), nullptr);
-  EXPECT_NE(find_span(data, "partition"), nullptr);
   // The composed sharded × multi-plane engine: one span per shard with
-  // throughput, one span per plane with the miss-class counters.
+  // its simulated and scanned references and throughput, one span per
+  // plane with the miss-class counters.
   const obs::SpanEvent* shard = find_span(data, "multi_shard");
   ASSERT_NE(shard, nullptr);
-  bool has_refs = false;
-  for (const obs::Arg& a : shard->args) has_refs |= a.key == "refs";
+  bool has_refs = false, has_scanned = false;
+  for (const obs::Arg& a : shard->args) {
+    has_refs |= a.key == "refs";
+    has_scanned |= a.key == "scanned";
+  }
   EXPECT_TRUE(has_refs);
+  EXPECT_TRUE(has_scanned);
   const obs::SpanEvent* plane = find_span(data, "plane");
   ASSERT_NE(plane, nullptr);
   bool has_fs = false;
@@ -457,6 +463,35 @@ TEST_F(MetricsTest, KsrRunReportsInterpreterSpanAndCounters) {
   // Every step runs at least one instruction.
   EXPECT_GT(steps->value, 0.0);
   EXPECT_LE(steps->value, instructions->value);
+}
+
+TEST_F(MetricsTest, ShardedStudyCountsDecodeAndPlaneWork) {
+  // Work counts do not depend on timing or the thread schedule, so they
+  // repeat exactly: an extra decode or a lost plane shows on every run.
+  Compiled c = compile_source(kProgram, CompileOptions{});
+  const EncodedTrace trace = record_encoded_trace(c);
+  const double refs = static_cast<double>(trace.size());
+  ASSERT_GT(refs, 0.0);
+  ASSERT_EQ(multi_shard_plan(paper_params(c), 2).shards, 2);
+  auto counter = [this](std::string_view name) {
+    const obs::MetricsSnapshot snap = obs::metrics_snapshot();
+    const obs::MetricSample* s = sample(snap, name);
+    return s != nullptr ? s->value : 0.0;
+  };
+
+  // Two shards each decode the whole trace; every reference is
+  // simulated once per plane.
+  obs::metrics_reset();
+  replay_trace_study(trace, c, paper_block_sizes(), 32 * 1024, nullptr,
+                     /*threads=*/2);
+  EXPECT_DOUBLE_EQ(counter("trace.decoded_refs"), 2 * refs);
+  EXPECT_DOUBLE_EQ(counter("sim.replay.plane_refs"), 7 * refs);
+
+  // One walk decodes the trace once.
+  obs::metrics_reset();
+  replay_multi(trace, paper_params(c), nullptr, /*threads=*/1);
+  EXPECT_DOUBLE_EQ(counter("trace.decoded_refs"), refs);
+  EXPECT_DOUBLE_EQ(counter("sim.replay.plane_refs"), 7 * refs);
 }
 
 TEST_F(MetricsTest, StatsBitIdenticalWithMetricsOnAndOff) {

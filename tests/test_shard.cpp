@@ -1,10 +1,11 @@
-// Unit tests for region partitioning (trace/shard.h): routing by region
-// modulo shard count, per-shard order, split pieces of region-spanning
-// references, the single-shard case, and the composed replay's refusal
-// of a partition that does not match its planes.  Bit-identity of the
-// composed replay itself lives in test_multi_shard_replay.cpp.
-#include "trace/shard.h"
-
+// Unit tests for the region filter of the sharded replay
+// (replay_multi_sharded, sim/multi.h): pieces of region-spanning
+// references, geometries whose region or region count is not a power of
+// two, the single-shard case, and the refusal of a shard count the plan
+// does not admit.  Each replay is compared with the serial replay_multi
+// on stats and per-datum attribution; routing by region and per-shard
+// order are covered by the bit-identity suites in
+// test_multi_shard_replay.cpp and test_trace_codec.cpp.
 #include <gtest/gtest.h>
 
 #include "sim/multi.h"
@@ -18,104 +19,106 @@ EncodedTrace encoded(const std::vector<MemRef>& refs) {
   return encode_trace(t);
 }
 
-TEST(Partition, RoutesByRegionModuloShards) {
-  // 64B regions, 4 shards: addr 0 -> region 0 -> shard 0; addr 320 ->
-  // region 5 -> shard 1; addr 448 -> region 7 -> shard 3.
-  TracePartition p = partition_trace(encoded({{0, 4, 0, RefType::kRead},
-                                              {320, 4, 1, RefType::kWrite},
-                                              {448, 4, 2, RefType::kRead}}),
-                                     64, 4);
-  EXPECT_EQ(p.refs, 3u);
-  EXPECT_EQ(p.region_bytes, 64);
-  ASSERT_EQ(p.shard.size(), 4u);
-  ASSERT_EQ(p.shard[0].refs.size(), 1u);
-  EXPECT_EQ(p.shard[0].refs[0].addr, 0);
-  ASSERT_EQ(p.shard[1].refs.size(), 1u);
-  EXPECT_EQ(p.shard[1].refs[0].addr, 320);
-  EXPECT_TRUE(p.shard[2].refs.empty());
-  ASSERT_EQ(p.shard[3].refs.size(), 1u);
-  EXPECT_EQ(p.shard[3].refs[0].addr, 448);
+AddressMap two_data() {
+  AddressMap am;
+  am.add(0, 16, "low");
+  am.add(16, 1024, "high");
+  return am;
 }
 
-TEST(Partition, PreservesPerShardOrder) {
-  // All refs hit shard 0 (regions 0 and 2 with 2 shards); their relative
-  // order must survive.
-  TracePartition p = partition_trace(encoded({{0, 4, 0, RefType::kRead},
-                                              {128, 4, 1, RefType::kWrite},
-                                              {4, 4, 2, RefType::kRead},
-                                              {132, 8, 3, RefType::kRead}}),
-                                     64, 2);
-  ASSERT_EQ(p.shard[0].refs.size(), 4u);
-  EXPECT_EQ(p.shard[0].refs[0].addr, 0);
-  EXPECT_EQ(p.shard[0].refs[1].addr, 128);
-  EXPECT_EQ(p.shard[0].refs[2].addr, 4);
-  EXPECT_EQ(p.shard[0].refs[3].addr, 132);
-  EXPECT_TRUE(p.shard[1].refs.empty());
+void expect_matches_serial(const EncodedTrace& t,
+                           const std::vector<CacheParams>& params,
+                           int shards) {
+  const AddressMap am = two_data();
+  const MultiReplayResult serial = replay_multi(t, params, &am);
+  const MultiReplayResult sharded =
+      replay_multi_sharded(t, params, shards, &am, shards);
+  EXPECT_EQ(serial.stats, sharded.stats) << "shards=" << shards;
+  EXPECT_EQ(serial.by_datum, sharded.by_datum) << "shards=" << shards;
 }
 
-TEST(Partition, SplitsRegionSpanningRefs) {
-  // 4B regions, 2 shards: an 8-byte ref at 4 spans regions 1 (shard 1)
-  // and 2 (shard 0).  Each piece lands in its owning shard as a split
-  // entry tagged with the same ordinal and increasing part, positioned
-  // between the shard's surrounding plain refs.
-  TracePartition p =
-      partition_trace(encoded({{0, 4, 0, RefType::kRead},    // shard 0
-                               {4, 8, 1, RefType::kWrite},   // spans 1, 2
-                               {8, 4, 2, RefType::kRead}}),  // shard 0
-                      4, 2);
-  EXPECT_EQ(p.refs, 3u);
-  ASSERT_EQ(p.split_origin.size(), 1u);
-  EXPECT_EQ(p.split_origin[0].addr, 4);
-  EXPECT_EQ(p.split_origin[0].size, 8);
-
-  ASSERT_EQ(p.shard[1].splits.size(), 1u);  // region 1 piece
-  EXPECT_EQ(p.shard[1].splits[0].ordinal, 0u);
-  EXPECT_EQ(p.shard[1].splits[0].part, 0);
-  EXPECT_EQ(p.shard[1].splits[0].sub.addr, 4);
-  EXPECT_EQ(p.shard[1].splits[0].sub.size, 4);
-  EXPECT_EQ(p.shard[1].splits[0].pos, 0u);  // shard 1 has no plain refs
-
-  ASSERT_EQ(p.shard[0].splits.size(), 1u);  // region 2 piece
-  EXPECT_EQ(p.shard[0].splits[0].ordinal, 0u);
-  EXPECT_EQ(p.shard[0].splits[0].part, 1);
-  EXPECT_EQ(p.shard[0].splits[0].sub.addr, 8);
-  EXPECT_EQ(p.shard[0].splits[0].sub.size, 4);
-  // Between the plain refs at addr 0 (pos 0) and addr 8 (pos 1).
-  EXPECT_EQ(p.shard[0].splits[0].pos, 1u);
-  ASSERT_EQ(p.shard[0].refs.size(), 2u);
+TEST(ShardedReplay, SplitsRegionSpanningRefs) {
+  // 4 B regions, 2 shards: an 8-byte ref at 4 spans regions 1 (shard 1)
+  // and 2 (shard 0), one at 10 spans regions 2, 3 and 4.  Each shard
+  // simulates its own pieces between its surrounding plain refs; the
+  // pieces' outcomes recombine into one counted reference, attributed
+  // to the datum of its first byte.
+  const std::vector<MemRef> refs = {
+      {0, 4, 0, RefType::kRead},   {4, 8, 1, RefType::kWrite},
+      {8, 4, 2, RefType::kRead},   {4, 8, 0, RefType::kRead},
+      {12, 8, 3, RefType::kWrite}, {10, 8, 1, RefType::kWrite},
+      {16, 4, 2, RefType::kWrite}, {4, 8, 2, RefType::kRead},
+      {8, 4, 1, RefType::kWrite},  {12, 8, 0, RefType::kRead},
+  };
+  const std::vector<CacheParams> params = {{4, 1024, 4, 1024}};
+  ASSERT_EQ(multi_shard_plan(params, 2).region_bytes, 4);
+  expect_matches_serial(encoded(refs), params, 2);
 }
 
-TEST(Partition, SingleShardTakesEverything) {
-  TracePartition p = partition_trace(encoded({{0, 4, 0, RefType::kRead},
-                                              {4, 8, 1, RefType::kWrite},
-                                              {500, 4, 2, RefType::kRead}}),
-                                     4, 1);
-  EXPECT_EQ(p.shard[0].refs.size(), 2u);
-  EXPECT_EQ(p.shard[0].splits.size(), 2u);  // the 8B ref still splits
-  EXPECT_EQ(p.split_origin.size(), 1u);
+TEST(ShardedReplay, NonPowerOfTwoGeometryStaysAtOneShard) {
+  // Shards route by shift and mask, so the plan admits only power-of-two
+  // regions and shard counts.  Four processors write and read 4- and
+  // 8-byte data; every 8-byte ref (at 20 + 24 i) straddles a 24-byte
+  // region boundary, and the one at 764 a 256-byte one.
+  std::vector<MemRef> refs;
+  for (int i = 0; i < 600; ++i) {
+    const u8 proc = static_cast<u8>(i % 4);
+    const RefType type = i % 3 == 0 ? RefType::kWrite : RefType::kRead;
+    refs.push_back({(i * 28) % 960, 4, proc, type});
+    refs.push_back({20 + 24 * (i % 40), 8, proc, type});
+  }
+  const EncodedTrace t = encoded(refs);
+  // A 24-byte region (blocks {8, 24}) is not a power of two: one shard,
+  // though 1536 / 24 regions per cache would divide by two.
+  const std::vector<CacheParams> region24 = {{4, 1536, 8, 1024},
+                                             {4, 1536, 24, 1024}};
+  EXPECT_EQ(multi_shard_plan(region24, 2).shards, 1);
+  EXPECT_THROW(replay_multi_sharded(t, region24, 2), InternalError);
+  expect_matches_serial(t, region24, 1);
+  // Three 256-byte regions per cache: no power of two above 1 divides 3.
+  const std::vector<CacheParams> three = {{4, 768, 64, 1024},
+                                          {4, 768, 256, 1024}};
+  EXPECT_EQ(multi_shard_plan(three, 3).shards, 1);
+  EXPECT_EQ(multi_shard_plan(three, 8).shards, 1);
+  EXPECT_THROW(replay_multi_sharded(t, three, 3), InternalError);
+  expect_matches_serial(t, three, 1);
+  // Six regions per cache: a request of 8 falls to 2, not 6 or 3.
+  const std::vector<CacheParams> six = {{4, 1536, 64, 1024},
+                                        {4, 1536, 256, 1024}};
+  EXPECT_EQ(multi_shard_plan(six, 8).shards, 2);
+  EXPECT_THROW(replay_multi_sharded(t, six, 6), InternalError);
+  expect_matches_serial(t, six, 2);
 }
 
-TEST(Partition, MismatchedPartitionIsRejected) {
+TEST(ShardedReplay, SingleShardTakesEverything) {
+  // One shard keeps every reference, spanning ones whole.
+  const std::vector<MemRef> refs = {{0, 4, 0, RefType::kRead},
+                                    {4, 8, 1, RefType::kWrite},
+                                    {500, 4, 2, RefType::kRead},
+                                    {4, 8, 0, RefType::kRead}};
+  expect_matches_serial(encoded(refs), {{4, 1024, 4, 1024}}, 1);
+  // Also for a geometry the region cannot nest: one shard never splits.
+  expect_matches_serial(encoded(refs),
+                        {{4, 48 * 16, 48, 1024}, {4, 1024, 64, 1024}}, 1);
+}
+
+TEST(ShardedReplay, MismatchedPartitionIsRejected) {
   // Planes {16, 64} B in 32 KiB caches: region 64, and every shard count
   // up to 512 divides 32768 / 64.
   EncodedTrace t = encoded({{0, 4, 0, RefType::kRead}});
   std::vector<CacheParams> params = {{4, 32 * 1024, 16, 1 << 16},
                                      {4, 32 * 1024, 64, 1 << 16}};
-  EXPECT_NO_THROW(replay_multi_partitioned(partition_trace(t, 64, 2), params));
-  // Wrong region: the partition must nest the largest plane block.
-  EXPECT_THROW(replay_multi_partitioned(partition_trace(t, 32, 2), params),
-               InternalError);
+  EXPECT_NO_THROW(replay_multi_sharded(t, params, 2));
+  EXPECT_THROW(replay_multi_sharded(t, params, 0), InternalError);
   // 3 does not divide the 512 regions per cache, so LRU sets would span
   // shards.
-  EXPECT_THROW(replay_multi_partitioned(partition_trace(t, 64, 3), params),
-               InternalError);
+  EXPECT_THROW(replay_multi_sharded(t, params, 3), InternalError);
   // A geometry the region cannot nest ({48, 64} B) composes at no shard
   // count above 1.
   std::vector<CacheParams> odd = {{4, 48 * 1024, 48, 1 << 16},
                                   {4, 32 * 1024, 64, 1 << 16}};
   EXPECT_EQ(multi_shard_plan(odd, 4).shards, 1);
-  EXPECT_THROW(replay_multi_partitioned(partition_trace(t, 64, 2), odd),
-               InternalError);
+  EXPECT_THROW(replay_multi_sharded(t, odd, 2), InternalError);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Property tests for the compressed columnar trace codec
 // (trace/encode.h): decode(encode(t)) == t over seeded pseudo-random and
 // adversarial streams, chunk-boundary-independent decoding (any chunk,
-// any order), streaming-vs-bulk encoder equivalence, and chunk-boundary-
-// independent partitioning (partition_trace over small chunks == over one
-// chunk holding the whole stream).
+// any order), streaming-vs-bulk encoder equivalence, the one-byte meta
+// column, and a chunk-boundary-independent sharded replay (every shard
+// decodes the trace itself, so replay_multi_sharded over small chunks
+// == over one chunk holding the whole stream).
 //
 // The fuzz loops run a fixed seed matrix so CI is reproducible; set
 // FSOPT_FUZZ_ITERS to scale the number of random cases per pattern.
@@ -16,7 +17,7 @@
 #include <limits>
 #include <string>
 
-#include "trace/shard.h"
+#include "sim/multi.h"
 
 namespace fsopt {
 namespace {
@@ -46,8 +47,8 @@ MemRef make_ref(i64 addr, u8 size, u8 proc, bool write) {
 }
 
 /// Fully random refs: addresses anywhere in a 1 MiB space, any of the
-/// supported processors/sizes/types.  Worst case for the RLE meta column
-/// and a generic case for the delta column.
+/// supported processors/sizes/types.  Unaligned, so 4- and 8-byte refs
+/// alike span region boundaries; a generic case for the delta column.
 std::vector<MemRef> gen_uniform(Rng& rng, size_t n) {
   std::vector<MemRef> out;
   out.reserve(n);
@@ -74,8 +75,8 @@ std::vector<MemRef> gen_monotone(Rng& rng, size_t n) {
 }
 
 /// Strictly alternating processor ids with disjoint address bases:
-/// every meta byte differs from its neighbour (RLE runs of length 1) and
-/// the interleave stresses the per-processor delta state.
+/// every meta byte differs from its neighbour and the interleave
+/// stresses the per-processor delta state.
 std::vector<MemRef> gen_alternating(Rng& rng, size_t n) {
   std::vector<MemRef> out;
   out.reserve(n);
@@ -102,8 +103,8 @@ std::vector<MemRef> gen_max_delta(Rng& rng, size_t n) {
   return out;
 }
 
-/// Long same-meta runs (one processor hammering one word) — the best
-/// case for RLE; also exercises varint-encoded run lengths > 127.
+/// Long same-meta runs (one processor hammering one word): zero address
+/// deltas.
 std::vector<MemRef> gen_runs(Rng& rng, size_t n) {
   std::vector<MemRef> out;
   out.reserve(n);
@@ -134,7 +135,7 @@ constexpr Pattern kPatterns[] = {
 int fuzz_iters() {
   if (const char* env = std::getenv("FSOPT_FUZZ_ITERS"))
     return std::max(1, std::atoi(env));
-  return 8;  // per (pattern, chunk size) cell; CI raises this
+  return 8;  // per (pattern, chunk size) cell; CI's fuzz steps use 200
 }
 
 // --- helpers ---------------------------------------------------------
@@ -151,27 +152,16 @@ std::vector<MemRef> decode_all(const EncodedTrace& t) {
   return sink.refs();
 }
 
-/// TracePartition has no operator==; compare the replay-relevant state.
-void expect_partitions_equal(const TracePartition& a,
-                             const TracePartition& b) {
-  ASSERT_EQ(a.refs, b.refs);
-  ASSERT_EQ(a.region_bytes, b.region_bytes);
-  ASSERT_EQ(a.shards, b.shards);
-  ASSERT_EQ(a.split_origin, b.split_origin);
-  ASSERT_EQ(a.shard.size(), b.shard.size());
-  for (size_t k = 0; k < a.shard.size(); ++k) {
-    EXPECT_EQ(a.shard[k].refs, b.shard[k].refs) << "shard " << k;
-    ASSERT_EQ(a.shard[k].splits.size(), b.shard[k].splits.size())
-        << "shard " << k;
-    for (size_t i = 0; i < a.shard[k].splits.size(); ++i) {
-      const auto& sa = a.shard[k].splits[i];
-      const auto& sb = b.shard[k].splits[i];
-      EXPECT_EQ(sa.pos, sb.pos);
-      EXPECT_EQ(sa.ordinal, sb.ordinal);
-      EXPECT_EQ(sa.part, sb.part);
-      EXPECT_EQ(sa.sub, sb.sub);
-    }
-  }
+/// Simulated address space of the sharded-replay property: the
+/// simulator sizes its state by the space, so every pattern is folded
+/// into it (max_delta's far addresses could not be simulated as they
+/// are).
+constexpr i64 kSimBytes = 1 << 14;
+
+std::vector<MemRef> folded(std::vector<MemRef> refs) {
+  for (MemRef& r : refs)
+    r.addr = static_cast<i64>(static_cast<u64>(r.addr) % kSimBytes);
+  return refs;
 }
 
 // --- directed cases --------------------------------------------------
@@ -248,6 +238,21 @@ TEST(TraceCodec, EncoderReusableAfterTake) {
   EXPECT_EQ(decode_all(enc.take()), second);
 }
 
+TEST(TraceCodec, MetaColumnIsOneBytePerReference) {
+  // Alternating reads and writes by one processor stepping one word at
+  // a time: every meta byte differs from the previous one and every
+  // address delta fits one varint byte, so a reference costs one meta
+  // byte plus one address byte.  Chunk overhead: the chunk object, and
+  // the first address, which is a delta from 0 (at most 10 bytes).
+  std::vector<MemRef> refs;
+  for (int i = 0; i < 10000; ++i)
+    refs.push_back(make_ref(4 * i, 4, 3, i % 2 != 0));
+  EncodedTrace t = encode_trace(to_buffer(refs), /*chunk_refs=*/4096);
+  EXPECT_LE(t.memory_bytes(),
+            2 * refs.size() + t.chunk_count() * (sizeof(EncodedChunk) + 10));
+  EXPECT_EQ(decode_all(t), refs);
+}
+
 TEST(TraceCodec, CompressesFriendlyStreams) {
   // Strided per-processor walks should encode well below the raw
   // 16 bytes/ref; this pins the "compressed" in compressed traces.
@@ -315,19 +320,42 @@ TEST_P(TraceCodecFuzz, ChunksDecodeIndependently) {
   }
 }
 
-TEST_P(TraceCodecFuzz, PartitioningIgnoresChunkBoundaries) {
+TEST_P(TraceCodecFuzz, ShardedReplayIgnoresChunkBoundaries) {
+  // Every shard decodes the trace itself and filters its regions out of
+  // the stream, so where the chunks end must not change a counter; nor
+  // may the sharding itself, on streams of unaligned and spanning refs.
   const Pattern& pat = GetParam();
   int iters = std::max(1, fuzz_iters() / 2);
   for (int iter = 0; iter < iters; ++iter) {
     Rng rng(0x5ad * (iter + 1) + (&pat - kPatterns) * 31);
-    std::vector<MemRef> refs = pat.gen(rng, 1 + rng.below(4000));
+    std::vector<MemRef> refs = folded(pat.gen(rng, 1 + rng.below(4000)));
+    i64 nprocs = 1;
+    for (const MemRef& r : refs) nprocs = std::max<i64>(nprocs, r.proc + 1);
     TraceBuffer raw = to_buffer(refs);
     EncodedTrace small = encode_trace(raw, /*chunk_refs=*/256);
     EncodedTrace whole = encode_trace(raw, refs.size());
-    for (i64 region : {4, 64}) {
+    AddressMap am;
+    am.add(0, kSimBytes / 4, "low");
+    am.add(kSimBytes / 4, kSimBytes, "high");
+    // Largest blocks 4 and 64 B: 4-byte regions split every spanning
+    // reference, 64-byte ones only those across a 64 B boundary.
+    for (const std::vector<i64>& blocks :
+         {std::vector<i64>{4}, std::vector<i64>{4, 16, 64}}) {
+      std::vector<CacheParams> params;
+      for (i64 b : blocks) params.push_back({nprocs, 1024, b, kSimBytes + 8});
+      const MultiReplayResult serial = replay_multi(whole, params, &am);
       for (int shards : {1, 4}) {
-        expect_partitions_equal(partition_trace(small, region, shards),
-                                partition_trace(whole, region, shards));
+        ASSERT_EQ(multi_shard_plan(params, shards).shards, shards);
+        const MultiReplayResult a =
+            replay_multi_sharded(small, params, shards, &am);
+        const MultiReplayResult b =
+            replay_multi_sharded(whole, params, shards, &am);
+        EXPECT_EQ(a.stats, b.stats)
+            << pat.name << " iter=" << iter << " shards=" << shards;
+        EXPECT_EQ(a.by_datum, b.by_datum)
+            << pat.name << " iter=" << iter << " shards=" << shards;
+        EXPECT_EQ(b.stats, serial.stats)
+            << pat.name << " iter=" << iter << " shards=" << shards;
       }
     }
   }
