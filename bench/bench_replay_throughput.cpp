@@ -16,7 +16,9 @@
 // fails loudly if any pair of implementations disagrees on a single
 // counter.
 //
-// Extra flags (on top of the shared --threads/--json):
+// Extra flags (on top of the shared --threads/--json); an unknown
+// workload, or a count that is not a whole non-negative integer, prints
+// usage and exits 2:
 //   --workload NAME   trace source (default fmm)
 //   --target-refs N   replicate the recorded trace to at least N refs
 //                     (default 4000000)
@@ -59,28 +61,41 @@ int main(int argc, char** argv) {
   std::string workload = "fmm";
   u64 target_refs = 4'000'000;
   int repeats = 3;
+  auto usage = [&](const std::string& msg) {
+    if (!msg.empty()) std::fprintf(stderr, "%s: %s\n", argv[0], msg.c_str());
+    std::fprintf(stderr,
+                 "usage: %s [--threads N] [--json PATH] [--workload NAME]"
+                 " [--target-refs N] [--repeats N]\nworkloads:",
+                 argv[0]);
+    for (const workloads::Workload& w : workloads::all())
+      std::fprintf(stderr, " %s", w.name.c_str());
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value after %s\n", argv[0],
-                     a.c_str());
-        std::exit(2);
-      }
+      if (i + 1 >= argc) usage("missing value after " + a);
       return argv[++i];
+    };
+    // The value after `a` as a count in [0, INT_MAX], taken whole.
+    auto next_count = [&]() -> int {
+      std::optional<int> v = parse_count(next());
+      if (!v) usage(a + " expects a non-negative integer");
+      return *v;
     };
     if (a == "--workload") {
       workload = next();
+      bool known = false;
+      for (const workloads::Workload& w : workloads::all())
+        known |= w.name == workload;
+      if (!known) usage("--workload: no workload named '" + workload + "'");
     } else if (a == "--target-refs") {
-      target_refs = static_cast<u64>(std::atoll(next()));
+      target_refs = static_cast<u64>(next_count());
     } else if (a == "--repeats") {
-      repeats = std::atoi(next());
+      repeats = next_count();
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads N] [--json PATH] [--workload NAME]"
-                   " [--target-refs N] [--repeats N]\n",
-                   argv[0]);
-      std::exit(2);
+      usage("");
     }
   }
 
@@ -444,9 +459,7 @@ int main(int argc, char** argv) {
     MultiReplayResult traced =
         replay_multi_sharded(enc, params, plan.shards, nullptr, plan.shards);
     obs::TraceData after = obs::collect();
-    size_t events =
-        (after.span_count() - before.span_count()) +
-        (after.counter_count() - before.counter_count());
+    size_t events = after.span_count() - before.span_count();
 
     obs::set_enabled(false);
     MultiReplayResult untraced;

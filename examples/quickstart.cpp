@@ -8,6 +8,7 @@
 // counters packed next to each other, so every increment invalidates every
 // other processor's cache block.
 #include <cstdio>
+#include <optional>
 
 #include "driver/experiment.h"
 
@@ -45,8 +46,17 @@ void main(int pid) {
 
 int main(int argc, char** argv) {
   // Replays/sweeps honour --threads N (or the FSOPT_THREADS env var).
-  if (argc > 2 && std::string_view(argv[1]) == "--threads")
-    set_experiment_threads(std::atoi(argv[2]));
+  if (argc > 2 && std::string_view(argv[1]) == "--threads") {
+    std::optional<int> threads = parse_count(argv[2]);
+    if (!threads) {
+      std::fprintf(stderr,
+                   "%s: --threads expects a non-negative integer\n"
+                   "usage: %s [--threads N]\n",
+                   argv[0], argv[0]);
+      return 2;
+    }
+    set_experiment_threads(*threads);
+  }
 
   // 1. Compile unoptimized and optimized versions.
   CompileOptions plain;

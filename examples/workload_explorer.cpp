@@ -7,6 +7,7 @@
 //   $ ./workload_explorer fmm 16          # ... at a given processor count
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "driver/experiment.h"
 #include "support/stats.h"
@@ -27,7 +28,15 @@ static void list_workloads() {
 int main(int argc, char** argv) {
   // Replays/sweeps honour --threads N (or the FSOPT_THREADS env var).
   if (argc > 2 && std::string(argv[1]) == "--threads") {
-    set_experiment_threads(std::atoi(argv[2]));
+    std::optional<int> threads = parse_count(argv[2]);
+    if (!threads) {
+      std::fprintf(stderr,
+                   "%s: --threads expects a non-negative integer\n"
+                   "usage: %s [--threads N] [WORKLOAD [NPROCS]]\n",
+                   argv[0], argv[0]);
+      return 2;
+    }
+    set_experiment_threads(*threads);
     argc -= 2;
     argv += 2;
   }

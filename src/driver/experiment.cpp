@@ -1,7 +1,6 @@
 #include "driver/experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -14,20 +13,6 @@ namespace fsopt {
 
 std::vector<i64> paper_block_sizes() { return {4, 8, 16, 32, 64, 128, 256}; }
 std::vector<i64> table2_block_sizes() { return {8, 16, 32, 64, 128, 256}; }
-
-namespace {
-// 0 = auto (FSOPT_THREADS env or hardware concurrency).
-std::atomic<int> g_experiment_threads{0};
-}  // namespace
-
-void set_experiment_threads(int threads) {
-  g_experiment_threads.store(threads < 0 ? 0 : threads);
-}
-
-int experiment_threads() {
-  int n = g_experiment_threads.load();
-  return n > 0 ? n : default_thread_count();
-}
 
 namespace {
 
@@ -293,11 +278,12 @@ ConflictProfile build_conflict_profile(const TraceStudyResult& study,
               "trace study carries no conflict graph for block size " +
                   std::to_string(block_size) +
                   " (run with collect_conflicts)");
-  return build_conflict_profile(it->second, block_size, map);
+  return build_conflict_profile({&it->second}, block_size, map);
 }
 
-ConflictProfile build_conflict_profile(const ConflictGraph& graph,
-                                       i64 block_size, const AddressMap& map) {
+ConflictProfile build_conflict_profile(
+    const std::vector<const ConflictGraph*>& graphs, i64 block_size,
+    const AddressMap& map) {
   struct PairKey {
     i64 wo, vo;
     int wp, vp;
@@ -309,14 +295,16 @@ ConflictProfile build_conflict_profile(const ConflictGraph& graph,
     }
   };
   std::map<std::string, std::map<PairKey, u64>> acc;
-  for (const LineConflicts& lc : graph.lines) {
-    for (const ConflictEdge& e : lc.edges) {
-      int wi = map.index_of(e.writer_word);
-      int vi = map.index_of(e.victim_word);
-      if (wi < 0 || wi != vi) continue;  // unmapped or cross-datum
-      const AddrRange& r = map.ranges()[static_cast<size_t>(wi)];
-      acc[r.name][{e.writer_word - r.lo, e.victim_word - r.lo, e.writer_proc,
-                   e.victim_proc}] += e.weight;
+  for (const ConflictGraph* graph : graphs) {
+    for (const LineConflicts& lc : graph->lines) {
+      for (const ConflictEdge& e : lc.edges) {
+        int wi = map.index_of(e.writer_word);
+        int vi = map.index_of(e.victim_word);
+        if (wi < 0 || wi != vi) continue;  // unmapped or cross-datum
+        const AddrRange& r = map.ranges()[static_cast<size_t>(wi)];
+        acc[r.name][{e.writer_word - r.lo, e.victim_word - r.lo,
+                     e.writer_proc, e.victim_proc}] += e.weight;
+      }
     }
   }
   ConflictProfile out;
@@ -521,44 +509,10 @@ SearchPlanResult search_plan(std::string_view source,
   // 128-padded elements sharing one 256 B unit) must still surface a
   // search domain, or the search would be blind to exactly the misses
   // the greedy planner could not remove.
-  ConflictProfile conflicts;
-  conflicts.block_size = sopt.block_size;
-  {
-    struct PairKey {
-      i64 wo, vo;
-      int wp, vp;
-      bool operator<(const PairKey& o) const {
-        if (wo != o.wo) return wo < o.wo;
-        if (vo != o.vo) return vo < o.vo;
-        if (wp != o.wp) return wp < o.wp;
-        return vp < o.vp;
-      }
-    };
-    std::map<std::string, std::map<PairKey, u64>> acc;
-    for (const auto& [b, g] : out.seed.conflicts) {
-      ConflictProfile cp = build_conflict_profile(g, b, am);
-      for (const ConflictProfile::Entry& e : cp.entries)
-        for (const ConflictProfile::Pair& p : e.pairs)
-          acc[e.name][{p.writer_off, p.victim_off, p.writer_proc,
-                       p.victim_proc}] += p.weight;
-    }
-    for (auto& [name, pairs] : acc) {
-      ConflictProfile::Entry en;
-      en.name = name;
-      for (const auto& [k, w] : pairs) {
-        en.pairs.push_back({k.wo, k.vo, k.wp, k.vp, w});
-        en.weight += w;
-      }
-      conflicts.total_weight += en.weight;
-      conflicts.entries.push_back(std::move(en));
-    }
-    std::sort(conflicts.entries.begin(), conflicts.entries.end(),
-              [](const ConflictProfile::Entry& a,
-                 const ConflictProfile::Entry& b) {
-                if (a.weight != b.weight) return a.weight > b.weight;
-                return a.name < b.name;
-              });
-  }
+  std::vector<const ConflictGraph*> swept_graphs;
+  for (const auto& [b, g] : out.seed.conflicts) swept_graphs.push_back(&g);
+  const ConflictProfile conflicts =
+      build_conflict_profile(swept_graphs, sopt.block_size, am);
 
   // Candidate evaluation, one candidate per worker: each job recompiles
   // against the shared front (the Program is immutable after sema, so

@@ -8,9 +8,12 @@
 // recording and replay all planes on their own regions; planes and
 // shards share one thread budget, as do the
 // compile+run timing jobs of a processor-count sweep and the candidates
-// of a plan-search batch.  Each job owns its simulator and writes into
-// its own result slot, and slots are merged in a fixed order, so results
-// are bit-identical for any thread count and any shard count.
+// of a plan-search batch.  Every fan-out is one fork-join
+// parallel_for_each, and every `threads = 0` resolves through
+// experiment_threads() (both in support/thread_pool.h, included below).
+// Each job owns its simulator and writes into its own result slot, and
+// slots are merged in a fixed order, so results are bit-identical for
+// any thread count and any shard count.
 #pragma once
 
 #include <map>
@@ -32,14 +35,6 @@ namespace fsopt {
 std::vector<i64> paper_block_sizes();  // 4..256
 /// Block sizes used for Table 2 averages (8-256).
 std::vector<i64> table2_block_sizes();
-
-/// Process-wide parallelism knob for the harness (replays, sweeps):
-///   0  = auto: FSOPT_THREADS env var if set, else hardware concurrency;
-///   1  = serial;
-///   N  = at most N worker threads.
-/// Results never depend on this — only wall-clock does.
-void set_experiment_threads(int threads);
-int experiment_threads();
 
 struct TraceStudyResult {
   std::map<i64, MissStats> by_block;  // block size -> stats
@@ -191,11 +186,14 @@ FalseSharingProfile build_fs_profile(
 ConflictProfile build_conflict_profile(const TraceStudyResult& study,
                                        i64 block_size, const AddressMap& map);
 
-/// Same distillation straight from one collected graph (RepairResult
-/// keeps the final compile's graphs, so the search seeding path can
-/// rebuild the planner inputs without re-tracing).
-ConflictProfile build_conflict_profile(const ConflictGraph& graph,
-                                       i64 block_size, const AddressMap& map);
+/// Same distillation straight from collected graphs, their edge weights
+/// summed pair by pair: the study overload passes its one graph, and the
+/// search seeding path passes the final compile's graphs of every swept
+/// size (RepairResult keeps them), without re-tracing.  `block_size` only
+/// labels the result.
+ConflictProfile build_conflict_profile(
+    const std::vector<const ConflictGraph*>& graphs, i64 block_size,
+    const AddressMap& map);
 
 struct RepairLoopOptions {
   /// Coherence-unit size the repair targets (plan + simulation).

@@ -1,13 +1,12 @@
 // Metrics registry: typed counters and gauges.
 //
-// The spans/counters of obs.h answer "what happened when" — they are
+// The spans of obs.h answer "what happened when" — they are
 // events on a timeline, exported as a Chrome trace.  This module answers
 // "how much, in aggregate": named instruments that accumulate across the
 // whole process and are snapshotted on demand or at exit, the surface a
 // long-running service (the planned fsoptd) scrapes.  The ad-hoc numbers
-// that used to ride on span args — pool queue depth, codec bytes/ref,
-// repair-loop iterations — register here so one exporter sees all of
-// them.
+// that used to ride on span args — codec bytes/ref, repair-loop
+// iterations — register here so one exporter sees all of them.
 //
 // The same design constraints as obs.h, in the same priority order:
 //   1. Must not perturb results.  Instruments only accumulate numbers;
@@ -80,7 +79,7 @@ class Counter {
   std::atomic<u64> v_{0};
 };
 
-/// Last-written value (queue depth, bytes/ref, ...).
+/// Last-written value (bytes/ref, ...).
 class Gauge {
  public:
   void set(double v) {

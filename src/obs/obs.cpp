@@ -69,9 +69,8 @@ void at_exit_dump() {
   TraceData data = collect();
   if (!path.empty()) {
     if (write_trace_file(path, data))
-      std::fprintf(stderr, "(obs: chrome trace written to %s — %zu spans, "
-                           "%zu counters%s)\n",
-                   path.c_str(), data.span_count(), data.counter_count(),
+      std::fprintf(stderr, "(obs: chrome trace written to %s — %zu spans%s)\n",
+                   path.c_str(), data.span_count(),
                    partial.empty() ? "" : ", PARTIAL DATA");
     else
       std::fprintf(stderr, "obs: cannot write trace to %s\n", path.c_str());
@@ -180,12 +179,6 @@ size_t TraceData::span_count() const {
   return n;
 }
 
-size_t TraceData::counter_count() const {
-  size_t n = 0;
-  for (const ThreadLog& t : threads) n += t.counters.size();
-  return n;
-}
-
 TraceData collect() {
   // Snapshot the log list, then each log under its own lock; appenders
   // are never blocked for longer than one copy.
@@ -215,19 +208,7 @@ void reset() {
   for (const auto& log : logs) {
     std::lock_guard<std::mutex> lk(log->mu);
     log->data.spans.clear();
-    log->data.counters.clear();
   }
-}
-
-void counter(const char* name, double value) {
-  if (!enabled()) return;
-  CounterEvent ev;
-  ev.ts_ns = now_ns();
-  ev.name = name;
-  ev.value = value;
-  Log& log = local_log();
-  std::lock_guard<std::mutex> lk(log.mu);
-  log.data.counters.push_back(ev);
 }
 
 void Span::init(const char* category, std::string_view name) {

@@ -1,13 +1,13 @@
-// Runtime tracing: spans, counters, thread attribution.
+// Runtime tracing: spans and thread attribution.
 //
 // The one per-event instrumentation surface of the tree: compile passes
 // (driver/pipeline.h opens a `pass` span around each and the pass
-// attaches its domain counters), thread-pool jobs, trace recording,
-// replays, the search and the sweeps.  Every instrumented site creates an
-// RAII Span (or emits a named counter); events land in per-thread buffers
-// and are exported as Chrome trace-event JSON (obs/trace_writer.h)
-// loadable in Perfetto / chrome://tracing, or aggregated into a
-// human-readable summary.  Process-wide totals live in the metrics
+// attaches its domain counters), parallel_for_each workers, trace
+// recording, replays, the search and the sweeps.  Every instrumented site
+// creates an RAII Span; spans land in per-thread buffers and are
+// exported as Chrome trace-event JSON (obs/trace_writer.h) loadable in
+// Perfetto / chrome://tracing, or aggregated into a human-readable
+// summary.  Process-wide totals live in the metrics
 // registry (obs/metrics.h).
 //
 // Design constraints, in priority order:
@@ -98,19 +98,11 @@ struct SpanEvent {
   std::vector<Arg> args;
 };
 
-/// A named sample at a point in time (Chrome "C" event).
-struct CounterEvent {
-  u64 ts_ns = 0;
-  const char* name = "";  // static string at every call site
-  double value = 0.0;
-};
-
 /// Everything one thread recorded.
 struct ThreadLog {
   u32 tid = 0;
   std::string name;
   std::vector<SpanEvent> spans;
-  std::vector<CounterEvent> counters;
 };
 
 /// Snapshot of every thread's log (copies; safe to inspect while other
@@ -119,7 +111,6 @@ struct TraceData {
   std::vector<ThreadLog> threads;
 
   size_t span_count() const;
-  size_t counter_count() const;
 };
 
 TraceData collect();
@@ -128,10 +119,6 @@ TraceData collect();
 /// and clear the partial-data marker.  Tests use this to isolate what
 /// one operation recorded.
 void reset();
-
-/// Emit a counter sample for the calling thread.  `name` must point to
-/// storage that outlives the trace (string literals at every call site).
-void counter(const char* name, double value);
 
 /// RAII span.  Construction stamps the start, destruction records the
 /// event into the calling thread's buffer.  When tracing is disabled the

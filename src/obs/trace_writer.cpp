@@ -55,17 +55,6 @@ std::string chrome_trace_json(const TraceData& data) {
       write_args(w, s.args);
       w.end_object();
     }
-    for (const CounterEvent& c : t.counters) {
-      w.begin_object()
-          .key("ph").value("C")
-          .key("pid").value(1)
-          .key("tid").value(t.tid)
-          .key("name").value(c.name)
-          .key("ts").value(static_cast<double>(c.ts_ns) * kNsToUs, "%.3f")
-          .key("args").begin_object().key("value").value(c.value)
-          .end_object()
-          .end_object();
-    }
   }
   w.end_array().key("displayTimeUnit").value("ms").end_object();
   return out;
@@ -89,11 +78,7 @@ TraceSummary summarize(const TraceData& data) {
   u64 pool_min = ~u64{0}, pool_max = 0;
 
   for (const ThreadLog& t : data.threads) {
-    if (!t.spans.empty() || !t.counters.empty()) ++out.thread_count;
-    for (const CounterEvent& c : t.counters) {
-      min_start = std::min(min_start, c.ts_ns);
-      max_end = std::max(max_end, c.ts_ns);
-    }
+    if (!t.spans.empty()) ++out.thread_count;
     for (const SpanEvent& s : t.spans) {
       min_start = std::min(min_start, s.start_ns);
       max_end = std::max(max_end, s.start_ns + s.dur_ns);
@@ -133,7 +118,7 @@ TraceSummary summarize(const TraceData& data) {
   }
   if (max_end >= min_start && max_end != 0)
     out.wall_seconds = static_cast<double>(max_end - min_start) * kNsToSec;
-  // Every parallel call builds a fresh pool, so counting each pool
+  // Every parallel call starts fresh workers, so counting each pool
   // thread ever seen would charge a long run for hundreds of workers it
   // never had at once.  An end sorts before a start at the same instant:
   // back-to-back jobs do not overlap.
@@ -159,10 +144,9 @@ std::string render_summary(const TraceData& data) {
   std::string out = "=== obs trace summary ===\n";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "wall %.3fs, %zu thread%s, %zu spans, %zu counters\n",
-                s.wall_seconds, s.thread_count,
-                s.thread_count == 1 ? "" : "s", data.span_count(),
-                data.counter_count());
+                "wall %.3fs, %zu thread%s, %zu spans\n", s.wall_seconds,
+                s.thread_count, s.thread_count == 1 ? "" : "s",
+                data.span_count());
   out += buf;
 
   TextTable table({"category", "name", "count", "total", "max"});

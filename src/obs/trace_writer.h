@@ -1,13 +1,13 @@
 // Exporters for the runtime trace (obs/obs.h): Chrome trace-event JSON
 // and a human-readable summary.
 //
-// The JSON form is the Trace Event Format's "X" (complete span), "C"
-// (counter) and "M" (thread-name metadata) events, one process, one
-// event per recorded span/counter — load the file in Perfetto or
-// chrome://tracing.  The summary aggregates the same data for a
-// terminal: per-(category, name) count/total/max, pool utilization
-// (busy ÷ peak concurrent jobs × wall), the slowest pass and the slowest
-// replay shard.  Serialization rides on support/json.h.
+// The JSON form is the Trace Event Format's "X" (complete span) and "M"
+// (thread-name metadata) events, one process, one event per recorded
+// span — load the file in Perfetto or chrome://tracing.  The summary
+// aggregates the same data for a terminal: per-(category, name)
+// count/total/max, pool utilization (busy ÷ peak concurrent jobs ×
+// wall), the slowest pass and the slowest replay shard.  Serialization
+// rides on support/json.h.
 #pragma once
 
 #include <string>

@@ -16,11 +16,6 @@ void MissStats::merge(const MissStats& other) {
   invalidations += other.invalidations;
 }
 
-void merge_by_datum(std::map<std::string, MissStats>& into,
-                    const std::map<std::string, MissStats>& from) {
-  for (const auto& [name, stats] : from) into[name].merge(stats);
-}
-
 std::map<std::string, MissStats> materialize_by_datum(
     const AddressMap& map, const std::vector<MissStats>& dense) {
   static const std::string kOther = "<other>";

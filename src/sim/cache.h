@@ -377,10 +377,6 @@ struct MissStats {
   bool operator==(const MissStats& other) const = default;
 };
 
-/// Merge per-datum attribution maps from independent replays.
-void merge_by_datum(std::map<std::string, MissStats>& into,
-                    const std::map<std::string, MissStats>& from);
-
 /// Convert dense per-datum stats (AddressMap range order plus a trailing
 /// slot for addresses outside every range) into the string-keyed map the
 /// reports consume.  Zero-ref slots are skipped; duplicate names merge.

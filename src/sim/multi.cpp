@@ -719,7 +719,7 @@ MultiReplayResult replay_multi(const EncodedTrace& trace,
   // replaying the trace once into a MultiCacheSim over its contiguous
   // plane range.  Grouping never changes any plane's input sequence, so
   // results are bit-identical for every thread count.
-  if (threads == 0) threads = default_thread_count();
+  if (threads == 0) threads = experiment_threads();
   const size_t nplanes = params.size();
   FSOPT_CHECK(nplanes > 0, "multi-replay needs at least one plane");
   const size_t groups =
@@ -938,7 +938,6 @@ MultiReplayResult replay_multi_sharded(const EncodedTrace& trace,
   FSOPT_CHECK(plan.shards == shards,
               "shard count is not exact for these planes"
               " (use multi_shard_plan)");
-  if (threads == 0) threads = default_thread_count();
 
   // Per-shard job: one MultiCacheSim over ALL planes, fed by a filter
   // over the shard's own decode of the trace.  Normal references count

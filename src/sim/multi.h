@@ -128,9 +128,9 @@ class MultiCacheSim : public TraceSink {
 /// simultaneously.  With `threads` > 1 the planes are divided among up
 /// to min(threads, planes) workers, each walking the (cheap, encoded)
 /// stream once for its plane subset — results are bit-identical for any
-/// thread count because planes never interact.  0 = default_thread_count()
-/// (the FSOPT_THREADS env var, else hardware concurrency).  Adds
-/// trace refs × planes to the sim.replay.plane_refs metric.
+/// thread count because planes never interact.  0 = experiment_threads()
+/// (support/thread_pool.h).  Adds trace refs × planes to the
+/// sim.replay.plane_refs metric.
 ///
 /// With a non-null `conflicts`, each plane additionally accumulates its
 /// word-granularity false-sharing conflict graph; on return *conflicts
@@ -184,8 +184,8 @@ MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
 /// InternalError); results are bit-identical to replay_multi for every
 /// shard count and thread count.  Every shard decodes the whole trace,
 /// so `threads` >= `shards` keeps those decodes concurrent.  `threads` =
-/// 0 uses default_thread_count().  Adds trace refs × planes to the
-/// sim.replay.plane_refs metric.
+/// 0 uses experiment_threads(), as every parallel_for_each does.  Adds
+/// trace refs × planes to the sim.replay.plane_refs metric.
 MultiReplayResult replay_multi_sharded(const EncodedTrace& trace,
                                        const std::vector<CacheParams>& params,
                                        int shards,

@@ -1,8 +1,14 @@
 #include "support/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -10,125 +16,56 @@
 namespace fsopt {
 
 namespace {
-
-// Registered once; the obs::counter timeline samples stay alongside so
-// traces still show the depth curve, while the metrics surface exposes
-// the same number (plus a jobs-executed counter) to scrapes.
-obs::Gauge& queue_depth_gauge() {
-  static obs::Gauge& g = obs::metric_gauge("pool.queue_depth");
-  return g;
-}
-
+// 0 = auto (FSOPT_THREADS or hardware concurrency).
+std::atomic<int> g_experiment_threads{0};
 }  // namespace
 
-int default_thread_count() {
-  if (const char* env = std::getenv("FSOPT_THREADS")) {
-    long n = std::strtol(env, nullptr, 10);
-    if (n >= 1) return static_cast<int>(n);
-  }
-  unsigned hw = std::thread::hardware_concurrency();
+void set_experiment_threads(int threads) {
+  g_experiment_threads.store(threads < 0 ? 0 : threads);
+}
+
+int experiment_threads() {
+  if (const int n = g_experiment_threads.load(); n > 0) return n;
+  if (const char* env = std::getenv("FSOPT_THREADS"))
+    if (std::optional<int> n = parse_count(env); n && *n >= 1) return *n;
+  const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-ThreadPool::ThreadPool(int threads) {
-  if (threads <= 0) threads = default_thread_count();
-  workers_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i] {
-      if (obs::enabled())
-        obs::set_thread_name("pool-worker-" + std::to_string(i));
-      worker_loop();
-    });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    idle_cv_.wait(lk, [this] { return queue_.empty() && running_ == 0; });
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    FSOPT_CHECK(!stop_, "submit on a stopping ThreadPool");
-    queue_.push_back(std::move(job));
-    obs::counter("pool.queue_depth", static_cast<double>(queue_.size()));
-    queue_depth_gauge().set(static_cast<double>(queue_.size()));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [this] { return queue_.empty() && running_ == 0; });
-  if (first_error_ != nullptr) {
-    std::exception_ptr e = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(e);
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to run
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      obs::counter("pool.queue_depth", static_cast<double>(queue_.size()));
-      queue_depth_gauge().set(static_cast<double>(queue_.size()));
-      ++running_;
-    }
-    static obs::Counter& jobs = obs::metric_counter("pool.jobs");
-    jobs.inc();
-    std::exception_ptr error;
-    try {
-      obs::Span span("pool", "job");
-      job();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --running_;
-      if (error != nullptr && first_error_ == nullptr) first_error_ = error;
-      if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
-    }
-  }
-}
-
-void parallel_for_each(ThreadPool& pool, size_t n,
-                       const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  // One queue entry per worker, each draining a shared atomic counter:
-  // cheaper than n queue entries when n is large, and jobs finish the
-  // moment indices run out.
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  int jobs = std::min<int>(pool.size(), static_cast<int>(n));
-  for (int j = 0; j < jobs; ++j) {
-    pool.submit([next, n, &body] {
-      for (size_t i = next->fetch_add(1); i < n; i = next->fetch_add(1))
-        body(i);
-    });
-  }
-  pool.wait();
 }
 
 void parallel_for_each(int threads, size_t n,
                        const std::function<void(size_t)>& body) {
-  if (threads <= 0) threads = default_thread_count();
+  if (threads <= 0) threads = experiment_threads();
   if (threads <= 1 || n <= 1) {
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  ThreadPool pool(std::min<int>(threads, static_cast<int>(n)));
-  parallel_for_each(pool, n, body);
+  static obs::Counter& jobs = obs::metric_counter("pool.jobs");
+  std::atomic<size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+  {
+    // The workers read this frame, so every one of them is joined (the
+    // jthreads' destructors) before the frame goes away — also when
+    // starting a later worker throws.
+    const size_t workers = std::min(static_cast<size_t>(threads), n);
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (size_t w = 0; w < workers; ++w)
+      pool.emplace_back([&, w] {
+        if (obs::enabled())
+          obs::set_thread_name("pool-worker-" + std::to_string(w));
+        jobs.inc();
+        try {
+          obs::Span span("pool", "job");
+          for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1))
+            body(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(error_mu);
+          if (first_error == nullptr) first_error = std::current_exception();
+        }
+      });
+  }
+  if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
 }  // namespace fsopt

@@ -1,74 +1,45 @@
-// Minimal fixed-size thread pool for the experiment harness.
+// Fork-join fan-out for the experiment harness.
 //
 // The replay/sweep layers (driver/experiment.h) fan independent jobs —
-// cache replays of a recorded trace, compile+run timing jobs — across a
-// small pool of workers.  Jobs are plain std::function<void()>; the pool
-// makes no ordering guarantees, so callers that need deterministic output
-// must write each job's result to its own pre-allocated slot and combine
-// the slots in a fixed order after wait() (see parallel_for_each).
+// cache replays of a recorded trace, compile+run timing jobs, the
+// candidates of a plan-search batch — across a few worker threads with
+// one call, parallel_for_each.  Each call starts its workers, lets them
+// drain a shared index, and joins them all before it returns.  Workers
+// take indices in no fixed order, so callers that need deterministic
+// output write each index's result to its own pre-allocated slot and
+// combine the slots in a fixed order after the call.
 #pragma once
 
-#include <condition_variable>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "support/common.h"
 
 namespace fsopt {
 
-/// Worker threads to use when a caller passes 0: the FSOPT_THREADS
-/// environment variable if set (>= 1), else the hardware concurrency.
-int default_thread_count();
+/// Process-wide parallelism knob for the harness (replays, sweeps):
+///   0  = auto (experiment_threads() resolves it);
+///   1  = serial;
+///   N  = at most N worker threads.
+/// Negative values count as 0.  Results never depend on this — only
+/// wall-clock does.
+void set_experiment_threads(int threads);
 
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (0 = default_thread_count()).
-  explicit ThreadPool(int threads = 0);
-  /// Drains the queue, then joins the workers.
-  ~ThreadPool();
+/// The thread count a `threads = 0` argument means anywhere in the tree:
+/// the set_experiment_threads() value when it is >= 1; else the
+/// FSOPT_THREADS environment variable when it is a whole count >= 1
+/// (parse_count: "12x", "-2", "0" or an out-of-range number are
+/// ignored); else the hardware concurrency, at least 1.
+int experiment_threads();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int size() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueue one job.  Jobs may submit further jobs.
-  void submit(std::function<void()> job);
-
-  /// Block until every submitted job has finished.  If any job threw, the
-  /// first exception (in completion order) is rethrown here; the rest are
-  /// discarded.  The pool stays usable after wait().
-  void wait();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;   // workers: queue non-empty or stop
-  std::condition_variable idle_cv_;   // wait(): queue empty and none running
-  size_t running_ = 0;
-  bool stop_ = false;
-  std::exception_ptr first_error_;
-};
-
-/// Run body(0..n-1), each index exactly once, across the pool's workers.
-/// Blocks until all indices are done; rethrows the first failure.  The
-/// body must not assume any index ordering — write results into per-index
-/// slots for deterministic aggregation.
-void parallel_for_each(ThreadPool& pool, size_t n,
-                       const std::function<void(size_t)>& body);
-
-/// Convenience overload: `threads <= 1` (or n <= 1) runs inline serially —
-/// bit-identical to the pooled path for well-formed bodies and free of
-/// thread startup cost; otherwise a transient pool of
-/// min(threads, n) workers is used.  threads == 0 means
-/// default_thread_count().
+/// Run body(0..n-1), each index exactly once.  `threads` <= 0 means
+/// experiment_threads().  With `threads` <= 1 or n <= 1 the indices run
+/// inline on the caller's thread, in order.  Otherwise min(threads, n)
+/// workers drain one shared atomic index; each worker is named
+/// "pool-worker-<w>" when tracing is on, records one "pool"/"job" span
+/// and adds one to the pool.jobs metric.  Every worker is joined before
+/// the call returns; if any body threw, the first failure is rethrown
+/// after the join.  The body must not assume any index ordering — write
+/// results into per-index slots for deterministic aggregation.
 void parallel_for_each(int threads, size_t n,
                        const std::function<void(size_t)>& body);
 

@@ -1,18 +1,20 @@
 // Tests for the runtime tracing subsystem (src/obs/): span recording,
 // nesting and thread attribution, Chrome-trace JSON well-formedness,
-// ThreadPool instrumentation (queue-depth counters, busy spans), summary
-// aggregation, and the must-not-perturb-results guarantee — replay stats
-// bit-identical with tracing on vs. off, alongside the composed-replay
-// suite in test_multi_shard_replay.cpp.  The second half covers the
-// metrics registry (obs/metrics.h): concurrent-increment exactness, the
-// kind-mismatch check, both expositions, the partial-data marker, the
+// parallel_for_each instrumentation (worker names, one job span per
+// worker), summary aggregation, and the must-not-perturb-results
+// guarantee — replay stats bit-identical with tracing on vs. off,
+// alongside the composed-replay suite in test_multi_shard_replay.cpp.
+// The second half covers the metrics registry (obs/metrics.h):
+// concurrent-increment exactness, the kind-mismatch check, both
+// expositions, the partial-data marker, pool.jobs per parallel call, the
 // interpreter's run span and counters on a KSR2 timing run, and the
 // decode and plane work counters of a sharded sweep.
 #include "obs/obs.h"
 
 #include <gtest/gtest.h>
 
-#include <future>
+#include <chrono>
+#include <set>
 #include <thread>
 
 #include "driver/experiment.h"
@@ -61,10 +63,8 @@ TEST_F(ObsTest, DisabledSpansRecordNothing) {
     EXPECT_FALSE(span.active());
     span.arg("k", 1.0);  // must be a no-op, not a crash
   }
-  obs::counter("test.counter", 42.0);
   obs::TraceData data = obs::collect();
   EXPECT_EQ(data.span_count(), 0u);
-  EXPECT_EQ(data.counter_count(), 0u);
 }
 
 TEST_F(ObsTest, SpanNestingAndThreadAttribution) {
@@ -110,67 +110,49 @@ TEST_F(ObsTest, ChromeTraceJsonRoundTripsThroughValidator) {
     span.arg("refs", 12345.0);
     span.arg("label", "fmm/C \"quoted\"");
   }
-  obs::counter("queue depth \\ odd", 7.0);
   obs::TraceData data = obs::collect();
   ASSERT_EQ(data.span_count(), 1u);
-  ASSERT_EQ(data.counter_count(), 1u);
 
   std::string doc = obs::chrome_trace_json(data);
   EXPECT_TRUE(json::validate(doc)) << doc;
-  // The document carries the span (escaped), its args, the counter, and
-  // the trace-event framing.
+  // The document carries the span (escaped), its args, and the
+  // trace-event framing.
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("na\\\\me\\nwith\\tescapes"), std::string::npos);
   EXPECT_NE(doc.find("\"refs\": 12345"), std::string::npos);
   EXPECT_NE(doc.find("fmm/C \\\"quoted\\\""), std::string::npos);
-  EXPECT_NE(doc.find("\"ph\": \"C\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\": \"M\""), std::string::npos);
 }
 
-TEST_F(ObsTest, ThreadPoolRecordsQueueDepthAndBusySpans) {
-  constexpr int kJobs = 6;
-  {
-    ThreadPool pool(1);
-    // Block the single worker so later submissions pile up in the queue.
-    std::promise<void> release;
-    std::shared_future<void> gate(release.get_future());
-    pool.submit([gate] { gate.wait(); });
-    for (int i = 0; i < kJobs - 1; ++i) pool.submit([] {});
-    release.set_value();
-    pool.wait();
-  }
-
+TEST_F(ObsTest, ParallelForEachNamesWorkersAndRecordsOneJobSpanEach) {
+  // Each of the min(threads, n) workers records one pool/job span on a
+  // thread named pool-worker-<w>; perfbench counts these names as
+  // pool.threads_spawned.
+  parallel_for_each(4, 8, [](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
   obs::TraceData data = obs::collect();
-  // Busy accounting: one "pool"/"job" span per executed job, with
-  // nonzero total busy time (the gated job waited on the future).
-  size_t pool_spans = 0;
+  std::multiset<std::string> job_threads;
   for (const obs::ThreadLog& t : data.threads)
     for (const obs::SpanEvent& s : t.spans)
       if (std::string_view(s.category) == "pool" && s.name == "job")
-        ++pool_spans;
-  EXPECT_EQ(pool_spans, static_cast<size_t>(kJobs));
-
-  // Queue depth was sampled on every submit and pop, and the backlog
-  // behind the gated job was observed.
-  double max_depth = 0;
-  size_t depth_samples = 0;
-  for (const obs::ThreadLog& t : data.threads)
-    for (const obs::CounterEvent& c : t.counters)
-      if (std::string_view(c.name) == "pool.queue_depth") {
-        ++depth_samples;
-        max_depth = std::max(max_depth, c.value);
-      }
-  EXPECT_EQ(depth_samples, static_cast<size_t>(2 * kJobs));
-  EXPECT_GE(max_depth, static_cast<double>(kJobs - 1));
+        job_threads.insert(t.name);
+  EXPECT_EQ(job_threads,
+            (std::multiset<std::string>{"pool-worker-0", "pool-worker-1",
+                                        "pool-worker-2", "pool-worker-3"}));
 
   obs::TraceSummary summary = obs::summarize(data);
-  EXPECT_EQ(summary.pool_workers, 1);
-  EXPECT_GT(summary.pool_busy_seconds, 0.0);
   EXPECT_GT(summary.pool_utilization(), 0.0);
   EXPECT_LE(summary.pool_utilization(), 1.0 + 1e-9);
+
+  // The inline path starts no worker and records no span.
+  obs::reset();
+  parallel_for_each(1, 8, [](size_t) {});
+  parallel_for_each(4, 1, [](size_t) {});
+  EXPECT_EQ(obs::collect().span_count(), 0u);
 }
 
-// Every parallel call builds a fresh pool, so a run sees many more pool
+// Every parallel call starts fresh workers, so a run sees many more pool
 // threads than ever work at once.  Utilization divides by the peak number
 // of jobs running at once: two pools of four, one after the other, are
 // four workers, not eight.
@@ -401,19 +383,15 @@ TEST_F(MetricsTest, PartialMarkerFlowsIntoBothExpositions) {
   EXPECT_FALSE(obs::metrics_snapshot().partial());
 }
 
-TEST_F(MetricsTest, ThreadPoolRegistersQueueDepthAndJobMetrics) {
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 5; ++i) pool.submit([] {});
-    pool.wait();
-  }
+TEST_F(MetricsTest, ParallelForEachCountsOneJobPerWorker) {
+  // Each call adds min(threads, n) to pool.jobs; the inline path adds 0.
+  parallel_for_each(2, 5, [](size_t) {});
+  parallel_for_each(4, 3, [](size_t) {});
+  parallel_for_each(1, 8, [](size_t) {});
   obs::MetricsSnapshot snap = obs::metrics_snapshot();
   const obs::MetricSample* jobs = sample(snap, "pool.jobs");
   ASSERT_NE(jobs, nullptr);
   EXPECT_DOUBLE_EQ(jobs->value, 5.0);
-  const obs::MetricSample* depth = sample(snap, "pool.queue_depth");
-  ASSERT_NE(depth, nullptr);
-  EXPECT_DOUBLE_EQ(depth->value, 0.0);  // drained at pool shutdown
 }
 
 TEST_F(MetricsTest, KsrRunReportsInterpreterSpanAndCounters) {

@@ -1,46 +1,17 @@
-// Tests for the experiment harness's fixed-size thread pool.
+// Tests for the experiment harness's fork-join parallel_for_each and the
+// thread-count knob that resolves its `threads = 0`.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <set>
+#include <thread>
+#include <vector>
 
 #include "support/thread_pool.h"
 
 namespace fsopt {
 namespace {
-
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, WaitRethrowsFirstJobError) {
-  ThreadPool pool(2);
-  pool.submit([] { throw InternalError("job failed"); });
-  EXPECT_THROW(pool.wait(), InternalError);
-  // The pool stays usable after a failed job.
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 1);
-}
 
 TEST(ParallelForEach, CoversEveryIndexExactlyOnce) {
   for (int threads : {1, 2, 5}) {
@@ -80,20 +51,46 @@ TEST(ParallelForEach, PooledPathPropagatesExceptions) {
       InternalError);
 }
 
-TEST(ParallelForEach, PoolOverloadDrainsSharedCounter) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  parallel_for_each(pool, 41, [&](size_t) { ++count; });
-  EXPECT_EQ(count.load(), 41);
+TEST(ParallelForEach, JoinsEveryWorkerBeforeRethrowing) {
+  // Index 0 fails at once while the other bodies are still running.  They
+  // share the caller's stack frame, so the failure may reach the caller
+  // only after every one of them has finished.
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  try {
+    parallel_for_each(4, 8, [&](size_t i) {
+      ++started;
+      if (i == 0) throw InternalError("boom");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ++finished;
+    });
+    FAIL() << "the failure of index 0 was not rethrown";
+  } catch (const InternalError&) {
+    EXPECT_GT(finished.load(), 0);
+    EXPECT_EQ(finished.load(), started.load() - 1);
+  }
 }
 
-TEST(DefaultThreadCount, HonoursEnvOverride) {
-  ASSERT_EQ(setenv("FSOPT_THREADS", "3", 1), 0);
-  EXPECT_EQ(default_thread_count(), 3);
-  ASSERT_EQ(setenv("FSOPT_THREADS", "bogus", 1), 0);
-  EXPECT_GE(default_thread_count(), 1);  // falls back to hardware
+TEST(ExperimentThreads, HonoursEnvOverrideTakenWhole) {
+  set_experiment_threads(0);
   ASSERT_EQ(unsetenv("FSOPT_THREADS"), 0);
-  EXPECT_GE(default_thread_count(), 1);
+  const int unset = experiment_threads();  // the hardware concurrency
+  EXPECT_GE(unset, 1);
+  ASSERT_EQ(setenv("FSOPT_THREADS", "3", 1), 0);
+  EXPECT_EQ(experiment_threads(), 3);
+  // Anything but a whole count >= 1 is ignored: no prefix is taken
+  // ("12x"), and nothing wraps into range ("3000000000", "4294967297").
+  for (const char* bad :
+       {"bogus", "12x", "3000000000", "4294967297", "0", "-2", ""}) {
+    ASSERT_EQ(setenv("FSOPT_THREADS", bad, 1), 0);
+    EXPECT_EQ(experiment_threads(), unset) << "FSOPT_THREADS=" << bad;
+  }
+  // The process setting outranks the environment.
+  ASSERT_EQ(setenv("FSOPT_THREADS", "3", 1), 0);
+  set_experiment_threads(5);
+  EXPECT_EQ(experiment_threads(), 5);
+  set_experiment_threads(0);
+  ASSERT_EQ(unsetenv("FSOPT_THREADS"), 0);
 }
 
 }  // namespace
