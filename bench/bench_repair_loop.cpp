@@ -34,7 +34,8 @@
 //     frontier is non-empty everywhere.
 //
 // Extra flags (on top of the shared --threads/--json):
-//   --block N   primary coherence-unit size to repair at (default 128)
+//   --block N   primary coherence-unit size to repair at (default 128);
+//               a power of two >= 4, else usage and exit 2
 // FSOPT_SEARCH_BUDGET overrides the per-workload candidate-replay budget
 // (default here: 12).
 #include <algorithm>
@@ -74,15 +75,23 @@ std::map<i64, u64> final_sweep(const RepairResult& rr) {
 int main(int argc, char** argv) {
   BenchOptions bo = parse_bench_args(argc, argv, /*allow_unknown=*/true);
   i64 block = 128;
+  auto usage = [&](const std::string& msg) {
+    if (!msg.empty()) std::fprintf(stderr, "%s: %s\n", argv[0], msg.c_str());
+    std::fprintf(stderr,
+                 "usage: %s [--threads N] [--json PATH] [--block N]\n",
+                 argv[0]);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--block" && i + 1 < argc) {
-      block = std::atoll(argv[++i]);
+      // The conflict graph buckets edges by a power-of-two block.
+      std::optional<int> v = parse_count(argv[++i]);
+      if (!v || *v < 4 || !is_pow2(*v))
+        usage("--block expects a power of two >= 4");
+      block = *v;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads N] [--json PATH] [--block N]\n",
-                   argv[0]);
-      std::exit(2);
+      usage(a == "--block" ? "missing value after --block" : "");
     }
   }
   std::vector<i64> blocks = {32, 64, 128, 256};

@@ -344,7 +344,7 @@ int main(int argc, char** argv) {
   }
 
   // --- 4f: composed sharded x multi-configuration sweep ----------------
-  // replay_multi_sharded: K region shards, each decoding the whole
+  // replay_multi with K threads: K region shards, each decoding the whole
   // encoded trace, keeping its own regions and simulating every plane of
   // the sweep at once.  The timings include every shard's decode, so
   // they are end to end.  Hard-fails on any counter drift vs the serial
@@ -374,7 +374,7 @@ int main(int argc, char** argv) {
       }
       MultiReplayResult m_comp;
       double t_replay = best_of(repeats, [&] {
-        m_comp = replay_multi_sharded(enc, params, k, nullptr, k);
+        m_comp = replay_multi(enc, params, nullptr, /*threads=*/k);
       });
       for (size_t i = 0; i < params.size(); ++i)
         if (m_comp.stats[i] != m_serial.stats[i])
@@ -456,16 +456,14 @@ int main(int argc, char** argv) {
 
     obs::set_enabled(true);
     obs::TraceData before = obs::collect();
-    MultiReplayResult traced =
-        replay_multi_sharded(enc, params, plan.shards, nullptr, plan.shards);
+    MultiReplayResult traced = replay_multi(enc, params, nullptr, 4);
     obs::TraceData after = obs::collect();
     size_t events = after.span_count() - before.span_count();
 
     obs::set_enabled(false);
     MultiReplayResult untraced;
     double t_replay = best_of(repeats, [&] {
-      untraced =
-          replay_multi_sharded(enc, params, plan.shards, nullptr, plan.shards);
+      untraced = replay_multi(enc, params, nullptr, 4);
     });
     if (traced.stats != untraced.stats || traced.stats != flat_by_block) {
       std::fprintf(stderr,

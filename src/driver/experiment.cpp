@@ -85,21 +85,6 @@ const MissStats& TraceStudyResult::at(i64 block) const {
   return it->second;
 }
 
-void TraceStudyResult::merge(const TraceStudyResult& other) {
-  if (refs == 0) refs = other.refs;
-  FSOPT_CHECK(other.refs == 0 || other.refs == refs,
-              "merging trace studies of different traces");
-  for (const auto& [block, stats] : other.by_block) {
-    FSOPT_CHECK(by_block.find(block) == by_block.end(),
-                "merging trace studies with overlapping block sizes");
-    by_block[block] = stats;
-  }
-  for (const auto& [block, datum] : other.by_datum)
-    by_datum[block] = datum;
-  for (const auto& [block, graph] : other.conflicts)
-    conflicts[block] = graph;
-}
-
 EncodedTrace record_encoded_trace(const Compiled& c) {
   obs::Span span("record", "record_encoded_trace");
   TraceEncoder enc;
@@ -128,10 +113,6 @@ EncodedTrace record_encoded_trace(const Compiled& c) {
 
 namespace {
 
-/// The study never splits a trace further than this (each shard decodes
-/// the whole trace, and the K decodes should run side by side).
-constexpr int kAutoShardMax = 8;
-
 /// One cache configuration per swept block size for compile `c`.
 std::vector<CacheParams> sweep_params(const Compiled& c,
                                       const std::vector<i64>& block_sizes,
@@ -151,36 +132,14 @@ TraceStudyResult replay_trace_study(const EncodedTrace& trace,
                                     i64 l1_bytes,
                                     const AddressMap* attribution,
                                     int threads, bool collect_conflicts) {
-  if (threads <= 0) threads = experiment_threads();
   TraceStudyResult out;
   out.refs = trace.size();
-  const size_t nconf = block_sizes.size();
-  if (nconf == 0) return out;
-  const std::vector<CacheParams> params =
-      sweep_params(c, block_sizes, l1_bytes);
-
-  // Sweeps go through the composed engine: each of up to
-  // min(8, threads) region shards decodes the trace and replays every
-  // configuration on its own regions in a single walk
-  // (replay_multi_sharded), claiming the whole thread budget.  Conflict
-  // collection stays unsharded, so one per-plane collector sees every
-  // false-sharing miss.
-  const int requested =
-      collect_conflicts ? 1 : std::min(kAutoShardMax, threads);
-  const MultiShardPlan plan = multi_shard_plan(params, requested);
+  if (block_sizes.empty()) return out;
   std::vector<ConflictGraph> graphs;
-  MultiReplayResult multi;
-  if (plan.shards > 1) {
-    multi = replay_multi_sharded(trace, params, plan.shards, attribution,
-                                 threads);
-  } else {
-    // Single pass: every block size is a plane of one walk, the planes
-    // divided among the workers — exact for any geometry, including
-    // sweeps the region cannot nest.
-    multi = replay_multi(trace, params, attribution, threads,
-                         collect_conflicts ? &graphs : nullptr);
-  }
-  for (size_t i = 0; i < nconf; ++i) {
+  MultiReplayResult multi =
+      replay_multi(trace, sweep_params(c, block_sizes, l1_bytes), attribution,
+                   threads, collect_conflicts ? &graphs : nullptr);
+  for (size_t i = 0; i < block_sizes.size(); ++i) {
     out.by_block[block_sizes[i]] = multi.stats[i];
     if (attribution != nullptr)
       out.by_datum[block_sizes[i]] = std::move(multi.by_datum[i]);
@@ -517,25 +476,25 @@ SearchPlanResult search_plan(std::string_view source,
   // Candidate evaluation, one candidate per worker: each job recompiles
   // against the shared front (the Program is immutable after sema, so
   // back halves run concurrently), takes the trace from the cache (a
-  // relocation unless the shape is new) and replays every swept size in
-  // one walk on its share of the thread budget.  A batch already keeps
-  // the workers busy, so no candidate is region-sharded.  Each job
-  // writes only its own slot and drops its compile and trace on return:
-  // at most `threads` candidates are live, whatever the budget.  The
-  // replay engine is bit-identical for any thread count, so the whole
-  // search is too.
+  // relocation unless the shape is new) and replays every swept size
+  // with its share of the thread budget: one walk when the batch keeps
+  // every worker busy, region shards when it is smaller than the budget.
+  // Each job writes only its own slot and drops its compile and trace on
+  // return: at most `threads` candidates are live, whatever the budget.
+  // The replay engine is bit-identical for any thread count, so the
+  // whole search is too.
   const int threads = sopt.threads > 0 ? sopt.threads : experiment_threads();
   PlanEvaluator evaluate = [&](const std::vector<TransformPlan>& batch) {
     std::vector<PlanScore> scores(batch.size());
     const int jobs = static_cast<int>(batch.size());
-    const int plane_threads = jobs > 0 ? std::max(1, threads / jobs) : 1;
+    const int replay_threads = jobs > 0 ? std::max(1, threads / jobs) : 1;
     parallel_for_each(threads, batch.size(), [&](size_t i) {
       CompileOptions cand_opt = copt;
       cand_opt.plan = std::make_shared<TransformPlan>(batch[i]);
       Compiled cand = run_back(front, cand_opt);
       MultiReplayResult multi = replay_multi(
           traces.trace(cand), sweep_params(cand, blocks, sopt.l1_bytes),
-          nullptr, plane_threads);
+          nullptr, replay_threads);
       PlanScore& score = scores[i];
       for (size_t k = 0; k < blocks.size(); ++k) {
         const MissStats& s = multi.stats[k];

@@ -3,17 +3,16 @@
 // The pipeline is record-once / replay-many: one interpreter run records
 // the compressed reference stream (EncodedTrace); every cache
 // configuration (block size) is then a plane of one multi-plane replay
-// of that recording (sim/multi.h).  With more than one thread, a sweep
-// is additionally split into region shards that each decode the
-// recording and replay all planes on their own regions; planes and
-// shards share one thread budget, as do the
-// compile+run timing jobs of a processor-count sweep and the candidates
-// of a plan-search batch.  Every fan-out is one fork-join
-// parallel_for_each, and every `threads = 0` resolves through
-// experiment_threads() (both in support/thread_pool.h, included below).
-// Each job owns its simulator and writes into its own result slot, and
-// slots are merged in a fixed order, so results are bit-identical for
-// any thread count and any shard count.
+// of that recording (replay_multi, sim/multi.h).  With more than one
+// thread, replay_multi splits a sweep into region shards that each
+// decode the recording and replay all planes on their own regions, the
+// shards taking the thread budget; the compile+run timing jobs of a
+// processor-count sweep and the candidates of a plan-search batch share
+// it the same way.  Every fan-out is one fork-join parallel_for_each,
+// and every `threads = 0` resolves through experiment_threads() (both in
+// support/thread_pool.h, included below).  Each job owns its simulator
+// and writes into its own result slot, and slots are merged in a fixed
+// order, so results are bit-identical for any thread count.
 #pragma once
 
 #include <map>
@@ -48,9 +47,6 @@ struct TraceStudyResult {
   /// requested and the simulated block sizes when `block` was not part of
   /// the study.
   const MissStats& at(i64 block) const;
-  /// Combine with a study of *different* block sizes over the same trace
-  /// (same refs); throws if a block size appears in both.
-  void merge(const TraceStudyResult& other);
 };
 
 /// Address ranges of every global (and indirection heap region) under the
@@ -64,25 +60,17 @@ AddressMap build_address_map(const Compiled& c);
 EncodedTrace record_encoded_trace(const Compiled& c);
 
 /// Replay a recorded trace against each block size, every block size a
-/// plane of one walk over the compressed trace, with `threads` workers
-/// (0 = the experiment_threads() knob).  `c` only supplies
-/// nprocs/total_bytes.
-///
-/// With more than one thread, a sweep whose blocks the region can nest
-/// (multi_shard_plan) is split into up to min(8, threads) region shards
-/// (a power of two), each decoding the whole trace and simulating every
-/// block size on its own regions (replay_multi_sharded); everything
-/// else — one thread, geometries that do not nest such as {48, 64} B or
-/// whose region is not a power of two — walks the trace once with the
-/// planes divided among the workers (replay_multi), which is exact for
-/// any geometry.  Results are bit-identical on both routes and
-/// for every thread count.
+/// plane of one replay_multi over the compressed trace, with `threads`
+/// workers (0 = the experiment_threads() knob).  `c` only supplies
+/// nprocs/total_bytes.  replay_multi picks the region shards itself: up
+/// to min(8, threads) when the region nests every block, one whole walk
+/// otherwise (one thread, or a sweep such as {48, 64} B).  Results are
+/// bit-identical for every thread count.
 ///
 /// `collect_conflicts` additionally accumulates each block size's
 /// word-granularity false-sharing conflict graph (TraceStudyResult::
-/// conflicts).  Collection keeps the study unsharded (each plane
-/// simulated exactly once) and changes no statistic — stats stay
-/// bit-identical to a non-collecting study.
+/// conflicts), sharded like the rest of the replay.  Collection changes
+/// no statistic — stats stay bit-identical to a non-collecting study.
 TraceStudyResult replay_trace_study(const EncodedTrace& trace,
                                     const Compiled& c,
                                     const std::vector<i64>& block_sizes,
@@ -287,8 +275,8 @@ RepairResult repair_loop(std::string_view source, const CompileOptions& base,
 // candidate per worker: every candidate is compiled against the same
 // shared front half (symbol ids stay stable, so plans remain valid), its
 // trace taken from the TraceCache the seed loop filled (recorded only
-// when its shape is new), and all swept block sizes replayed in a single
-// walk (replay_multi) with its share of the thread budget.
+// when its shape is new), and all swept block sizes replayed at once
+// (replay_multi) with its share of the thread budget.
 // ---------------------------------------------------------------------------
 
 struct SearchPlanOptions {

@@ -89,6 +89,7 @@ struct LineConflicts {
     for (const ConflictEdge& e : edges) w += e.weight;
     return w;
   }
+  bool operator==(const LineConflicts&) const = default;
 };
 
 /// Word-granularity false-sharing conflict graph for one block-size
@@ -105,6 +106,7 @@ struct ConflictGraph {
     for (const LineConflicts& l : lines) w += l.weight();
     return w;
   }
+  bool operator==(const ConflictGraph&) const = default;
 };
 
 /// Accumulates conflict edges during replay.  record() is called only

@@ -2,17 +2,6 @@
 
 namespace fsopt {
 
-void KsrStats::merge(const KsrStats& other) {
-  refs += other.refs;
-  hits += other.hits;
-  misses += other.misses;
-  upgrades += other.upgrades;
-  remote_misses += other.remote_misses;
-  stall_cycles += other.stall_cycles;
-  queue_cycles += other.queue_cycles;
-  classified.merge(other.classified);
-}
-
 i64 BandwidthCalendar::acquire(i64 now, i64 occupancy) {
   if (occupancy <= 0) return 0;
   i64 b = now / window_;

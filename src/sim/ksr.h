@@ -59,10 +59,6 @@ struct KsrStats {
   i64 stall_cycles = 0;   // total latency beyond hit time
   i64 queue_cycles = 0;   // portion of stalls spent waiting for the ring
   MissStats classified;   // word-level classification of the misses
-
-  /// Accumulate another run's counters (for combining independent
-  /// timing jobs — e.g. per-workload aggregates in the harness).
-  void merge(const KsrStats& other);
 };
 
 class KsrMemorySystem : public MemorySystem {

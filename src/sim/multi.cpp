@@ -30,13 +30,6 @@ bool plane_shareable(const CacheParams& p) {
   return p.total_bytes > 0;
 }
 
-/// Add one walk's simulated work, references × planes, to the metrics.
-void count_plane_refs(u64 plane_refs) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& counter = obs::metric_counter("sim.replay.plane_refs");
-  counter.inc(plane_refs);
-}
-
 }  // namespace
 
 /// The shared-state engine.  One instance simulates every shareable
@@ -512,13 +505,15 @@ MissKind Engine<MaskT>::miss_part(const Geom& g, int proc, MaskT bit,
       // The granule aggregates may have settled any_remote without ever
       // scanning the word array, so the collector enumerates the foreign-
       // newer witnesses itself from the live word versions.  Runs only on
-      // false-sharing misses of a collected plane.
+      // false-sharing misses of a collected plane.  The victim is the
+      // part's first word, as in CoherentCache: for a block-spanning
+      // reference that word lies in this block, not the previous one.
       for (i64 w = 0; w < g.bw; ++w) {
         const i64 aw = wb0 + w;
         if (aw >= cur_w0_ && aw <= cur_w1_) continue;
         const u64 v = ws[w];
         if (v >= newer && (v & kWMask) != me)
-          g.coll->record(aw * 4, static_cast<int>(v & kWMask), cur_w0_ * 4,
+          g.coll->record(aw * 4, static_cast<int>(v & kWMask), addr & ~i64{3},
                          proc);
       }
     }
@@ -670,8 +665,8 @@ void MultiCacheSim::access_reported(const MemRef& ref, AccessOutcome* out) {
   // plane's outcome back off its stats delta (one reference moves
   // exactly one kind bucket plus the additive upgrade/invalidation
   // counts) and undo the tally.  This path only serves the rare
-  // region-spanning pieces of the composed sharded replay, so the
-  // snapshot copy is not a hot-loop cost.
+  // region-spanning pieces of a sharded replay_multi, so the snapshot
+  // copy is not a hot-loop cost.
   if (shared_ != nullptr) {
     const std::vector<MissStats> before = stats_;
     shared_->run_batch(&ref, 1, nullptr);
@@ -696,12 +691,6 @@ void MultiCacheSim::access_reported(const MemRef& ref, AccessOutcome* out) {
                             ref.type == RefType::kWrite);
 }
 
-std::map<std::string, MissStats> MultiCacheSim::by_datum(
-    size_t plane) const {
-  if (attribution_ == nullptr) return {};
-  return materialize_by_datum(*attribution_, datum_stats_[plane]);
-}
-
 void MultiCacheSim::set_conflict_collectors(
     const std::vector<ConflictCollector*>& colls) {
   FSOPT_CHECK(colls.size() == stats_.size(),
@@ -709,80 +698,6 @@ void MultiCacheSim::set_conflict_collectors(
   if (shared_ != nullptr) shared_->set_collectors(colls);
   for (auto& [idx, cache] : fallback_)
     cache.set_conflict_collector(colls[idx]);
-}
-
-MultiReplayResult replay_multi(const EncodedTrace& trace,
-                               const std::vector<CacheParams>& params,
-                               const AddressMap* attribution, int threads,
-                               std::vector<ConflictGraph>* conflicts) {
-  // The planes fan out over up to min(threads, planes) workers, each
-  // replaying the trace once into a MultiCacheSim over its contiguous
-  // plane range.  Grouping never changes any plane's input sequence, so
-  // results are bit-identical for every thread count.
-  if (threads == 0) threads = experiment_threads();
-  const size_t nplanes = params.size();
-  FSOPT_CHECK(nplanes > 0, "multi-replay needs at least one plane");
-  const size_t groups =
-      std::min<size_t>(nplanes, threads < 1 ? 1 : static_cast<size_t>(threads));
-  const double trace_refs = static_cast<double>(trace.size());
-
-  MultiReplayResult out;
-  out.stats.resize(nplanes);
-  out.by_datum.resize(nplanes);
-  if (conflicts != nullptr) conflicts->assign(nplanes, ConflictGraph{});
-  std::vector<std::pair<size_t, size_t>> range(groups);  // [first, last)
-  for (size_t g = 0; g < groups; ++g) {
-    range[g].first = g * nplanes / groups;
-    range[g].second = (g + 1) * nplanes / groups;
-  }
-  parallel_for_each(static_cast<int>(groups), groups, [&](size_t g) {
-    auto [first, last] = range[g];
-    obs::Span span("replay", "multi");
-    std::vector<CacheParams> sub(params.begin() +
-                                     static_cast<std::ptrdiff_t>(first),
-                                 params.begin() +
-                                     static_cast<std::ptrdiff_t>(last));
-    MultiCacheSim sim(sub, attribution);
-    // Each plane belongs to exactly one group, so per-group collectors
-    // are single-writer and the conflicts slots below are disjoint.
-    std::vector<ConflictCollector> colls;
-    if (conflicts != nullptr) {
-      colls.resize(last - first);
-      std::vector<ConflictCollector*> ptrs(last - first);
-      for (size_t p = 0; p < ptrs.size(); ++p) ptrs[p] = &colls[p];
-      sim.set_conflict_collectors(ptrs);
-    }
-    trace.replay(sim);
-    count_plane_refs(trace.size() * (last - first));
-    for (size_t p = first; p < last; ++p) {
-      out.stats[p] = sim.stats(p - first);
-      if (attribution != nullptr) out.by_datum[p] = sim.by_datum(p - first);
-      if (conflicts != nullptr)
-        (*conflicts)[p] = colls[p - first].graph(params[p].block_size);
-    }
-    if (span.active()) {
-      span.arg("planes", static_cast<double>(last - first));
-      span.arg("refs", trace_refs);
-      double sec = span.elapsed_seconds();
-      if (sec > 0.0) span.arg("refs_per_sec", trace_refs / sec);
-    }
-    // One span per plane carrying its block size and miss mix, so a
-    // sweep's per-configuration behaviour reads straight off the trace
-    // even though the planes were simulated in one walk.
-    for (size_t p = first; p < last; ++p) {
-      obs::Span plane("replay", "plane");
-      if (!plane.active()) break;
-      plane.arg("block", static_cast<double>(params[p].block_size));
-      plane.arg("refs", static_cast<double>(out.stats[p].refs));
-      plane.arg("cold", static_cast<double>(out.stats[p].cold));
-      plane.arg("replacement", static_cast<double>(out.stats[p].replacement));
-      plane.arg("true_sharing",
-                static_cast<double>(out.stats[p].true_sharing));
-      plane.arg("false_sharing",
-                static_cast<double>(out.stats[p].false_sharing));
-    }
-  });
-  return out;
 }
 
 MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
@@ -826,6 +741,10 @@ MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
 }
 
 namespace {
+
+/// A replay never splits a trace further than this: each shard decodes
+/// the whole trace, and the K decodes should run side by side.
+constexpr int kAutoShardMax = 8;
 
 /// The most region pieces one reference can split into: a reference
 /// spans at most 8 bytes, and regions are at least 4 bytes wide.
@@ -926,34 +845,40 @@ class ShardFilter final : public TraceSink {
 
 }  // namespace
 
-MultiReplayResult replay_multi_sharded(const EncodedTrace& trace,
-                                       const std::vector<CacheParams>& params,
-                                       int shards,
-                                       const AddressMap* attribution,
-                                       int threads) {
+MultiReplayResult replay_multi(const EncodedTrace& trace,
+                               const std::vector<CacheParams>& params,
+                               const AddressMap* attribution, int threads,
+                               std::vector<ConflictGraph>* conflicts) {
   const size_t nplanes = params.size();
   FSOPT_CHECK(nplanes > 0, "multi-replay needs at least one plane");
-  FSOPT_CHECK(shards >= 1, "shard count must be >= 1");
-  const MultiShardPlan plan = multi_shard_plan(params, shards);
-  FSOPT_CHECK(plan.shards == shards,
-              "shard count is not exact for these planes"
-              " (use multi_shard_plan)");
+  if (threads <= 0) threads = experiment_threads();
+  const MultiShardPlan plan =
+      multi_shard_plan(params, std::min(kAutoShardMax, threads));
 
   // Per-shard job: one MultiCacheSim over ALL planes, fed by a filter
   // over the shard's own decode of the trace.  Normal references count
   // directly (their block, set, and word state is wholly shard-owned);
-  // split pieces only record per-plane outcomes for reassembly.
+  // split pieces only record per-plane outcomes for reassembly.  Each
+  // plane of each shard has its own collector: every block lies in one
+  // shard's regions, so every conflict edge is recorded by that shard.
   struct Job {
     std::vector<MissStats> stats;               // [plane]
     std::vector<std::vector<MissStats>> datum;  // [plane][slot]
+    std::vector<ConflictGraph> graphs;          // [plane], when collecting
     ShardSplits splits;
   };
-  const size_t K = static_cast<size_t>(shards);
+  const size_t K = static_cast<size_t>(plan.shards);
   std::vector<Job> jobs(K);
   parallel_for_each(threads, K, [&](size_t k) {
     obs::Span span("replay", "multi_shard");
     Job& job = jobs[k];
     MultiCacheSim sim(params, attribution);
+    std::vector<ConflictCollector> colls(conflicts != nullptr ? nplanes : 0);
+    if (conflicts != nullptr) {
+      std::vector<ConflictCollector*> ptrs;
+      for (ConflictCollector& coll : colls) ptrs.push_back(&coll);
+      sim.set_conflict_collectors(ptrs);
+    }
     ShardFilter filter(sim, plan.region_bytes, K, k, job.splits);
     trace.replay(filter);
     job.stats.resize(nplanes);
@@ -962,6 +887,8 @@ MultiReplayResult replay_multi_sharded(const EncodedTrace& trace,
       job.stats[p] = sim.stats(p);
       if (attribution != nullptr) job.datum[p] = sim.datum_stats(p);
     }
+    for (size_t p = 0; p < colls.size(); ++p)
+      job.graphs.push_back(colls[p].graph(params[p].block_size));
     if (span.active()) {
       // Simulated: the counted references plus the uncounted pieces.
       // Scanned: every shard decodes the whole trace.
@@ -975,7 +902,11 @@ MultiReplayResult replay_multi_sharded(const EncodedTrace& trace,
       if (sec > 0.0) span.arg("refs_per_sec", refs / sec);
     }
   });
-  count_plane_refs(trace.size() * nplanes);
+  if (obs::metrics_enabled()) {
+    static obs::Counter& plane_refs =
+        obs::metric_counter("sim.replay.plane_refs");
+    plane_refs.inc(trace.size() * nplanes);
+  }
 
   // Combine: the per-plane counters are additive across shards, and
   // split pieces reassemble per plane with the same severity/OR/sum
@@ -1031,8 +962,29 @@ MultiReplayResult replay_multi_sharded(const EncodedTrace& trace,
   if (attribution != nullptr)
     for (size_t p = 0; p < nplanes; ++p)
       out.by_datum[p] = materialize_by_datum(*attribution, dense[p]);
-  // One span per plane with its block size and combined miss mix, the
-  // same per-configuration read the unsharded replay paths emit.
+  // A plane's shard graphs cover disjoint lines (each line is a block
+  // of one shard's regions), so concatenating their per-line lists in
+  // line order is the graph one collector over the whole trace builds.
+  if (conflicts != nullptr) {
+    conflicts->assign(nplanes, ConflictGraph{});
+    for (size_t p = 0; p < nplanes; ++p) {
+      ConflictGraph& g = (*conflicts)[p];
+      g.block_size = params[p].block_size;
+      for (Job& job : jobs)
+        for (LineConflicts& lc : job.graphs[p].lines)
+          g.lines.push_back(std::move(lc));
+      std::sort(g.lines.begin(), g.lines.end(),
+                [](const LineConflicts& a, const LineConflicts& b) {
+                  return a.line < b.line;
+                });
+      for (size_t i = 1; i < g.lines.size(); ++i)
+        FSOPT_CHECK(g.lines[i - 1].line < g.lines[i].line,
+                    "two shards recorded conflicts on one line");
+    }
+  }
+  // One span per plane carrying its block size and miss mix, so a
+  // sweep's per-configuration behaviour reads straight off the trace
+  // even though the planes were simulated in one walk per shard.
   for (size_t p = 0; p < nplanes; ++p) {
     obs::Span plane("replay", "plane");
     if (!plane.active()) break;

@@ -88,10 +88,11 @@ class MultiCacheSim : public TraceSink {
 
   /// Process one reference through every plane and report each plane's
   /// outcome in `out` (planes() entries) WITHOUT counting it into
-  /// stats()/datum_stats().  State advances exactly as for a counted
-  /// reference.  The sharded replay uses this for the pieces of
-  /// region-spanning references, whose per-plane outcomes must be
-  /// merged across shards before the reference is counted once.
+  /// stats()/datum_stats().  State advances, and conflict edges are
+  /// recorded, exactly as for a counted reference.  A sharded
+  /// replay_multi uses this for the pieces of region-spanning
+  /// references, whose per-plane outcomes must be merged across shards
+  /// before the reference is counted once.
   void access_reported(const MemRef& ref, AccessOutcome* out);
 
   size_t planes() const { return stats_.size(); }
@@ -101,8 +102,6 @@ class MultiCacheSim : public TraceSink {
   const std::vector<MissStats>& datum_stats(size_t plane) const {
     return datum_stats_[plane];
   }
-  /// String-keyed per-datum map of one plane, materialized on call.
-  std::map<std::string, MissStats> by_datum(size_t plane) const;
 
   /// Attach per-plane conflict collectors (planes() entries, nullptr to
   /// leave a plane uncollected): every false-sharing miss on a collected
@@ -124,27 +123,8 @@ class MultiCacheSim : public TraceSink {
   std::vector<std::vector<MissStats>> datum_stats_;  // [plane][slot]
 };
 
-/// Walk `trace` once and simulate every configuration in `params`
-/// simultaneously.  With `threads` > 1 the planes are divided among up
-/// to min(threads, planes) workers, each walking the (cheap, encoded)
-/// stream once for its plane subset — results are bit-identical for any
-/// thread count because planes never interact.  0 = experiment_threads()
-/// (support/thread_pool.h).  Adds trace refs × planes to the
-/// sim.replay.plane_refs metric.
-///
-/// With a non-null `conflicts`, each plane additionally accumulates its
-/// word-granularity false-sharing conflict graph; on return *conflicts
-/// holds one ConflictGraph per plane (in params order, bucketed at that
-/// plane's block size).  Safe under plane-parallel threading: each plane
-/// is simulated by exactly one worker, with its own collector.
-MultiReplayResult replay_multi(const EncodedTrace& trace,
-                               const std::vector<CacheParams>& params,
-                               const AddressMap* attribution = nullptr,
-                               int threads = 1,
-                               std::vector<ConflictGraph>* conflicts = nullptr);
-
 // ---------------------------------------------------------------------------
-// Composed sharded × multi-configuration replay.
+// The replay entry point: region shards × the multi-plane walk.
 //
 // Region sharding and the single-pass multi-plane walk compose.  Shard k
 // of K keeps the references whose *region* r = addr / region_bytes (the
@@ -153,13 +133,15 @@ MultiReplayResult replay_multi(const EncodedTrace& trace,
 // one MultiCacheSim over ALL planes on just that sub-stream.  Each shard
 // decodes the whole compressed trace and filters it as it goes, so no
 // partition is ever built and the K decodes run side by side.  The
-// result is bit-identical to the serial replay_multi: regions nest every
+// result is bit-identical to one whole walk (K = 1): regions nest every
 // plane's blocks, so per-block directory and classifier state never
 // straddles shards, and a shard count dividing every plane's
 // cache_bytes / region keeps LRU sets shard-pure too.  Region-spanning
 // references are replayed piecewise via access_reported and merged
 // across shards with the same severity/OR/sum rules the unsharded
-// simulator applies inline.
+// simulator applies inline.  Conflict graphs shard as well: a false-
+// sharing edge lies inside one block, so the shards' graphs cover
+// disjoint lines and their union is the whole graph.
 // ---------------------------------------------------------------------------
 
 /// Shard geometry valid for a whole plane set at once.
@@ -174,22 +156,28 @@ struct MultiShardPlan {
 /// composed (a block size that does not divide the region, a region
 /// that is not a power of two) or requested <= 1.  Shards route
 /// references by shift and mask, so a sweep with any other geometry
-/// replays unsharded through replay_multi, which is exact for it.
+/// replays as one whole walk, which is exact for it.
 MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
                                 int requested);
 
-/// Replay `trace` across `shards` region shards, every shard simulating
-/// all of `params` at once.  The shard count must be one
-/// multi_shard_plan admits for `params` (anything else throws
-/// InternalError); results are bit-identical to replay_multi for every
-/// shard count and thread count.  Every shard decodes the whole trace,
-/// so `threads` >= `shards` keeps those decodes concurrent.  `threads` =
-/// 0 uses experiment_threads(), as every parallel_for_each does.  Adds
-/// trace refs × planes to the sim.replay.plane_refs metric.
-MultiReplayResult replay_multi_sharded(const EncodedTrace& trace,
-                                       const std::vector<CacheParams>& params,
-                                       int shards,
-                                       const AddressMap* attribution = nullptr,
-                                       int threads = 0);
+/// Simulate every configuration in `params` on `trace`, in
+/// multi_shard_plan(params, min(8, threads)).shards region shards, each
+/// decoding the whole trace and walking it once for all planes; the
+/// shards run on up to `threads` workers (0 = experiment_threads(),
+/// support/thread_pool.h).  One thread, or a geometry the region cannot
+/// nest (such as {48, 64} B), is one whole walk on the calling thread,
+/// exact for any CacheParams mix.  Results are bit-identical for every
+/// thread count.  Adds trace refs × planes to the sim.replay.plane_refs
+/// metric.
+///
+/// With a non-null `conflicts`, each plane additionally accumulates its
+/// word-granularity false-sharing conflict graph; on return *conflicts
+/// holds one ConflictGraph per plane (in params order, bucketed at that
+/// plane's block size), the same for every thread count.
+MultiReplayResult replay_multi(const EncodedTrace& trace,
+                               const std::vector<CacheParams>& params,
+                               const AddressMap* attribution = nullptr,
+                               int threads = 1,
+                               std::vector<ConflictGraph>* conflicts = nullptr);
 
 }  // namespace fsopt

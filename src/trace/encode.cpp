@@ -241,7 +241,6 @@ EncodedTrace TraceEncoder::take() {
   done.chunks_ =
       std::make_shared<const std::vector<EncodedChunk>>(std::move(chunks_));
   done.size_ = size_;
-  done.chunk_refs_ = chunk_refs_;
   chunks_.clear();
   size_ = 0;
   return done;

@@ -119,7 +119,6 @@ class EncodedTrace {
   std::shared_ptr<const std::vector<EncodedChunk>> chunks_;
   std::shared_ptr<const AddressRelocation> reloc_;  // null: as recorded
   u64 size_ = 0;
-  size_t chunk_refs_ = 0;
 };
 
 /// Streaming encoder: feed it references (it is a TraceSink), then

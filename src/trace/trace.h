@@ -10,10 +10,11 @@
 // implement on_ref() still work — the default on_batch() falls back to a
 // per-reference loop.
 //
-// For the record-once/replay-many pipeline, a TraceBuffer captures one
-// execution's reference stream in order and replays it into any number of
-// sinks (driver/experiment.h replays the seven paper block sizes — in
-// parallel — from a single interpreter run).
+// The record-once/replay-many pipeline records into a TraceEncoder and
+// replays the resulting EncodedTrace (trace/encode.h) into any number of
+// sinks (driver/experiment.h replays the seven paper block sizes from a
+// single interpreter run).  A TraceBuffer keeps one execution's raw
+// stream in order, for tests and the replay bench's raw baseline.
 #pragma once
 
 #include <algorithm>

@@ -101,6 +101,28 @@ TEST(ConflictGraph, CollectsAdjacentWordPingPong) {
   }
 }
 
+TEST(ConflictGraph, EngineAndCoherentCacheRecordThePartsVictimWord) {
+  // 8 B blocks: p1 reads 8 bytes at 4 (words 1 and 2, blocks 0 and 1),
+  // p0 writes word 3, p1 re-reads.  The second part misses with false
+  // sharing in block 1; its victim is the part's first word (byte 8),
+  // not the reference's (byte 4, in block 0).  Plane 0 runs on the
+  // bitmask engine; plane 1's three sets are not a power of two, so a
+  // private CoherentCache simulates it.  Both must give the same graph.
+  TraceBuffer raw;
+  raw.on_ref({4, 8, 1, RefType::kRead});
+  raw.on_ref({12, 4, 0, RefType::kWrite});
+  raw.on_ref({4, 8, 1, RefType::kRead});
+  const std::vector<CacheParams> params = {{2, 32, 8, 64}, {2, 24, 8, 64}};
+  std::vector<ConflictGraph> graphs;
+  replay_multi(encode_trace(raw), params, nullptr, 1, &graphs);
+  ASSERT_EQ(graphs.size(), 2u);
+  ASSERT_EQ(graphs[1].lines.size(), 1u);
+  EXPECT_EQ(graphs[1].lines[0].line, 1);
+  EXPECT_EQ(graphs[1].lines[0].edges,
+            (std::vector<ConflictEdge>{{12, 8, 0, 1, 1}}));
+  EXPECT_TRUE(graphs[0] == graphs[1]);
+}
+
 TEST(ConflictGraph, ProfileCarriesKnownWordStructure) {
   Compiled c = compile_source(kPingPong, base_options(false));
   AddressMap am = build_address_map(c);

@@ -77,18 +77,19 @@ TEST(Experiment, AtOnEmptyStudyNamesNoSizes) {
   }
 }
 
-TEST(Experiment, MergeCombinesDisjointBlockStudies) {
+TEST(Experiment, BlockSubsetStudiesMatchTheWholeSweep) {
+  // Planes never interact: studying a subset of the block sizes gives
+  // each one the stats it has in the whole sweep.
   Compiled c = compile_opt();
   EncodedTrace trace = record_encoded_trace(c);
   TraceStudyResult all = replay_trace_study(trace, c, {16, 64, 128});
   TraceStudyResult lo = replay_trace_study(trace, c, {16});
   TraceStudyResult hi = replay_trace_study(trace, c, {64, 128});
-  lo.merge(hi);
-  EXPECT_EQ(lo.by_block, all.by_block);
+  EXPECT_EQ(lo.at(16), all.at(16));
+  EXPECT_EQ(hi.at(64), all.at(64));
+  EXPECT_EQ(hi.at(128), all.at(128));
   EXPECT_EQ(lo.refs, all.refs);
-  // Overlapping block sizes are rejected.
-  TraceStudyResult dup = replay_trace_study(trace, c, {64});
-  EXPECT_THROW(lo.merge(dup), InternalError);
+  EXPECT_EQ(hi.refs, all.refs);
 }
 
 TEST(Experiment, MissStatsMergeAddsEveryField) {

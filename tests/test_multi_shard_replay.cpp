@@ -1,10 +1,9 @@
-// Differential suite for the composed sharded × multi-configuration
-// replay (replay_multi_sharded): region shards, each filtering its own
-// decode of the trace and simulating every plane, must be bit-identical
-// — aggregate stats AND per-datum attribution — to the serial
-// single-pass replay_multi, for every shard count and across the full
-// 29-cell workload matrix.  Also covers replay_trace_study's choice
-// between the two engines, including a sweep the region cannot nest.
+// Differential suite for the sharded replay_multi: region shards, each
+// filtering its own decode of the trace and simulating every plane, must
+// be bit-identical — aggregate stats, per-datum attribution and conflict
+// graphs — to one whole walk, for every thread count (hence every shard
+// count) and across the full 29-cell workload matrix.  Also covers
+// replay_trace_study on a sweep the region cannot nest.
 #include "sim/multi.h"
 
 #include <gtest/gtest.h>
@@ -68,14 +67,15 @@ TEST(MultiShardReplay, SyntheticStreamMatchesSerialForEveryShardCount) {
   std::vector<CacheParams> params =
       sweep_params(4, 1 << 16, {4, 8, 16, 32, 64, 128, 256}, /*l1=*/2048);
 
-  MultiReplayResult serial = replay_multi(enc, params, &am);
+  std::vector<ConflictGraph> serial_graphs;
+  MultiReplayResult serial = replay_multi(enc, params, &am, 1, &serial_graphs);
   for (int k : {1, 2, 4, 8}) {
-    MultiShardPlan plan = multi_shard_plan(params, k);
-    EXPECT_EQ(plan.shards, k);
-    MultiReplayResult composed =
-        replay_multi_sharded(enc, params, plan.shards, &am);
+    EXPECT_EQ(multi_shard_plan(params, k).shards, k);
+    std::vector<ConflictGraph> graphs;
+    MultiReplayResult composed = replay_multi(enc, params, &am, k, &graphs);
     EXPECT_EQ(serial.stats, composed.stats) << "shards=" << k;
     EXPECT_EQ(serial.by_datum, composed.by_datum) << "shards=" << k;
+    EXPECT_EQ(serial_graphs, graphs) << "shards=" << k;
   }
 }
 
@@ -86,11 +86,10 @@ TEST(MultiShardReplay, ChunkBoundariesNeverChangeResults) {
                     static_cast<u8>(i % 3),
                     i % 5 == 0 ? RefType::kWrite : RefType::kRead});
   std::vector<CacheParams> params = sweep_params(3, 1 << 13, {4, 32, 128});
-  MultiShardPlan plan = multi_shard_plan(params, 4);
-  MultiReplayResult a =
-      replay_multi_sharded(encoded(refs), params, plan.shards);
-  MultiReplayResult b = replay_multi_sharded(
-      encoded(refs, /*chunk_refs=*/128), params, plan.shards);
+  ASSERT_EQ(multi_shard_plan(params, 4).shards, 4);
+  MultiReplayResult a = replay_multi(encoded(refs), params, nullptr, 4);
+  MultiReplayResult b =
+      replay_multi(encoded(refs, /*chunk_refs=*/128), params, nullptr, 4);
   EXPECT_EQ(a.stats, b.stats);
 }
 
@@ -101,20 +100,17 @@ TEST(MultiShardReplay, ThreadCountNeverChangesResults) {
                     i % 4 == 0 ? RefType::kWrite : RefType::kRead});
   std::vector<CacheParams> params =
       sweep_params(8, 1 << 13, {4, 8, 16, 32, 64, 128, 256});
-  MultiShardPlan plan = multi_shard_plan(params, 8);
   const EncodedTrace enc = encoded(refs);
-  MultiReplayResult one =
-      replay_multi_sharded(enc, params, plan.shards, nullptr, 1);
+  MultiReplayResult one = replay_multi(enc, params, nullptr, 1);
   for (int threads : {2, 3, 8}) {
-    MultiReplayResult many =
-        replay_multi_sharded(enc, params, plan.shards, nullptr, threads);
+    MultiReplayResult many = replay_multi(enc, params, nullptr, threads);
     EXPECT_EQ(one.stats, many.stats) << "threads=" << threads;
   }
 }
 
 /// fmm's natural version on four processors, a recording of at least
-/// one full 64 Ki-reference chunk.  replay_trace_study shards it, like
-/// any sweep the region nests, whenever it has more than one thread.
+/// one full 64 Ki-reference chunk.  replay_multi shards it, like any
+/// sweep the region nests, whenever it has more than one thread.
 struct FmmStudy {
   Compiled c;
   EncodedTrace trace;
@@ -131,8 +127,8 @@ struct FmmStudy {
 };
 
 TEST(MultiShardReplay, StudyShardsLargeTracesExactly) {
-  // One thread replays single-pass; two and four shard the trace through
-  // the composed engine.  Every route must produce the same numbers.
+  // One thread walks the trace once; two and four shard it.  Every shard
+  // count must produce the same numbers.
   FmmStudy f;
   ASSERT_GE(f.trace.size(), u64{1} << 16);
   const std::vector<i64> blocks = {4, 16, 64, 256};
@@ -151,11 +147,11 @@ TEST(MultiShardReplay, StudyShardsLargeTracesExactly) {
 }
 
 TEST(MultiShardReplay, StudyOfNonNestingSweepMatchesPerPlaneCacheSim) {
-  // {48, 64} B: 48 does not divide the 64 B region, so the composed
-  // engine cannot take this sweep (`fsoptc --miss 48,64`).  The study
-  // walks it single-pass instead, and every plane — the non-power-of-two
-  // one simulated by a private CoherentCache — must equal a dedicated
-  // CacheSim, attribution included.
+  // {48, 64} B: 48 does not divide the 64 B region, so this sweep
+  // cannot shard (`fsoptc --miss 48,64`).  Four threads walk it once,
+  // and every plane — the non-power-of-two one simulated by a private
+  // CoherentCache — must equal a dedicated CacheSim, attribution
+  // included.
   FmmStudy f;
   ASSERT_GE(f.trace.size(), u64{1} << 16);
   const std::vector<i64> blocks = {48, 64};
@@ -172,11 +168,12 @@ TEST(MultiShardReplay, StudyOfNonNestingSweepMatchesPerPlaneCacheSim) {
 // --- the workload-matrix differential --------------------------------
 //
 // Every cell of the paper's experiment matrix (ten workloads x {N,C}
-// plus the programmer-optimized versions): the composed sharded ×
-// multi-plane replay must equal the serial single-pass replay at every
-// block size and shard count, on aggregate stats and per-datum
-// attribution (test_multi_replay.cpp pins the serial replay to a
-// dedicated CacheSim per plane on the same matrix).
+// plus the programmer-optimized versions): the sharded replay must equal
+// one whole walk at every block size and shard count, on aggregate
+// stats and per-datum attribution (test_multi_replay.cpp pins the whole
+// walk to a dedicated CacheSim per plane on the same matrix), and on the
+// ten C cells a conflict-collecting study must give the same stats,
+// attribution and conflict graphs at every thread count.
 
 TEST(MultiShardReplayMatrix, BitIdenticalAcrossAllCellsAndShardCounts) {
   std::vector<CompileJob> jobs = workload_matrix_jobs();
@@ -200,8 +197,7 @@ TEST(MultiShardReplayMatrix, BitIdenticalAcrossAllCellsAndShardCounts) {
 
     for (int k : {2, 8}) {
       MultiShardPlan plan = multi_shard_plan(params, k);
-      MultiReplayResult composed =
-          replay_multi_sharded(trace, params, plan.shards, &am);
+      MultiReplayResult composed = replay_multi(trace, params, &am, k);
       for (size_t p = 0; p < params.size(); ++p) {
         EXPECT_EQ(serial.stats[p], composed.stats[p])
             << label << " block=" << params[p].block_size
@@ -212,6 +208,42 @@ TEST(MultiShardReplayMatrix, BitIdenticalAcrossAllCellsAndShardCounts) {
       }
     }
   }
+}
+
+TEST(MultiShardReplayMatrix, ConflictStudiesIdenticalAcrossThreadCounts) {
+  // The graph repair loop that seeds every search and `--diagnose` run
+  // conflict-collecting studies; each shard collects the lines of its
+  // own regions, and their union must be the one-walk graph.
+  const std::vector<i64> blocks = {32, 64, 128, 256};
+  size_t c_cells = 0, graphs = 0;
+  for (const CompileJob& job : workload_matrix_jobs()) {
+    if (!job.label.ends_with("/C")) continue;
+    ++c_cells;
+    const Compiled c = compile_source(job.source, job.options);
+    const AddressMap am = build_address_map(c);
+    const EncodedTrace trace = record_encoded_trace(c);
+    const TraceStudyResult one =
+        replay_trace_study(trace, c, blocks, 32 * 1024, &am, 1, true);
+    // Every false-sharing miss records at least one edge, and nothing
+    // else records any.
+    for (i64 b : blocks) {
+      EXPECT_EQ(one.conflicts.at(b).empty(), one.at(b).false_sharing == 0)
+          << job.label << " block=" << b;
+      graphs += one.conflicts.at(b).empty() ? 0 : 1;
+    }
+    for (int threads : {2, 4, 8}) {
+      const TraceStudyResult many =
+          replay_trace_study(trace, c, blocks, 32 * 1024, &am, threads, true);
+      EXPECT_EQ(one.by_block, many.by_block)
+          << job.label << " threads=" << threads;
+      EXPECT_EQ(one.by_datum, many.by_datum)
+          << job.label << " threads=" << threads;
+      EXPECT_TRUE(one.conflicts == many.conflicts)
+          << job.label << " threads=" << threads;
+    }
+  }
+  EXPECT_EQ(c_cells, 10u);
+  EXPECT_GT(graphs, 0u);
 }
 
 }  // namespace

@@ -199,11 +199,11 @@ std::vector<CacheParams> paper_params(const Compiled& c) {
   return params;
 }
 
-/// A two-shard composed sweep of `c` over the paper block sizes — the
-/// engine replay_trace_study picks with two threads, called directly.
+/// A two-shard sweep of `c` over the paper block sizes: what
+/// replay_trace_study runs with two threads, called directly.
 MultiReplayResult composed_sweep(const Compiled& c) {
-  return replay_multi_sharded(record_encoded_trace(c), paper_params(c),
-                              /*shards=*/2, nullptr, /*threads=*/2);
+  return replay_multi(record_encoded_trace(c), paper_params(c), nullptr,
+                      /*threads=*/2);
 }
 
 TEST_F(ObsTest, EndToEndRunEmitsPassRecordAndReplaySpans) {
@@ -214,9 +214,9 @@ TEST_F(ObsTest, EndToEndRunEmitsPassRecordAndReplaySpans) {
   EXPECT_NE(find_span(data, "parse"), nullptr);
   EXPECT_NE(find_span(data, "codegen"), nullptr);
   EXPECT_NE(find_span(data, "record_encoded_trace"), nullptr);
-  // The composed sharded × multi-plane engine: one span per shard with
-  // its simulated and scanned references and throughput, one span per
-  // plane with the miss-class counters.
+  // The sharded replay: one span per shard with its simulated and
+  // scanned references and throughput, one span per plane with the
+  // miss-class counters.
   const obs::SpanEvent* shard = find_span(data, "multi_shard");
   ASSERT_NE(shard, nullptr);
   bool has_refs = false, has_scanned = false;

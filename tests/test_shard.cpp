@@ -1,11 +1,11 @@
-// Unit tests for the region filter of the sharded replay
-// (replay_multi_sharded, sim/multi.h): pieces of region-spanning
-// references, geometries whose region or region count is not a power of
-// two, the single-shard case, and the refusal of a shard count the plan
-// does not admit.  Each replay is compared with the serial replay_multi
-// on stats and per-datum attribution; routing by region and per-shard
-// order are covered by the bit-identity suites in
-// test_multi_shard_replay.cpp and test_trace_codec.cpp.
+// Unit tests for the region filter of the sharded replay_multi
+// (sim/multi.h): pieces of region-spanning references, geometries whose
+// region or region count is not a power of two, and the single-shard
+// case.  Each replay, at the shard count its thread count admits, is
+// compared with one whole walk (one thread) on stats and per-datum
+// attribution; routing by region and per-shard order are covered by the
+// bit-identity suites in test_multi_shard_replay.cpp and
+// test_trace_codec.cpp.
 #include <gtest/gtest.h>
 
 #include "sim/multi.h"
@@ -28,13 +28,12 @@ AddressMap two_data() {
 
 void expect_matches_serial(const EncodedTrace& t,
                            const std::vector<CacheParams>& params,
-                           int shards) {
+                           int threads) {
   const AddressMap am = two_data();
   const MultiReplayResult serial = replay_multi(t, params, &am);
-  const MultiReplayResult sharded =
-      replay_multi_sharded(t, params, shards, &am, shards);
-  EXPECT_EQ(serial.stats, sharded.stats) << "shards=" << shards;
-  EXPECT_EQ(serial.by_datum, sharded.by_datum) << "shards=" << shards;
+  const MultiReplayResult sharded = replay_multi(t, params, &am, threads);
+  EXPECT_EQ(serial.stats, sharded.stats) << "threads=" << threads;
+  EXPECT_EQ(serial.by_datum, sharded.by_datum) << "threads=" << threads;
 }
 
 TEST(ShardedReplay, SplitsRegionSpanningRefs) {
@@ -73,52 +72,47 @@ TEST(ShardedReplay, NonPowerOfTwoGeometryStaysAtOneShard) {
   const std::vector<CacheParams> region24 = {{4, 1536, 8, 1024},
                                              {4, 1536, 24, 1024}};
   EXPECT_EQ(multi_shard_plan(region24, 2).shards, 1);
-  EXPECT_THROW(replay_multi_sharded(t, region24, 2), InternalError);
-  expect_matches_serial(t, region24, 1);
+  expect_matches_serial(t, region24, 2);
   // Three 256-byte regions per cache: no power of two above 1 divides 3.
   const std::vector<CacheParams> three = {{4, 768, 64, 1024},
                                           {4, 768, 256, 1024}};
   EXPECT_EQ(multi_shard_plan(three, 3).shards, 1);
   EXPECT_EQ(multi_shard_plan(three, 8).shards, 1);
-  EXPECT_THROW(replay_multi_sharded(t, three, 3), InternalError);
-  expect_matches_serial(t, three, 1);
+  expect_matches_serial(t, three, 8);
   // Six regions per cache: a request of 8 falls to 2, not 6 or 3.
   const std::vector<CacheParams> six = {{4, 1536, 64, 1024},
                                         {4, 1536, 256, 1024}};
   EXPECT_EQ(multi_shard_plan(six, 8).shards, 2);
-  EXPECT_THROW(replay_multi_sharded(t, six, 6), InternalError);
-  expect_matches_serial(t, six, 2);
+  expect_matches_serial(t, six, 8);
 }
 
 TEST(ShardedReplay, SingleShardTakesEverything) {
-  // One shard keeps every reference, spanning ones whole.
-  const std::vector<MemRef> refs = {{0, 4, 0, RefType::kRead},
-                                    {4, 8, 1, RefType::kWrite},
-                                    {500, 4, 2, RefType::kRead},
-                                    {4, 8, 0, RefType::kRead}};
-  expect_matches_serial(encoded(refs), {{4, 1024, 4, 1024}}, 1);
-  // Also for a geometry the region cannot nest: one shard never splits.
-  expect_matches_serial(encoded(refs),
-                        {{4, 48 * 16, 48, 1024}, {4, 1024, 64, 1024}}, 1);
-}
-
-TEST(ShardedReplay, MismatchedPartitionIsRejected) {
-  // Planes {16, 64} B in 32 KiB caches: region 64, and every shard count
-  // up to 512 divides 32768 / 64.
-  EncodedTrace t = encoded({{0, 4, 0, RefType::kRead}});
-  std::vector<CacheParams> params = {{4, 32 * 1024, 16, 1 << 16},
-                                     {4, 32 * 1024, 64, 1 << 16}};
-  EXPECT_NO_THROW(replay_multi_sharded(t, params, 2));
-  EXPECT_THROW(replay_multi_sharded(t, params, 0), InternalError);
-  // 3 does not divide the 512 regions per cache, so LRU sets would span
-  // shards.
-  EXPECT_THROW(replay_multi_sharded(t, params, 3), InternalError);
-  // A geometry the region cannot nest ({48, 64} B) composes at no shard
-  // count above 1.
-  std::vector<CacheParams> odd = {{4, 48 * 1024, 48, 1 << 16},
-                                  {4, 32 * 1024, 64, 1 << 16}};
+  // One shard keeps every reference, spanning ones whole, and equals a
+  // dedicated CacheSim per plane.
+  const EncodedTrace t = encoded({{0, 4, 0, RefType::kRead},
+                                  {4, 8, 1, RefType::kWrite},
+                                  {500, 4, 2, RefType::kRead},
+                                  {4, 8, 0, RefType::kRead}});
+  const AddressMap am = two_data();
+  const auto expect_matches_cache_sim =
+      [&](const std::vector<CacheParams>& params, int threads) {
+        const MultiReplayResult multi = replay_multi(t, params, &am, threads);
+        for (size_t p = 0; p < params.size(); ++p) {
+          CacheSim solo(params[p], &am);
+          t.replay(solo);
+          EXPECT_EQ(multi.stats[p], solo.stats())
+              << "block=" << params[p].block_size;
+          EXPECT_EQ(multi.by_datum[p], solo.by_datum())
+              << "block=" << params[p].block_size;
+        }
+      };
+  expect_matches_cache_sim({{4, 1024, 4, 1024}}, 1);
+  // A geometry the region cannot nest ({48, 64} B) stays at one shard
+  // whatever the thread count.
+  const std::vector<CacheParams> odd = {{4, 48 * 16, 48, 1024},
+                                        {4, 1024, 64, 1024}};
   EXPECT_EQ(multi_shard_plan(odd, 4).shards, 1);
-  EXPECT_THROW(replay_multi_sharded(t, odd, 2), InternalError);
+  expect_matches_cache_sim(odd, 4);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // adversarial streams, chunk-boundary-independent decoding (any chunk,
 // any order), streaming-vs-bulk encoder equivalence, the one-byte meta
 // column, and a chunk-boundary-independent sharded replay (every shard
-// decodes the trace itself, so replay_multi_sharded over small chunks
+// decodes the trace itself, so a sharded replay_multi over small chunks
 // == over one chunk holding the whole stream).
 //
 // The fuzz loops run a fixed seed matrix so CI is reproducible; set
@@ -322,8 +322,9 @@ TEST_P(TraceCodecFuzz, ChunksDecodeIndependently) {
 
 TEST_P(TraceCodecFuzz, ShardedReplayIgnoresChunkBoundaries) {
   // Every shard decodes the trace itself and filters its regions out of
-  // the stream, so where the chunks end must not change a counter; nor
-  // may the sharding itself, on streams of unaligned and spanning refs.
+  // the stream, so where the chunks end must not change a counter or a
+  // conflict edge; nor may the sharding itself, on streams of unaligned
+  // and spanning refs.
   const Pattern& pat = GetParam();
   int iters = std::max(1, fuzz_iters() / 2);
   for (int iter = 0; iter < iters; ++iter) {
@@ -343,18 +344,24 @@ TEST_P(TraceCodecFuzz, ShardedReplayIgnoresChunkBoundaries) {
          {std::vector<i64>{4}, std::vector<i64>{4, 16, 64}}) {
       std::vector<CacheParams> params;
       for (i64 b : blocks) params.push_back({nprocs, 1024, b, kSimBytes + 8});
-      const MultiReplayResult serial = replay_multi(whole, params, &am);
+      std::vector<ConflictGraph> gs;
+      const MultiReplayResult serial = replay_multi(whole, params, &am, 1, &gs);
       for (int shards : {1, 4}) {
         ASSERT_EQ(multi_shard_plan(params, shards).shards, shards);
+        std::vector<ConflictGraph> ga, gb;
         const MultiReplayResult a =
-            replay_multi_sharded(small, params, shards, &am);
+            replay_multi(small, params, &am, shards, &ga);
         const MultiReplayResult b =
-            replay_multi_sharded(whole, params, shards, &am);
+            replay_multi(whole, params, &am, shards, &gb);
         EXPECT_EQ(a.stats, b.stats)
             << pat.name << " iter=" << iter << " shards=" << shards;
         EXPECT_EQ(a.by_datum, b.by_datum)
             << pat.name << " iter=" << iter << " shards=" << shards;
+        EXPECT_TRUE(ga == gb)
+            << pat.name << " iter=" << iter << " shards=" << shards;
         EXPECT_EQ(b.stats, serial.stats)
+            << pat.name << " iter=" << iter << " shards=" << shards;
+        EXPECT_TRUE(gb == gs)
             << pat.name << " iter=" << iter << " shards=" << shards;
       }
     }
