@@ -494,5 +494,77 @@ TEST(MachineGolden, WideMachineKsrTiming) {
   }
 }
 
+// Everything the KSR2 model reports, at the processor counts Figure 3
+// and Figure 4 care about: the six Figure-3 programs, N and C, at 12 and
+// 48 processors on the timing-size inputs.  Each point is a 64-bit FNV-1a
+// over the cycles, the instruction count and every KsrStats field
+// (hits, misses, upgrades, remote misses, stall and queue cycles and the
+// eight classified counters), so a model change that keeps the cycles
+// but moves, say, the queueing split still fails here.
+TEST(MachineGolden, KsrStatsAtFigure3Points) {
+  struct Golden {
+    const char* workload;
+    bool optimize;
+    i64 procs;
+    i64 ksr_cycles;
+    u64 stats_hash;
+  };
+  static const Golden kGolden[] = {
+      {"maxflow", false, 12, 3117815, 0x2a4a7b680fedda78ull},
+      {"maxflow", false, 48, 3523857, 0x37195b4710567705ull},
+      {"maxflow", true, 12, 2849298, 0x6c8e15dcf3582498ull},
+      {"maxflow", true, 48, 3336229, 0xdb30ee60b7c8197dull},
+      {"pverify", false, 12, 3525347, 0x0cdb5f0d2bf6ddf7ull},
+      {"pverify", false, 48, 4812964, 0x79b051d8337945b3ull},
+      {"pverify", true, 12, 974227, 0x485ec8f740f0ac62ull},
+      {"pverify", true, 48, 1179452, 0xed7b71731b85d68dull},
+      {"topopt", false, 12, 1739728, 0xe05c694444a9e14aull},
+      {"topopt", false, 48, 2235636, 0x35d8372358cce4faull},
+      {"topopt", true, 12, 666466, 0x653ba1d7f44dcc01ull},
+      {"topopt", true, 48, 987724, 0x771deea15d7b6e7cull},
+      {"fmm", false, 12, 5652545, 0x673ded6374e028acull},
+      {"fmm", false, 48, 5755735, 0x95927ef63638b1efull},
+      {"fmm", true, 12, 2283588, 0x8710cda3f6950efbull},
+      {"fmm", true, 48, 2473650, 0xc5e4d3d8a7c9dff7ull},
+      {"radiosity", false, 12, 2693801, 0xc4e9dff4cf434facull},
+      {"radiosity", false, 48, 2969015, 0x5db43ed330c9b99full},
+      {"radiosity", true, 12, 1665349, 0x114b51cc0f273c68ull},
+      {"radiosity", true, 48, 1945066, 0x4de46068dac63781ull},
+      {"raytrace", false, 12, 1636046, 0x21df0e2fa4720524ull},
+      {"raytrace", false, 48, 1960347, 0x07755a5b8ee1de1full},
+      {"raytrace", true, 12, 1033482, 0x14184a46230ae911ull},
+      {"raytrace", true, 48, 1032956, 0xe088d15a489e8cf5ull},
+  };
+  for (const Golden& g : kGolden) {
+    const workloads::Workload& w = workloads::get(g.workload);
+    CompileOptions o;
+    o.overrides = w.time_overrides;
+    o.optimize = g.optimize;
+    TimingResult t = compile_and_time(g.optimize ? w.natural : w.unopt,
+                                      g.procs, o);
+    u64 h = 1469598103934665603ull;
+    auto mix = [&h](u64 v) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+      }
+    };
+    const KsrStats& s = t.ksr;
+    const MissStats& c = s.classified;
+    for (u64 v : {static_cast<u64>(t.cycles), t.instructions, s.refs, s.hits,
+                  s.misses, s.upgrades, s.remote_misses,
+                  static_cast<u64>(s.stall_cycles),
+                  static_cast<u64>(s.queue_cycles), c.refs, c.hits, c.cold,
+                  c.replacement, c.true_sharing, c.false_sharing, c.upgrades,
+                  c.invalidations})
+      mix(v);
+    const std::string what = std::string(g.workload) +
+                             (g.optimize ? "/C@" : "/N@") +
+                             std::to_string(g.procs);
+    EXPECT_EQ(t.cycles, g.ksr_cycles) << what;
+    EXPECT_EQ(h, g.stats_hash) << what;
+  }
+}
+
 }  // namespace
 }  // namespace fsopt
