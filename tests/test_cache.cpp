@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
+#include "baseline_cache.h"
+
 namespace fsopt {
 namespace {
 
@@ -371,6 +376,64 @@ TEST_P(CacheInvariants, CountsArePartition) {
 
 INSTANTIATE_TEST_SUITE_P(Blocks, CacheInvariants,
                          ::testing::Values(4, 8, 16, 32, 64, 128, 256));
+
+// CoherentCache against an independent implementation: the hash-map
+// simulator in bench/baseline_cache.h, fed the same seeded random stream,
+// must produce the same outcome for every reference (kind, upgrade,
+// servicing cache, invalidation count).  Half the references go to a few
+// hot blocks that every processor reads and writes (upgrades, sharing
+// misses, invalidations), the rest spread over 16 cache sizes of address
+// space (replacements).  Aligned 4- and 8-byte references only: the
+// baseline merges a block-spanning reference's parts by raw enum order,
+// which misreports a (true, false sharing) pair (see
+// combine_split_outcomes).  With associativity above 1, a way that was
+// invalidated keeps its block number while other ways refill, which is
+// where a residency bug would show.
+TEST(CacheDifferential, MatchesHashBaselineOutcomeByOutcome) {
+  constexpr int kRefs = 30000;
+  for (i64 nprocs : {1, 12, 48, 64}) {
+    for (i64 assoc : {1, 2, 4}) {
+      for (i64 block : {8, 16, 128}) {
+        CacheParams p;
+        p.nprocs = nprocs;
+        p.block_size = block;
+        p.associativity = assoc;
+        p.cache_bytes = 4 * assoc * block;  // four sets
+        p.total_bytes = 16 * p.cache_bytes;
+        CoherentCache cache(p);
+        benchx::baseline::HashCoherentCache reference(p);
+        std::mt19937_64 rng(static_cast<u64>(nprocs * 1000 + assoc * 100 +
+                                             block));
+        const std::string what = std::to_string(nprocs) + " procs, " +
+                                 std::to_string(assoc) + "-way, " +
+                                 std::to_string(block) + " B blocks";
+        for (int i = 0; i < kRefs; ++i) {
+          const int proc = static_cast<int>(rng() % static_cast<u64>(nprocs));
+          const i64 size = rng() % 2 == 0 ? 4 : 8;
+          const i64 span = rng() % 2 == 0 ? 3 * block : p.total_bytes;
+          const i64 addr = static_cast<i64>(rng() % static_cast<u64>(span)) &
+                           ~(size - 1);
+          const bool is_write = rng() % 3 == 0;
+          const AccessOutcome got = cache.access(proc, addr, size, is_write);
+          const AccessOutcome want =
+              reference.access(proc, addr, size, is_write);
+          const bool same = got.kind == want.kind &&
+                            got.upgrade == want.upgrade &&
+                            got.source_proc == want.source_proc &&
+                            got.invalidated == want.invalidated;
+          ASSERT_TRUE(same)
+              << what << ", reference " << i << ": proc " << proc << " "
+              << (is_write ? "writes " : "reads ") << size << " B at "
+              << addr << "; kind " << static_cast<int>(got.kind) << " vs "
+              << static_cast<int>(want.kind) << ", upgrade " << got.upgrade
+              << " vs " << want.upgrade << ", source " << got.source_proc
+              << " vs " << want.source_proc << ", invalidated "
+              << got.invalidated << " vs " << want.invalidated;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace fsopt
