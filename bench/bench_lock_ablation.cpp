@@ -85,7 +85,7 @@ i64 run(const char* src, i64 procs, bool lock_pad_only) {
   kp.total_bytes = c.code.total_bytes;
   KsrMemorySystem mem(kp);
   MachineOptions mo;
-  mo.memsys = &mem;
+  mo.ksr = &mem;
   // Tight test-and-test-and-set spinning (the behaviour the §3.2 lock
   // discussion is about: waiters continually rereading the lock word).
   mo.spin_interval = 20;

@@ -549,7 +549,7 @@ TimingResult run_ksr(const Compiled& c, KsrParams params) {
   params.total_bytes = c.code.total_bytes;
   KsrMemorySystem mem(params);
   MachineOptions mo;
-  mo.memsys = &mem;
+  mo.ksr = &mem;
   Machine machine(c.code, mo);
   machine.run();
   TimingResult out;

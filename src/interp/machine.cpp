@@ -7,6 +7,7 @@
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "sim/ksr.h"
 
 namespace fsopt {
 
@@ -29,6 +30,12 @@ Machine::Machine(const CodeImage& img, const MachineOptions& opt)
       slots_(decode(img.code)),
       mem_(static_cast<size_t>(img.total_bytes), 0) {
   FSOPT_CHECK(img.main_func >= 0, "code image has no main");
+  FSOPT_CHECK(img.nprocs >= 1 && img.nprocs <= (i64{1} << kIdBits),
+              "code image must run 1.." + std::to_string(i64{1} << kIdBits) +
+                  " processors");
+  FSOPT_CHECK(opt_.spin_interval >= 0,
+              "spin_interval must not be negative: clocks never run "
+              "backwards");
   if (opt_.sink != nullptr) {
     FSOPT_CHECK(opt_.sink_batch > 0, "sink_batch must be > 0");
     stage_.reserve(opt_.sink_batch);
@@ -115,8 +122,8 @@ i64 Machine::ref(int proc, i64 addr, i64 size, bool is_write, i64 now) {
                       is_write ? RefType::kWrite : RefType::kRead});
     if (stage_.size() >= opt_.sink_batch) flush_stage();
   }
-  return opt_.memsys != nullptr
-             ? opt_.memsys->access(proc, addr, size, is_write, now)
+  return opt_.ksr != nullptr
+             ? opt_.ksr->access(proc, addr, size, is_write, now)
              : MachineOptions::kTraceRefCycles;
 }
 
@@ -232,7 +239,7 @@ void Machine::exec_sync(Proc& p, const Slot& in) {
   ++p.pc;
 }
 
-void Machine::step(Proc& p) {
+u64 Machine::step(Proc& p, u64 rival) {
   // Execute instructions until this processor spends simulated time on a
   // memory reference / sync, halts, or has run kStepInstrs instructions.
   // Plain ALU work costs 1 cycle per instruction.  The hot state — pc,
@@ -257,11 +264,19 @@ void Machine::step(Proc& p) {
   int pc = p.pc;
   i64 time = p.time;
   u64 executed = instructions_;
+  u64 steps = 1;
   // One counter ends the step at kStepInstrs or at the instruction
   // budget, whichever comes first.
-  const u64 budget = opt_.max_instructions - std::min(executed,
-                                                      opt_.max_instructions);
-  const u64 stop = executed + std::min(kStepInstrs, budget);
+  u64 budget = opt_.max_instructions - std::min(executed,
+                                                opt_.max_instructions);
+  u64 stop = executed + std::min(kStepInstrs, budget);
+  // A step continued in place gets the same guarantees as a fresh one: a
+  // whole kStepInstrs of budget and of stack headroom.  Otherwise it
+  // returns, and run() starts the next step through the checks above.
+  const u64 last_full_start =
+      opt_.max_instructions - std::min(kStepInstrs, opt_.max_instructions);
+  const i64* const full_headroom =
+      bottom + (p.stack.size() - kStepInstrs);
   auto leave = [&] {
     p.pc = pc;
     p.time = time;
@@ -312,8 +327,18 @@ void Machine::step(Proc& p) {
           time += ref(p.id, addr, plan.size, false, time);
         }
         ++pc;
+        // The step ends here.  If this processor is still the earliest,
+        // the scheduler would pick it again: start that next step in
+        // place instead of yielding.
+        if (sched_key(time, p.id) < rival && executed <= last_full_start &&
+            top <= full_headroom) {
+          ++steps;
+          budget = opt_.max_instructions - executed;
+          stop = executed + kStepInstrs;
+          continue;
+        }
         leave();
-        return;  // spent simulated time; yield to the scheduler
+        return steps;  // spent simulated time; yield to the scheduler
       }
       case Op::kAddI: { i64 b = pop(); push(pop() + b); break; }
       case Op::kSubI: { i64 b = pop(); push(pop() - b); break; }
@@ -417,7 +442,7 @@ void Machine::step(Proc& p) {
         if (p.frames.empty()) {
           p.halted = true;
           leave();
-          return;
+          return steps;
         }
         locals = p.locals.data() + p.frames.back().base;
         pc = ret_pc;
@@ -432,7 +457,7 @@ void Machine::step(Proc& p) {
       case Op::kUnlock:
         leave();
         exec_sync(p, in);
-        return;  // sync ops always spend time
+        return steps;  // sync ops always spend time
       case Op::kLcg: {
         i64 x = pop();
         push((x * 1103515245 + 12345) & 0x7fffffff);
@@ -458,7 +483,7 @@ void Machine::step(Proc& p) {
       case Op::kHalt:
         p.halted = true;
         leave();
-        return;
+        return steps;
       // A superinstruction standing for n instructions runs whole only if
       // all n fit before the step ends; otherwise it runs just its first
       // instruction, so no step ever ends inside one.
@@ -513,6 +538,7 @@ void Machine::step(Proc& p) {
   FSOPT_CHECK(budget >= kStepInstrs,
               "instruction budget exceeded (runaway program?)");
   leave();
+  return steps;
 }
 
 void Machine::run() {
@@ -522,38 +548,40 @@ void Machine::run() {
   u64 steps = 0;
   // Always advance the processor with the smallest local clock (ties:
   // lowest id) — deterministic event-driven interleaving.  The runnable
-  // processors form a binary min-heap on (time, id), keyed inline so the
-  // sift does not chase Proc pointers; a step only moves the top
-  // processor's clock, so one sift-down restores the heap.
-  struct Ready {
-    i64 time;
-    int id;
-    bool operator<(const Ready& o) const {
-      return time != o.time ? time < o.time : id < o.id;
-    }
+  // processors are the leaves of a tournament tree of packed (clock, id)
+  // keys, each inner node the smaller of its children, so the root is the
+  // next processor and the smallest sibling along its path is the
+  // earliest of the others.  The picked processor keeps stepping while it
+  // stays below that rival; then only its path is replayed, the running
+  // minimum carried in a register rather than re-read from the children.
+  constexpr u64 kIdle = ~u64{0};  // a halted processor or an empty leaf
+  const size_t leaves = std::bit_ceil(procs_.size());
+  std::vector<u64> tree(2 * leaves, kIdle);
+  auto key_of = [](const Proc& p) {
+    if (p.halted) return kIdle;
+    FSOPT_CHECK(p.time >= 0 && p.time < (i64{1} << (64 - kIdBits)),
+                "processor clock outside the scheduler's range");
+    return sched_key(p.time, p.id);
   };
-  std::vector<Ready> ready;
   for (const Proc& p : procs_)
-    if (!p.halted) ready.push_back({p.time, p.id});
-  std::sort(ready.begin(), ready.end());  // sorted = a valid heap
-  while (!ready.empty()) {
-    Proc& top = procs_[static_cast<size_t>(ready.front().id)];
-    step(top);
-    ++steps;
-    if (top.halted) {
-      ready.front() = ready.back();
-      ready.pop_back();
-    } else {
-      ready.front().time = top.time;
-    }
-    const size_t n = ready.size();
-    for (size_t i = 0;;) {
-      size_t c = 2 * i + 1;
-      if (c >= n) break;
-      if (c + 1 < n && ready[c + 1] < ready[c]) ++c;
-      if (!(ready[c] < ready[i])) break;
-      std::swap(ready[i], ready[c]);
-      i = c;
+    tree[leaves + static_cast<size_t>(p.id)] = key_of(p);
+  for (size_t i = leaves - 1; i >= 1; --i)
+    tree[i] = std::min(tree[2 * i], tree[2 * i + 1]);
+  while (tree[1] != kIdle) {
+    const size_t leaf =
+        leaves + static_cast<size_t>(tree[1] & ((u64{1} << kIdBits) - 1));
+    u64 rival = kIdle;
+    for (size_t i = leaf; i > 1; i >>= 1) rival = std::min(rival, tree[i ^ 1]);
+    Proc& top = procs_[leaf - leaves];
+    u64 key;
+    do {
+      steps += step(top, rival);
+      key = key_of(top);
+    } while (key < rival);
+    tree[leaf] = key;
+    for (size_t i = leaf; i > 1; i >>= 1) {
+      key = std::min(key, tree[i ^ 1]);
+      tree[i >> 1] = key;
     }
   }
   flush_stage();
@@ -562,7 +590,7 @@ void Machine::run() {
   const u64 instructions = instructions_ - instructions0;
   const u64 refs = refs_ - refs0;
   if (span.active()) {
-    span.arg("mode", opt_.memsys != nullptr ? "timing" : "trace");
+    span.arg("mode", opt_.ksr != nullptr ? "timing" : "trace");
     span.arg("procs", static_cast<double>(procs_.size()));
     span.arg("instructions", static_cast<double>(instructions));
     span.arg("refs", static_cast<double>(refs));

@@ -2,8 +2,8 @@
 //
 // P logical processors execute the same bytecode (SPMD) over one simulated
 // shared memory.  The scheduler always advances the processor with the
-// smallest local clock (ties to the lowest id; a binary heap finds it in
-// O(log P)), so lock handoffs, barrier arrivals and memory contention
+// smallest local clock (ties to the lowest id; a tournament tree finds it
+// in O(log P)), so lock handoffs, barrier arrivals and memory contention
 // resolve in simulated-time order and runs are deterministic.
 // Locks are test-and-test-and-set spins on shared words; the barrier is a
 // central sense-reversing barrier — both generate real coherence traffic,
@@ -11,14 +11,16 @@
 #pragma once
 
 #include "interp/bytecode.h"
-#include "sim/memsys.h"
 #include "trace/trace.h"
 
 namespace fsopt {
 
+class KsrMemorySystem;
+
 struct MachineOptions {
-  /// Timing model; null = uniform kTraceRefCycles references (trace mode).
-  MemorySystem* memsys = nullptr;
+  /// Timing model (sim/ksr.h); null = uniform kTraceRefCycles references
+  /// (trace mode).
+  KsrMemorySystem* ksr = nullptr;
   static constexpr i64 kTraceRefCycles = 2;
   /// Optional trace sink receiving every shared-memory reference.
   /// References are staged internally and delivered in batches (in exact
@@ -100,9 +102,20 @@ class Machine {
   /// Most instructions one step runs before yielding to the scheduler.
   /// It decides the interleaving, so it is part of every run's result.
   static constexpr u64 kStepInstrs = 256;
+  /// The scheduler orders processors by one packed key, clock above id:
+  /// ids take the low kIdBits bits, so clocks must stay in
+  /// [0, 2^(64 - kIdBits)).
+  static constexpr int kIdBits = 16;
+  static u64 sched_key(i64 time, int id) {
+    return static_cast<u64>(time) << kIdBits | static_cast<u64>(id);
+  }
 
   static std::vector<Slot> decode(const std::vector<Instr>& code);
-  void step(Proc& p);
+  /// Run steps of `p`; returns how many.  A step that ends at a shared
+  /// reference is followed by the next one in place while `p`'s key stays
+  /// below `rival`, the smallest key of the other runnable processors —
+  /// exactly when the scheduler would pick `p` again.
+  u64 step(Proc& p, u64 rival);
   void exec_sync(Proc& p, const Slot& in);
   /// Issue one shared-memory reference by `proc` at local time `now`;
   /// returns its latency.

@@ -61,9 +61,10 @@ CoherentCache::CoherentCache(const CacheParams& p)
       classifier_(p.nprocs, p.block_size, p.total_bytes) {
   FSOPT_CHECK(blocks_total_ < (i64{1} << 31),
               "address space too large: block numbers must fit 32 bits"
-              " (Line::block is packed)");
-  lines_.assign(static_cast<size_t>(p.nprocs * sets_ * p.associativity),
-                Line{});
+              " (lines_ holds i32 block numbers)");
+  const size_t ways = static_cast<size_t>(p.nprocs * sets_ * p.associativity);
+  lines_.assign(ways, -1);
+  if (p.associativity > 1) lru_.assign(ways, 0);
   dir_.assign(static_cast<size_t>(blocks_total_), DirEntry{});
   if (p.word_invalidate) classifier_.enable_word_tracking();
 }

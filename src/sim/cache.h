@@ -80,6 +80,13 @@ inline AccessOutcome combine_split_outcomes(const AccessOutcome* parts,
 /// Per-processor caches + directory + classifier.  Used by the
 /// multi-plane replay's fallback planes, the KSR timing model and the
 /// CacheSim reference sink.
+///
+/// Residency lives in the directory alone: processor p holds block b iff
+/// b's sharer bit p is set, and holds it Modified iff p is b's owner.  A
+/// cache line is just the block number its way was last filled with, so
+/// an invalidation clears sharer bits without touching any line, and a
+/// hit in a direct-mapped cache reads nothing but the block's directory
+/// entry.
 class CoherentCache {
  public:
   /// Throws InternalError naming the sizes when `p` describes no cache:
@@ -102,18 +109,9 @@ class CoherentCache {
   void set_conflict_collector(ConflictCollector* c) { collector_ = c; }
 
  private:
-  enum class LineState : u8 { kInvalid, kShared, kModified };
-  // Packed to 16 bytes so an associative set scan touches fewer cache
-  // lines; block numbers fit i32 (checked against blocks_total_ in the
-  // constructor).
-  struct Line {
-    u64 lru = 0;  // last-use stamp within the set
-    i32 block = -1;
-    LineState state = LineState::kInvalid;
-  };
   struct DirEntry {
-    u64 sharers = 0;  // bit per processor
-    int owner = -1;   // processor holding the line Modified, or -1
+    u64 sharers = 0;  // bit per processor holding the block
+    int owner = -1;   // processor holding it Modified, or -1
   };
 
   AccessOutcome access_block(int proc, i64 addr, i64 size, bool is_write);
@@ -123,22 +121,25 @@ class CoherentCache {
   i64 set_of(i64 block) const {
     return set_mask_ >= 0 ? (block & set_mask_) : block % sets_;
   }
-  // Set-major layout: all processors' ways for one set sit adjacent, so
-  // the coherence paths (invalidate_remote, Modified downgrade) that walk
-  // the same set across processors stay within a couple of cache lines.
-  i64 set_base(int proc, i64 set) const {
-    return (set * params_.nprocs + proc) * params_.associativity;
+  // Set-major layout: all processors' ways for one set sit adjacent.
+  size_t set_base(int proc, i64 block) const {
+    return static_cast<size_t>((set_of(block) * params_.nprocs + proc) *
+                               params_.associativity);
   }
-  /// The way holding `block` in `proc`'s set, or nullptr.
-  Line* find_line(int proc, i64 block);
-  /// The way to (re)fill in `proc`'s set: a free way if present, else the
-  /// least-recently-used way.
-  Line& victim_line(int proc, i64 block);
+  bool holds(int proc, i64 block) const {
+    return (dir_[static_cast<size_t>(block)].sharers >> proc & 1) != 0;
+  }
+  /// Stamp the way of `proc`'s set that holds `block` as most recently
+  /// used (associative caches only: a direct-mapped set has no order).
+  void touch(int proc, i64 block);
+  /// Put `block` into `proc`'s set: into the first way whose block
+  /// `proc` no longer holds, else over the least-recently-used way, whose
+  /// block leaves the directory.
+  void fill(int proc, i64 block);
   void drop_from_dir(i64 block, int proc);
-  /// Invalidate remote copies on a write by `proc`; returns the count.
-  /// Under word_invalidate, remote copies whose words were not written
-  /// stay valid (the Dubois et al. hardware scheme).
-  int invalidate_remote(int proc, i64 block);
+  /// Invalidate remote copies on a write by `proc`, which becomes the
+  /// block's only holder and its owner; returns the count.
+  static int invalidate_remote(int proc, DirEntry& d);
 
   CacheParams params_;  // first member: validated before anything is sized
   i64 sets_;
@@ -157,7 +158,11 @@ class CoherentCache {
                                      });
   }
 
-  std::vector<Line> lines_;    // [(set * nprocs + proc) * assoc + way]
+  /// The block each way was last filled with (-1: never filled); the
+  /// way is valid iff its processor still holds that block.  i32 block
+  /// numbers (checked against blocks_total_ in the constructor).
+  std::vector<i32> lines_;  // [(set * nprocs + proc) * assoc + way]
+  std::vector<u64> lru_;    // last-use stamp per way; empty if direct-mapped
   std::vector<DirEntry> dir_;  // [block]
   MissClassifier classifier_;
   ConflictCollector* collector_ = nullptr;
@@ -169,50 +174,55 @@ class CoherentCache {
 // inlines the whole chain down to the flat-array loads within one
 // translation unit.
 
-inline CoherentCache::Line* CoherentCache::find_line(int proc, i64 block) {
-  Line* way = lines_.data() +
-              static_cast<size_t>(set_base(proc, set_of(block)));
+inline void CoherentCache::touch(int proc, i64 block) {
+  if (params_.associativity == 1) return;
+  const size_t base = set_base(proc, block);
   for (i64 w = 0; w < params_.associativity; ++w) {
-    if (way[w].block == block && way[w].state != LineState::kInvalid)
-      return &way[w];
+    if (lines_[base + static_cast<size_t>(w)] == block) {
+      lru_[base + static_cast<size_t>(w)] = tick_;
+      return;
+    }
   }
-  return nullptr;
 }
 
-inline CoherentCache::Line& CoherentCache::victim_line(int proc, i64 block) {
-  Line* way = lines_.data() +
-              static_cast<size_t>(set_base(proc, set_of(block)));
-  Line* victim = nullptr;
-  for (i64 w = 0; w < params_.associativity; ++w) {
-    if (way[w].state == LineState::kInvalid) return way[w];  // free way
-    if (victim == nullptr || way[w].lru < victim->lru) victim = &way[w];
+inline void CoherentCache::fill(int proc, i64 block) {
+  const size_t base = set_base(proc, block);
+  i32* way = lines_.data() + base;
+  if (params_.associativity == 1) {
+    if (way[0] >= 0 && holds(proc, way[0])) drop_from_dir(way[0], proc);
+    way[0] = static_cast<i32>(block);
+    return;
   }
-  return *victim;
+  const u64* lru = lru_.data() + base;
+  i64 v = -1;
+  bool free = false;
+  for (i64 w = 0; w < params_.associativity; ++w) {
+    if (way[w] < 0 || !holds(proc, way[w])) {
+      v = w;
+      free = true;
+      break;
+    }
+    if (v < 0 || lru[w] < lru[v]) v = w;
+  }
+  if (!free) drop_from_dir(way[v], proc);
+  // A way whose copy was invalidated still names its block; if that is
+  // `block`, the refill must not leave two ways claiming it.
+  for (i64 w = 0; w < params_.associativity; ++w)
+    if (w != v && way[w] == block) way[w] = -1;
+  way[v] = static_cast<i32>(block);
+  lru_[base + static_cast<size_t>(v)] = tick_;
 }
 
 inline void CoherentCache::drop_from_dir(i64 block, int proc) {
   DirEntry& d = dir_[static_cast<size_t>(block)];
   d.sharers &= ~(1ULL << proc);
   if (d.owner == proc) d.owner = -1;
-  if (d.sharers == 0) d.owner = -1;
 }
 
-inline int CoherentCache::invalidate_remote(int proc, i64 block) {
-  if (params_.word_invalidate) return 0;  // sub-block hardware: no block
-                                          // invalidations (§6, Dubois)
-  int invalidated = 0;
-  DirEntry& d = dir_[static_cast<size_t>(block)];
-  u64 m = d.sharers & ~(1ULL << proc);
-  while (m != 0) {  // visit only the actual sharers
-    int q = std::countr_zero(m);
-    m &= m - 1;
-    Line* rl = find_line(q, block);
-    if (rl != nullptr) {
-      rl->state = LineState::kInvalid;
-      ++invalidated;
-    }
-  }
-  d.sharers = 1ULL << proc;
+inline int CoherentCache::invalidate_remote(int proc, DirEntry& d) {
+  const u64 me = 1ULL << proc;
+  const int invalidated = std::popcount(d.sharers & ~me);
+  d.sharers = me;
   d.owner = proc;
   return invalidated;
 }
@@ -227,7 +237,9 @@ inline AccessOutcome CoherentCache::access_block(int proc, i64 addr,
                                : block * params_.block_size;
   i64 w0 = (addr - base) >> 2;
   i64 w1 = (addr + size - 1 - base) >> 2;
-  Line* resident = find_line(proc, block);
+  DirEntry& d = dir_[static_cast<size_t>(block)];
+  const u64 me = 1ULL << proc;
+  const bool resident = (d.sharers & me) != 0;
   ++tick_;
 
   // Every return site builds the outcome as one aggregate so the compiler
@@ -235,11 +247,12 @@ inline AccessOutcome CoherentCache::access_block(int proc, i64 addr,
   // through the stack (byte stores followed by a wide reload stall).
 
   if (params_.word_invalidate) {
-    // Sub-block invalidation ablation: a resident block still misses when
-    // the specific words referenced were remotely written (their valid
-    // bits are off); nothing else in the block is disturbed.
-    if (resident != nullptr) {
-      resident->lru = tick_;
+    // Sub-block invalidation ablation (§6, Dubois): no block is ever
+    // invalidated, but a resident block still misses when the specific
+    // words referenced were remotely written (their valid bits are off);
+    // nothing else in the block is disturbed.
+    if (resident) {
+      touch(proc, block);
       MissKind kind = classifier_.words_valid_at(proc, block, w0, w1)
                           ? MissKind::kHit
                           : MissKind::kTrueSharing;  // word refetch
@@ -249,32 +262,24 @@ inline AccessOutcome CoherentCache::access_block(int proc, i64 addr,
     MissKind kind = classifier_.classify_miss_at(proc, block, w0, w1);
     if (kind == MissKind::kFalseSharing && collector_ != nullptr)
       note_conflicts(proc, block, base, w0, w1);
-    Line& line = victim_line(proc, block);
-    if (line.block >= 0 && line.state != LineState::kInvalid)
-      drop_from_dir(line.block, proc);
-    DirEntry& d = dir_[static_cast<size_t>(block)];
-    d.sharers |= 1ULL << proc;
-    line.block = static_cast<i32>(block);
-    line.state = LineState::kShared;
-    line.lru = tick_;
+    fill(proc, block);
+    d.sharers |= me;
     classifier_.note_access_at(proc, block, w0, w1, is_write);
     return {kind, false, -1, 0};
   }
 
-  if (resident != nullptr &&
-      (!is_write || resident->state == LineState::kModified)) {
+  if (resident && (!is_write || d.owner == proc)) {
     // Plain hit.
-    resident->lru = tick_;
+    touch(proc, block);
     classifier_.note_access_at(proc, block, w0, w1, is_write);
     return {MissKind::kHit, false, -1, 0};
   }
 
-  if (resident != nullptr && is_write &&
-      resident->state == LineState::kShared) {
-    // Upgrade: invalidate all other copies; no data transfer.
-    int inv = invalidate_remote(proc, block);
-    resident->state = LineState::kModified;
-    resident->lru = tick_;
+  if (resident) {
+    // Write to a Shared copy, an upgrade: invalidate all other copies; no
+    // data transfer.
+    int inv = invalidate_remote(proc, d);
+    touch(proc, block);
     classifier_.note_access_at(proc, block, w0, w1, is_write);
     return {MissKind::kHit, true, -1, inv};
   }
@@ -284,34 +289,15 @@ inline AccessOutcome CoherentCache::access_block(int proc, i64 addr,
   if (kind == MissKind::kFalseSharing && collector_ != nullptr)
     note_conflicts(proc, block, base, w0, w1);
 
-  Line& line = victim_line(proc, block);
-  if (line.block >= 0 && line.state != LineState::kInvalid)
-    drop_from_dir(line.block, proc);
-
-  DirEntry& d = dir_[static_cast<size_t>(block)];
+  fill(proc, block);  // the evicted block is never `block` itself
   int src = d.owner >= 0 && d.owner != proc ? d.owner : -1;
   int inv = 0;
-
   if (is_write) {
-    inv = invalidate_remote(proc, block);
-    DirEntry& d2 = dir_[static_cast<size_t>(block)];
-    d2.sharers = 1ULL << proc;
-    d2.owner = proc;
-    line.block = static_cast<i32>(block);
-    line.state = LineState::kModified;
+    inv = invalidate_remote(proc, d);
   } else {
-    if (d.owner >= 0 && d.owner != proc) {
-      // Downgrade the remote Modified copy to Shared.
-      Line* rl = find_line(d.owner, block);
-      if (rl != nullptr && rl->state == LineState::kModified)
-        rl->state = LineState::kShared;
-      d.owner = -1;
-    }
-    d.sharers |= 1ULL << proc;
-    line.block = static_cast<i32>(block);
-    line.state = LineState::kShared;
+    d.owner = -1;  // a remote Modified copy drops to Shared
+    d.sharers |= me;
   }
-  line.lru = tick_;
   classifier_.note_access_at(proc, block, w0, w1, is_write);
   return {kind, false, src, inv};
 }
@@ -360,16 +346,15 @@ struct MissStats {
                     : 0.0;
   }
   void add(const AccessOutcome& o) {
+    // The kind selects its counter by table, not by a switch: a stream
+    // whose hits and misses interleave would mispredict the jump.
+    static constexpr u64 MissStats::*kByKind[5] = {
+        &MissStats::hits, &MissStats::cold, &MissStats::replacement,
+        &MissStats::true_sharing, &MissStats::false_sharing};
     ++refs;
     invalidations += static_cast<u64>(o.invalidated);
-    if (o.upgrade) ++upgrades;
-    switch (o.kind) {
-      case MissKind::kHit: ++hits; break;
-      case MissKind::kCold: ++cold; break;
-      case MissKind::kReplacement: ++replacement; break;
-      case MissKind::kTrueSharing: ++true_sharing; break;
-      case MissKind::kFalseSharing: ++false_sharing; break;
-    }
+    upgrades += o.upgrade ? 1 : 0;
+    ++(this->*kByKind[static_cast<size_t>(o.kind)]);
   }
   /// Accumulate another configuration's counters (all fields are additive),
   /// so stats from independent replays / trace shards can be combined.

@@ -9,12 +9,15 @@
 // requests arriving out of (simulated-time) order are handled sanely.
 // Memory contention therefore grows with the aggregate miss rate — the
 // mechanism that makes falsely-shared programs stop scaling (§5).
+//
+// The interpreter (interp/machine.h) calls KsrMemorySystem::access for
+// every shared reference in timing mode; in trace mode it runs without
+// one and every reference costs the same.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "sim/cache.h"
-#include "sim/memsys.h"
 
 namespace fsopt {
 
@@ -24,17 +27,22 @@ namespace fsopt {
 /// room, returning the queueing delay.  Requests in the past of already
 /// booked windows use those earlier windows — no future-penalty, which
 /// keeps the event-driven simulation stable when processor clocks skew.
+/// The bookings are one flat array indexed by window, grown as later
+/// windows are reached; a power-of-two window is found by shift.
 class BandwidthCalendar {
  public:
-  explicit BandwidthCalendar(i64 window = 256) : window_(window) {}
+  explicit BandwidthCalendar(i64 window = 256);
 
+  /// Book `occupancy` cycles at or after cycle `now` (>= 0); an
+  /// occupancy above the window fits no window and throws InternalError.
   i64 acquire(i64 now, i64 occupancy);
   i64 booked_cycles() const { return booked_; }
 
  private:
   i64 window_;
+  int shift_;  // log2(window_) when a power of two, else -1
   i64 booked_ = 0;
-  std::unordered_map<i64, i64> used_;  // bucket -> cycles consumed
+  std::vector<i64> used_;  // window index -> cycles booked in it
 };
 
 struct KsrParams {
@@ -61,22 +69,32 @@ struct KsrStats {
   MissStats classified;   // word-level classification of the misses
 };
 
-class KsrMemorySystem : public MemorySystem {
+class KsrMemorySystem {
  public:
+  /// Cycles per ring and inter-ring link calendar window.
+  static constexpr i64 kRingWindow = 256;
+
+  /// Throws InternalError naming the field when `p` describes no machine:
+  /// `ring_size` below 1, a `ring_occupancy` outside [0, kRingWindow] (a
+  /// larger one fits no window) or a negative latency (processor clocks
+  /// must never run backwards), and whatever CoherentCache rejects.
   explicit KsrMemorySystem(const KsrParams& p);
 
-  i64 access(int proc, i64 addr, i64 size, bool is_write, i64 now) override;
+  /// Perform one reference by `proc` at local time `now`; returns its
+  /// latency in cycles.
+  i64 access(int proc, i64 addr, i64 size, bool is_write, i64 now);
 
   const KsrStats& stats() const { return stats_; }
   const KsrParams& params() const { return params_; }
 
  private:
-  int ring_of(int proc) const {
-    return static_cast<int>(proc / params_.ring_size);
-  }
-
-  KsrParams params_;
+  KsrParams params_;  // first member: validated before anything is sized
   CoherentCache cache_;
+  int block_shift_;  // log2(block_size) when a power of two, else -1
+  // The ring of each processor and of each block's ALLCACHE home
+  // (block mod nprocs), looked up so that no miss divides.
+  std::vector<u8> ring_;       // [proc]
+  std::vector<u8> home_ring_;  // [block]
   std::vector<BandwidthCalendar> rings_;
   BandwidthCalendar link_;  // inter-ring link
   KsrStats stats_;
