@@ -14,15 +14,19 @@ using namespace fsopt::benchx;
 
 namespace {
 
+/// A 32 KB L1 with 128 B blocks, the §6 comparison's cache.
+CacheParams plane(const Compiled& c, i64 assoc, bool word_inv) {
+  return {c.nprocs(), 32 * 1024, 128, c.code.total_bytes, assoc, word_inv};
+}
+
 // Every hardware configuration replays the same recorded trace — the
-// interpreter runs once per program version, not once per configuration.
-MissStats replay_with(const EncodedTrace& trace, const Compiled& c,
-                      i64 block, i64 assoc, bool word_inv) {
-  CacheParams p{c.nprocs(), 32 * 1024, block, c.code.total_bytes, assoc,
-                word_inv};
-  CacheSim sim(p);
-  trace.replay(sim);
-  return sim.stats();
+// interpreter runs once per program version, and one replay_multi walk
+// of that trace simulates all of the version's configurations.
+std::vector<MissStats> replay(const Compiled& c,
+                              const std::vector<CacheParams>& planes) {
+  return replay_multi(record_encoded_trace(c), planes, nullptr,
+                      experiment_threads())
+      .stats;
 }
 
 }  // namespace
@@ -41,14 +45,11 @@ int main(int argc, char** argv) {
         w.unopt, options_for(w, w.fig3_procs, false, false));
     Compiled c = compile_source(
         w.natural, options_for(w, w.fig3_procs, true, false));
-    EncodedTrace nt = record_encoded_trace(n);
-    EncodedTrace ct = record_encoded_trace(c);
-    MissStats base, hw, sw;
-    parallel_for_each(experiment_threads(), 3, [&](size_t j) {
-      if (j == 0) base = replay_with(nt, n, 128, 1, false);
-      if (j == 1) hw = replay_with(nt, n, 128, 1, true);
-      if (j == 2) sw = replay_with(ct, c, 128, 1, false);
-    });
+    const std::vector<MissStats> ns =
+        replay(n, {plane(n, 1, false), plane(n, 1, true)});
+    const MissStats& base = ns[0];
+    const MissStats& hw = ns[1];
+    const MissStats sw = replay(c, {plane(c, 1, false)})[0];
     t.add_row({name, std::to_string(base.false_sharing),
                std::to_string(hw.false_sharing),
                std::to_string(sw.false_sharing),
@@ -70,17 +71,14 @@ int main(int argc, char** argv) {
                               options_for(w, w.fig3_procs, false, false));
   Compiled c = compile_source(w.natural,
                               options_for(w, w.fig3_procs, true, false));
-  EncodedTrace nt = record_encoded_trace(n);
-  EncodedTrace ct = record_encoded_trace(c);
   const std::vector<i64> assocs = {1, 2, 4, 8};
-  std::vector<MissStats> sn(assocs.size()), sc(assocs.size());
-  parallel_for_each(experiment_threads(), assocs.size() * 2, [&](size_t j) {
-    size_t i = j / 2;
-    if (j % 2 == 0)
-      sn[i] = replay_with(nt, n, 128, assocs[i], false);
-    else
-      sc[i] = replay_with(ct, c, 128, assocs[i], false);
-  });
+  std::vector<CacheParams> np, cp;
+  for (i64 a : assocs) {
+    np.push_back(plane(n, a, false));
+    cp.push_back(plane(c, a, false));
+  }
+  const std::vector<MissStats> sn = replay(n, np);
+  const std::vector<MissStats> sc = replay(c, cp);
   TextTable t2({"assoc", "N miss rate", "N fs rate", "C miss rate"});
   for (size_t i = 0; i < assocs.size(); ++i) {
     t2.add_row({std::to_string(assocs[i]), pct(sn[i].miss_rate()),

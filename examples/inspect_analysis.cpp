@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "driver/experiment.h"
-#include "transform/rewrite.h"
 #include "transform/source_rewrite.h"
 #include "workloads/workloads.h"
 
@@ -54,9 +53,6 @@ int main(int argc, char** argv) {
               c.report.render().c_str());
   std::printf("--- transformation decisions ---\n%s\n",
               c.transforms.render(c.summary).c_str());
-  std::printf("--- restructured source (annotated) ---\n%s\n",
-              rewrite_program(*c.prog, c.transforms, opt.block_size).c_str());
-
   // The runnable source-to-source output, verified by recompiling it.
   SourceRewriteResult rw =
       rewrite_to_source(*c.prog, c.transforms, opt.block_size);

@@ -97,8 +97,8 @@ DiagnosisReport diagnose(const Compiled& c, std::string workload,
                          const DiagnoseOptions& opt = {});
 
 /// Serialize (schema "diagnosis_version": 1).  Deterministic; the
-/// document validates under json::validate and `to_json(from_json(d))`
-/// is byte-identical to `d` for documents this writer produced.
+/// document parses under json::parse and `to_json(from_json(d))` is
+/// byte-identical to `d` for documents this writer produced.
 std::string diagnosis_to_json(const DiagnosisReport& report, int indent = 2);
 
 /// Parse a document written by diagnosis_to_json.  Throws InternalError

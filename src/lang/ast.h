@@ -2,7 +2,7 @@
 //
 // The tree is owned by a Program.  Nodes carry a kind tag for fast
 // switch-based dispatch in the analyses, the bytecode compiler and the
-// pretty-printer.
+// source rewriter (transform/source_rewrite), which also prints them.
 #pragma once
 
 #include <memory>

@@ -5,12 +5,12 @@
 // reports — and the bench harness's JsonReport all write through this
 // header, so escaping and comma placement live in one place.  Writer is
 // a streaming builder over a std::string: begin/end object/array, key,
-// value — no allocation beyond the output string.  `validate` is a
-// strict syntax checker used by the tests to assert emitted documents
-// are well-formed.  `parse` is a small DOM parser for the inputs the tree
-// must *read back* — transform-plan files (`fsoptc --plan-in`,
-// transform/plan_ir.h); object members preserve document order so a
-// parse → re-serialize round trip is byte-stable.
+// value — no allocation beyond the output string.  `parse` is a small,
+// strict DOM parser for the inputs the tree must *read back* —
+// transform-plan files (`fsoptc --plan-in`, transform/plan_ir.h) — and
+// the one check the tests apply to emitted documents; object members
+// preserve document order so a parse → re-serialize round trip is
+// byte-stable.
 #pragma once
 
 #include <cctype>
@@ -198,7 +198,8 @@ class Writer {
 };
 
 // ---------------------------------------------------------------------------
-// Validation (tests only — not a parser; values are never materialized).
+// Lexical checks: the cursor, and the string and number scanners the
+// parser below builds on.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -221,8 +222,6 @@ struct Cursor {
     return true;
   }
 };
-
-inline bool check_value(Cursor& c);
 
 inline bool check_string(Cursor& c) {
   if (c.eof() || c.peek() != '"') return false;
@@ -281,85 +280,7 @@ inline bool check_number(Cursor& c) {
   return c.i > start;
 }
 
-inline bool check_object(Cursor& c) {
-  ++c.i;  // '{'
-  c.skip_ws();
-  if (!c.eof() && c.peek() == '}') {
-    ++c.i;
-    return true;
-  }
-  for (;;) {
-    c.skip_ws();
-    if (!check_string(c)) return false;
-    c.skip_ws();
-    if (c.eof() || c.peek() != ':') return false;
-    ++c.i;
-    if (!check_value(c)) return false;
-    c.skip_ws();
-    if (c.eof()) return false;
-    if (c.peek() == ',') {
-      ++c.i;
-      continue;
-    }
-    if (c.peek() == '}') {
-      ++c.i;
-      return true;
-    }
-    return false;
-  }
-}
-
-inline bool check_array(Cursor& c) {
-  ++c.i;  // '['
-  c.skip_ws();
-  if (!c.eof() && c.peek() == ']') {
-    ++c.i;
-    return true;
-  }
-  for (;;) {
-    if (!check_value(c)) return false;
-    c.skip_ws();
-    if (c.eof()) return false;
-    if (c.peek() == ',') {
-      ++c.i;
-      continue;
-    }
-    if (c.peek() == ']') {
-      ++c.i;
-      return true;
-    }
-    return false;
-  }
-}
-
-inline bool check_value(Cursor& c) {
-  c.skip_ws();
-  if (c.eof()) return false;
-  if (++c.depth > 512) return false;  // nesting bomb guard
-  bool ok;
-  switch (c.peek()) {
-    case '{': ok = check_object(c); break;
-    case '[': ok = check_array(c); break;
-    case '"': ok = check_string(c); break;
-    case 't': ok = c.lit("true"); break;
-    case 'f': ok = c.lit("false"); break;
-    case 'n': ok = c.lit("null"); break;
-    default: ok = check_number(c); break;
-  }
-  --c.depth;
-  return ok;
-}
-
 }  // namespace detail
-
-/// True iff `doc` is exactly one well-formed JSON value (strict: no
-/// trailing garbage, no unterminated strings, no bare NaN/Infinity).
-inline bool validate(std::string_view doc) {
-  detail::Cursor c{doc};
-  if (!detail::check_value(c)) return false;
-  c.skip_ws();
-  return c.eof();
-}
 
 // ---------------------------------------------------------------------------
 // Parsing (DOM).  Small by design: fsopt only reads back documents it (or a
@@ -589,8 +510,9 @@ inline bool parse_value(Cursor& c, Value& out) {
 
 }  // namespace detail
 
-/// Parse exactly one JSON value (same strictness as validate); nullopt on
-/// any syntax error.
+/// Parse exactly one JSON value (strict: no trailing garbage, no
+/// unterminated strings, no bare NaN/Infinity); nullopt on any syntax
+/// error.
 inline std::optional<Value> parse(std::string_view doc) {
   detail::Cursor c{doc};
   Value v = Value::make_null();

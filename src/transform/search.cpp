@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstdlib>
 #include <optional>
 #include <set>
 
@@ -12,12 +11,6 @@
 #include "support/json.h"
 
 namespace fsopt {
-
-SearchBudget search_budget_from_env(SearchBudget base) {
-  if (const char* env = std::getenv("FSOPT_SEARCH_BUDGET"))
-    if (std::optional<int> v = parse_count(env)) base.max_replays = *v;
-  return base;
-}
 
 TransformPlan apply_search_move(const TransformPlan& plan,
                                 const TransformDecision& move) {

@@ -87,11 +87,6 @@ struct SearchBudget {
   i64 footprint_limit = 256 * 1024;
 };
 
-/// `base` overridden by FSOPT_SEARCH_BUDGET (max candidate replays) when
-/// the variable is set to an integer in [0, INT_MAX]; any other value is
-/// ignored.
-SearchBudget search_budget_from_env(SearchBudget base = {});
-
 /// The feasible moves for one datum, after node-level constraint pruning
 /// (alignment feasibility, per-move footprint).  A move with kind kNone
 /// clears the seed's decision for the datum (exploring *removal* is what

@@ -20,6 +20,10 @@
 // accordingly.  Decisions that have no PPL expression (blocked 2-D
 // chunks, the intra-datum moves, the barrier stride) are skipped and
 // reported in `skipped`.
+//
+// An empty plan prints the program as written, so this is also the one
+// PPL pretty-printer: compiling its output and printing again gives the
+// same text.
 #pragma once
 
 #include <string>

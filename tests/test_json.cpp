@@ -1,6 +1,6 @@
 // Tests for the shared minimal JSON writer (support/json.h): escaping,
-// object/array sequencing, pretty/compact forms, and the strict
-// validator the other JSON tests lean on.
+// object/array sequencing, pretty/compact forms, and the strictness of
+// the parser the other JSON tests check documents with.
 #include "support/json.h"
 
 #include <gtest/gtest.h>
@@ -38,7 +38,7 @@ TEST(JsonWriter, CompactObject) {
   EXPECT_EQ(out,
             "{\"name\":\"shard\",\"n\":-3,\"u\":18446744073709551615,"
             "\"ok\":true,\"x\":0.5}");
-  EXPECT_TRUE(json::validate(out));
+  EXPECT_TRUE(json::parse(out).has_value());
 }
 
 TEST(JsonWriter, PrettyNestedStructure) {
@@ -52,7 +52,7 @@ TEST(JsonWriter, PrettyNestedStructure) {
       .key("empty").begin_array().end_array()
       .end_object();
   EXPECT_TRUE(w.done());
-  EXPECT_TRUE(json::validate(out));
+  EXPECT_TRUE(json::parse(out).has_value());
   EXPECT_NE(out.find("\"rows\": [\n"), std::string::npos);
   EXPECT_NE(out.find("\"empty\": []"), std::string::npos);
 }
@@ -72,7 +72,7 @@ TEST(JsonWriter, NonFiniteBecomesNull) {
       .value(std::numeric_limits<double>::infinity())
       .end_array();
   EXPECT_EQ(out, "[null,null]");
-  EXPECT_TRUE(json::validate(out));
+  EXPECT_TRUE(json::parse(out).has_value());
 }
 
 TEST(JsonWriter, EscapesKeysAndStringValues) {
@@ -80,32 +80,27 @@ TEST(JsonWriter, EscapesKeysAndStringValues) {
   json::Writer w(&out);
   w.begin_object().key("we\"ird").value("line\nbreak").end_object();
   EXPECT_EQ(out, "{\"we\\\"ird\":\"line\\nbreak\"}");
-  EXPECT_TRUE(json::validate(out));
+  EXPECT_TRUE(json::parse(out).has_value());
 }
 
-TEST(JsonValidate, AcceptsWellFormedDocuments) {
-  EXPECT_TRUE(json::validate("{}"));
-  EXPECT_TRUE(json::validate("[]"));
-  EXPECT_TRUE(json::validate("  [1, -2.5, 1e9, \"x\", true, null]  "));
-  EXPECT_TRUE(json::validate("{\"a\": {\"b\": [{}, [\"\\u00e9\"]]}}"));
-  EXPECT_TRUE(json::validate("3.25"));
-  EXPECT_TRUE(json::validate("\"lone string\""));
+TEST(JsonParse, AcceptsWellFormedDocuments) {
+  for (const char* doc :
+       {"{}", "[]", "  [1, -2.5, 1e9, \"x\", true, null]  ",
+        "{\"a\": {\"b\": [{}, [\"\\u00e9\"]]}}", "3.25", "\"lone string\""})
+    EXPECT_TRUE(json::parse(doc).has_value()) << doc;
 }
 
-TEST(JsonValidate, RejectsMalformedDocuments) {
-  EXPECT_FALSE(json::validate(""));
-  EXPECT_FALSE(json::validate("{"));
-  EXPECT_FALSE(json::validate("{\"a\":}"));
-  EXPECT_FALSE(json::validate("[1,]"));
-  EXPECT_FALSE(json::validate("{\"a\":1,}"));
-  EXPECT_FALSE(json::validate("{} trailing"));
-  EXPECT_FALSE(json::validate("\"unterminated"));
-  EXPECT_FALSE(json::validate("{'a':1}"));
-  EXPECT_FALSE(json::validate("[01]"));      // leading zero
-  EXPECT_FALSE(json::validate("[1.]"));      // empty fraction
-  EXPECT_FALSE(json::validate("[NaN]"));
-  EXPECT_FALSE(json::validate("[\"\\x\"]"));  // bad escape
-  EXPECT_FALSE(json::validate("{1: 2}"));     // non-string key
+TEST(JsonParse, RejectsMalformedDocuments) {
+  for (const char* doc : {
+           "", "{", "{\"a\":}", "[1,]", "{\"a\":1,}", "{} trailing",
+           "\"unterminated", "{'a':1}",
+           "[01]",       // leading zero
+           "[1.]",       // empty fraction
+           "[NaN]",
+           "[\"\\x\"]",  // bad escape
+           "{1: 2}",     // non-string key
+       })
+    EXPECT_FALSE(json::parse(doc).has_value()) << doc;
 }
 
 }  // namespace

@@ -165,6 +165,35 @@ TEST(MultiShardReplay, StudyOfNonNestingSweepMatchesPerPlaneCacheSim) {
   }
 }
 
+TEST(MultiShardReplay, FallbackPlanesShardExactly) {
+  // Associative and word-invalidate planes leave the bitmask engine for a
+  // private CoherentCache inside each shard's walk (the §6 hardware
+  // comparison replays them so).  At every thread count, each plane must
+  // equal a dedicated CacheSim, attribution included.
+  FmmStudy f;
+  const i64 total = f.c.code.total_bytes;
+  std::vector<CacheParams> params;
+  for (i64 ways : {1, 2, 4, 8})
+    params.push_back({f.c.nprocs(), 32 * 1024, 128, total, ways});
+  params.push_back({f.c.nprocs(), 32 * 1024, 128, total, 1, true});
+  params.push_back({f.c.nprocs(), 32 * 1024, 16, total, 4, true});
+  ASSERT_EQ(multi_shard_plan(params, 8).shards, 8);
+  std::vector<CacheSim> solo;
+  for (const CacheParams& p : params) {
+    solo.emplace_back(p, &f.am);
+    f.trace.replay(solo.back());
+  }
+  for (int threads : {1, 2, 4, 8}) {
+    const MultiReplayResult r = replay_multi(f.trace, params, &f.am, threads);
+    for (size_t p = 0; p < params.size(); ++p) {
+      EXPECT_EQ(r.stats[p], solo[p].stats())
+          << "plane=" << p << " threads=" << threads;
+      EXPECT_EQ(r.by_datum[p], solo[p].by_datum())
+          << "plane=" << p << " threads=" << threads;
+    }
+  }
+}
+
 // --- the workload-matrix differential --------------------------------
 //
 // Every cell of the paper's experiment matrix (ten workloads x {N,C}

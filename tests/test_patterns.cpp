@@ -261,7 +261,7 @@ TEST(Diagnose, ReportCoversDatumsAndRoundTripsThroughJson) {
   EXPECT_NE(cells->top().action, "none");
 
   std::string doc = diagnosis_to_json(rep);
-  EXPECT_TRUE(json::validate(doc)) << doc;
+  EXPECT_TRUE(json::parse(doc).has_value()) << doc;
   DiagnosisReport back = diagnosis_from_json(doc);
   EXPECT_EQ(diagnosis_to_json(back), doc);
   EXPECT_EQ(back.datums.size(), rep.datums.size());

@@ -8,12 +8,11 @@
 // layout-relevant decisions.  Around it: the seed-dominance invariant
 // (never worse than the seed at any swept size, in both the exhaustive
 // and the beam regime), graceful degradation at budget 0, bit-identical
-// results across thread counts and repeated runs, the FSOPT_SEARCH_BUDGET
-// override, batched scoring's one speculative exit, the search records of
-// all ten workloads pinned byte for byte, a property-fuzz pass over
-// random budgets (FSOPT_FUZZ_ITERS scales it), and the kFieldReorder
-// path: planner emission, JSON round-trip and plan re-injection
-// producing identical miss tables.
+// results across thread counts and repeated runs, batched scoring's one
+// speculative exit, the search records of all ten workloads pinned byte
+// for byte, a property-fuzz pass over random budgets (FSOPT_FUZZ_ITERS
+// scales it), and the kFieldReorder path: planner emission, JSON round-
+// trip and plan re-injection producing identical miss tables.
 #include "transform/search.h"
 
 #include <gtest/gtest.h>
@@ -325,19 +324,6 @@ TEST(SearchBudgetTest, ZeroBudgetDegradesToSeed) {
   EXPECT_EQ(r.frontier, std::vector<size_t>{0});
   // The winner *is* the seed, decision for decision.
   EXPECT_EQ(key_of(r.best().plan), key_of(h.empty_base));
-}
-
-TEST(SearchBudgetTest, EnvOverrideParsesAndIgnoresGarbage) {
-  ASSERT_EQ(setenv("FSOPT_SEARCH_BUDGET", "7", 1), 0);
-  EXPECT_EQ(search_budget_from_env().max_replays, 7);
-  ASSERT_EQ(setenv("FSOPT_SEARCH_BUDGET", "-3", 1), 0);
-  EXPECT_EQ(search_budget_from_env().max_replays, SearchBudget{}.max_replays);
-  ASSERT_EQ(setenv("FSOPT_SEARCH_BUDGET", "nope", 1), 0);
-  EXPECT_EQ(search_budget_from_env().max_replays, SearchBudget{}.max_replays);
-  // Past INT_MAX: ignored, not wrapped to -1 (an unbounded search).
-  ASSERT_EQ(setenv("FSOPT_SEARCH_BUDGET", "4294967295", 1), 0);
-  EXPECT_EQ(search_budget_from_env().max_replays, SearchBudget{}.max_replays);
-  unsetenv("FSOPT_SEARCH_BUDGET");
 }
 
 // ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@
 //                       ranked by (false-sharing misses, spatial-locality
 //                       loss) with deterministic tie-breaks
 //   --search-budget N   max candidate replays for --planner search beyond
-//                       the seed (default 24; FSOPT_SEARCH_BUDGET env is
-//                       the fallback; 0 degrades to the graph plan)
+//                       the seed (default 24; 0 degrades to the graph
+//                       plan)
 //   --pareto-out PATH   write the search record as versioned JSON
 //                       (search_version 1): best plan overall, best plan
 //                       per swept block size, and the Pareto frontier
@@ -105,7 +105,7 @@ struct Cli {
   std::string plan_in;
   std::string conflict_graph_out;
   std::string pareto_out;
-  int search_budget = -1;  // -1: FSOPT_SEARCH_BUDGET env, else default
+  int search_budget = -1;  // -1: the SearchBudget default
   bool plan_diff = false;
   bool report = false;
   bool transforms = false;
@@ -372,7 +372,6 @@ int main(int argc, char** argv) {
     } else if (cli.planner == "search") {
       SearchPlanOptions so;
       so.seed.block_size = cli.options.block_size;
-      so.budget = search_budget_from_env();
       if (cli.search_budget >= 0) so.budget.max_replays = cli.search_budget;
       so.seed.traces = &traces;
       SearchPlanResult sr = search_plan(source, cli.options, so);
