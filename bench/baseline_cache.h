@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sim/cache.h"
+#include "trace/trace.h"
 
 namespace fsopt::benchx::baseline {
 
@@ -244,7 +245,6 @@ class HashCacheSim : public TraceSink {
   explicit HashCacheSim(const CacheParams& p,
                         const AddressMap* attribution = nullptr)
       : cache_(p), attribution_(attribution) {}
-  void on_ref(const MemRef& ref) override { process(ref); }
   void on_batch(const MemRef* refs, size_t n) override {
     for (size_t i = 0; i < n; ++i) process(refs[i]);
   }

@@ -59,7 +59,7 @@ void BM_AnalysesAndTransforms(benchmark::State& state) {
   for (auto _ : state) {
     ProgramSummary sum = analyze_program(*prog);
     SharingReport rep = classify_sharing(sum);
-    TransformSet ts = decide_transforms(rep, sum, 128);
+    TransformPlan ts = decide_transforms(rep, sum, 128);
     LayoutPlan plan = build_layout(*prog, ts, 128);
     benchmark::DoNotOptimize(plan);
   }

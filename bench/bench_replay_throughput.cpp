@@ -2,8 +2,9 @@
 // through a recorded trace?
 //
 // All comparisons run on the same replicated workload trace:
-//   1. flat-state simulator (sim/cache.h) vs. the pre-flattening
-//      hash-map baseline (baseline_cache.h), single thread;
+//   1. flat-state simulator (sim/cache.h, through the reference sink of
+//      reference_sim.h) vs. the pre-flattening hash-map baseline
+//      (baseline_cache.h), single thread;
 //   2. the same pair with per-datum attribution enabled (dense slots vs.
 //      the old string-keyed map on every reference);
 //   4. compressed traces (trace/encode.h): encoded vs raw footprint and
@@ -35,6 +36,7 @@
 #include "baseline_cache.h"
 #include "bench_util.h"
 #include "obs/obs.h"
+#include "reference_sim.h"
 #include "support/timing.h"
 
 using namespace fsopt;
@@ -52,6 +54,15 @@ namespace {
 
 std::string human(double refs_per_sec) {
   return fixed(refs_per_sec / 1e6, 1) + " Mref/s";
+}
+
+/// `base` repeated until it holds at least `target` references.
+std::vector<MemRef> replicated(const std::vector<MemRef>& base, u64 target) {
+  std::vector<MemRef> out;
+  do {
+    out.insert(out.end(), base.begin(), base.end());
+  } while (out.size() < target);
+  return out;
 }
 
 }  // namespace
@@ -103,22 +114,20 @@ int main(int argc, char** argv) {
   Compiled c =
       compile_source(w.unopt, options_for(w, w.fig3_procs, false, false));
   AddressMap amap = build_address_map(c);
-  TraceBuffer base;
+  VectorSink base;
   run_program(c, &base);
 
   // Replicate the recorded stream until it is big enough that per-replay
   // timing noise is small; state carries across repetitions, which is
   // fine — every implementation sees the identical stream.
-  TraceBuffer trace;
-  do {
-    base.replay(trace);
-  } while (trace.size() < target_refs);
+  const std::vector<MemRef> trace = replicated(base.refs(), target_refs);
   double refs = static_cast<double>(trace.size());
 
   std::printf("=== Replay throughput: %s, %llu refs (x%llu), best of %d"
               " ===\n\n",
               workload.c_str(), static_cast<unsigned long long>(trace.size()),
-              static_cast<unsigned long long>(trace.size() / base.size()),
+              static_cast<unsigned long long>(trace.size() /
+                                              base.refs().size()),
               repeats);
 
   // K shards on an N<K-core machine can at best tie the N-shard wall
@@ -152,12 +161,12 @@ int main(int argc, char** argv) {
     MissStats hash_stats, flat_stats;
     double t_hash = best_of(repeats, [&] {
       benchx::baseline::HashCacheSim sim(p);
-      trace.replay(sim);
+      sim.on_batch(trace.data(), trace.size());
       hash_stats = sim.stats();
     });
     double t_flat = best_of(repeats, [&] {
-      CacheSim sim(p);
-      trace.replay(sim);
+      ReferenceSim sim(p);
+      sim.on_batch(trace.data(), trace.size());
       flat_stats = sim.stats();
     });
     if (hash_stats != flat_stats) mismatch("hash and flat stats", block);
@@ -167,12 +176,12 @@ int main(int argc, char** argv) {
     std::map<std::string, MissStats> hash_datum, flat_datum;
     double t_hash_a = best_of(repeats, [&] {
       benchx::baseline::HashCacheSim sim(p, &amap);
-      trace.replay(sim);
+      sim.on_batch(trace.data(), trace.size());
       hash_datum = sim.by_datum();
     });
     double t_flat_a = best_of(repeats, [&] {
-      CacheSim sim(p, &amap);
-      trace.replay(sim);
+      ReferenceSim sim(p, &amap);
+      sim.on_batch(trace.data(), trace.size());
       flat_datum = sim.by_datum();
     });
     if (hash_datum != flat_datum)
@@ -221,12 +230,13 @@ int main(int argc, char** argv) {
     params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
   {
     if (enc.size() != trace.size()) mismatch("raw and encoded sizes", 0);
-    double raw_bytes = static_cast<double>(trace.memory_bytes());
+    double raw_bytes = static_cast<double>(trace.size() * sizeof(MemRef));
     double enc_bytes = static_cast<double>(enc.memory_bytes());
     double footprint_ratio = raw_bytes / enc_bytes;
 
     CountingSink raw_count, enc_count;
-    double t_raw_stream = best_of(repeats, [&] { trace.replay(raw_count); });
+    double t_raw_stream = best_of(
+        repeats, [&] { raw_count.on_batch(trace.data(), trace.size()); });
     double t_enc_stream = best_of(repeats, [&] { enc.replay(enc_count); });
     if (raw_count.total() != enc_count.total() ||
         raw_count.writes() != enc_count.writes())
@@ -301,12 +311,9 @@ int main(int argc, char** argv) {
       Compiled c2 =
           compile_source(w2.unopt, options_for(w2, w2.fig3_procs, false,
                                                false));
-      TraceBuffer base2;
+      VectorSink base2;
       run_program(c2, &base2);
-      TraceBuffer t2;
-      do {
-        base2.replay(t2);
-      } while (t2.size() < sweep_target);
+      const std::vector<MemRef> t2 = replicated(base2.refs(), sweep_target);
       std::vector<CacheParams> ps;
       for (i64 b : paper_block_sizes())
         ps.push_back({c2.nprocs(), 32 * 1024, b, c2.code.total_bytes});
@@ -315,8 +322,8 @@ int main(int argc, char** argv) {
       for (const CacheParams& p2 : ps) {
         MissStats st;
         serial_total += best_of(repeats, [&] {
-          CacheSim sim(p2);
-          t2.replay(sim);
+          ReferenceSim sim(p2);
+          sim.on_batch(t2.data(), t2.size());
           st = sim.stats();
         });
         per_config.push_back(st);
@@ -414,7 +421,6 @@ int main(int argc, char** argv) {
     struct LookupSink final : TraceSink {
       std::function<int(i64)> f;
       i64 sum = 0;
-      void on_ref(const MemRef& ref) override { sum += f(ref.addr); }
       void on_batch(const MemRef* refs, size_t n) override {
         for (size_t i = 0; i < n; ++i) sum += f(refs[i].addr);
       }
@@ -426,15 +432,17 @@ int main(int argc, char** argv) {
       if (amap.index_of(addr) != linear_index_of(addr)) ++mismatches;
       return 0;
     };
-    trace.replay(check);
+    check.on_batch(trace.data(), trace.size());
     if (mismatches != 0)
       mismatch("binary-search and linear-scan address lookups", 0);
 
     LookupSink lin, bin;
     lin.f = linear_index_of;
     bin.f = [&](i64 addr) { return amap.index_of(addr); };
-    double t_lin = best_of(repeats, [&] { trace.replay(lin); });
-    double t_bin = best_of(repeats, [&] { trace.replay(bin); });
+    double t_lin =
+        best_of(repeats, [&] { lin.on_batch(trace.data(), trace.size()); });
+    double t_bin =
+        best_of(repeats, [&] { bin.on_batch(trace.data(), trace.size()); });
     std::printf("--- address-map lookup (%zu ranges) ---\n"
                 "linear scan %s  binary search %s  speedup %.2fx\n\n",
                 rs.size(), human(refs / t_lin).c_str(),

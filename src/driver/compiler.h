@@ -44,7 +44,7 @@ class Compiled {
   std::shared_ptr<Program> prog;
   ProgramSummary summary;
   SharingReport report;
-  TransformSet transforms;
+  TransformPlan transforms;
   LayoutPlan layout;
   CodeImage code;
   CompileOptions options;

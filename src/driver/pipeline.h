@@ -47,7 +47,7 @@ struct PassContext {
   std::unique_ptr<CallGraph> callgraph;
   ProgramSummary summary;
   SharingReport report;
-  TransformSet transforms;
+  TransformPlan transforms;
   LayoutPlan layout;
   CodeImage code;
 };

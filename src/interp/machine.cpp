@@ -36,10 +36,7 @@ Machine::Machine(const CodeImage& img, const MachineOptions& opt)
   FSOPT_CHECK(opt_.spin_interval >= 0,
               "spin_interval must not be negative: clocks never run "
               "backwards");
-  if (opt_.sink != nullptr) {
-    FSOPT_CHECK(opt_.sink_batch > 0, "sink_batch must be > 0");
-    stage_.reserve(opt_.sink_batch);
-  }
+  if (opt_.sink != nullptr) stage_.reserve(MachineOptions::kSinkBatch);
   procs_.resize(static_cast<size_t>(img.nprocs));
   const FuncInfo& mf = img.funcs[static_cast<size_t>(img.main_func)];
   for (size_t p = 0; p < procs_.size(); ++p) {
@@ -115,12 +112,12 @@ i64 Machine::ref(int proc, i64 addr, i64 size, bool is_write, i64 now) {
   ++refs_;
   if (opt_.sink != nullptr) {
     // Stage rather than dispatch: one virtual on_batch call per
-    // opt_.sink_batch references instead of one on_ref per reference.
+    // kSinkBatch references instead of one call per reference.
     // The global scheduler order *is* the trace order, so a single
     // staging buffer preserves the exact per-reference stream.
     stage_.push_back({addr, static_cast<u8>(size), static_cast<u8>(proc),
                       is_write ? RefType::kWrite : RefType::kRead});
-    if (stage_.size() >= opt_.sink_batch) flush_stage();
+    if (stage_.size() >= MachineOptions::kSinkBatch) flush_stage();
   }
   return opt_.ksr != nullptr
              ? opt_.ksr->access(proc, addr, size, is_write, now)

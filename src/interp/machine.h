@@ -28,7 +28,7 @@ struct MachineOptions {
   /// returns, so the sink sees the complete stream only after run().
   TraceSink* sink = nullptr;
   /// References staged per sink batch.
-  size_t sink_batch = 1024;
+  static constexpr size_t kSinkBatch = 1024;
   /// Cycles between successive polls of a busy lock / unreleased barrier.
   i64 spin_interval = 50;
   /// Exponential poll backoff cap, as a multiple of spin_interval.

@@ -69,9 +69,4 @@ CoherentCache::CoherentCache(const CacheParams& p)
   if (p.word_invalidate) classifier_.enable_word_tracking();
 }
 
-std::map<std::string, MissStats> CacheSim::by_datum() const {
-  if (attribution_ == nullptr) return {};
-  return materialize_by_datum(*attribution_, datum_stats_);
-}
-
 }  // namespace fsopt

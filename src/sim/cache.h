@@ -19,7 +19,6 @@
 
 #include "sim/attribution.h"
 #include "sim/classify.h"
-#include "trace/trace.h"
 
 namespace fsopt {
 
@@ -78,8 +77,8 @@ inline AccessOutcome combine_split_outcomes(const AccessOutcome* parts,
 }
 
 /// Per-processor caches + directory + classifier.  Used by the
-/// multi-plane replay's fallback planes, the KSR timing model and the
-/// CacheSim reference sink.
+/// multi-plane replay's fallback planes and the KSR timing model, and
+/// the reference model the differential tests hold replay_multi to.
 ///
 /// Residency lives in the directory alone: processor p holds block b iff
 /// b's sharer bit p is set, and holds it Modified iff p is b's owner.  A
@@ -170,9 +169,9 @@ class CoherentCache {
 };
 
 // The per-reference path is defined inline here (not in cache.cpp) so the
-// replay loop — CacheSim::process and the multi-plane fallback planes —
-// inlines the whole chain down to the flat-array loads within one
-// translation unit.
+// replay loop — the multi-plane fallback planes, the KSR model — inlines
+// the whole chain down to the flat-array loads within one translation
+// unit.
 
 inline void CoherentCache::touch(int proc, i64 block) {
   if (params_.associativity == 1) return;
@@ -367,86 +366,5 @@ struct MissStats {
 /// reports consume.  Zero-ref slots are skipped; duplicate names merge.
 std::map<std::string, MissStats> materialize_by_datum(
     const AddressMap& map, const std::vector<MissStats>& dense);
-
-/// TraceSink wrapper around one CoherentCache: feed references, read
-/// statistics — optionally attributed per data structure through an
-/// AddressMap.  Every production replay goes through MultiCacheSim
-/// (sim/multi.h); this one-configuration sink is the reference the
-/// differential tests and bench_replay_throughput compare it against.
-/// Attribution accumulates into a dense per-range vector on the hot path;
-/// the string-keyed map is materialized only when asked for.
-class CacheSim : public TraceSink {
- public:
-  explicit CacheSim(const CacheParams& p,
-                    const AddressMap* attribution = nullptr)
-      : cache_(p), attribution_(attribution) {
-    if (attribution_ != nullptr)
-      datum_stats_.assign(attribution_->ranges().size() + 1, MissStats{});
-  }
-  void on_ref(const MemRef& ref) override { process(ref); }
-#if defined(__GNUC__)
-  // Inline the whole access chain into the replay loop regardless of the
-  // enclosing translation unit's size heuristics — the per-reference path
-  // is the entire cost of a replay.
-  __attribute__((flatten))
-#endif
-  void
-  on_batch(const MemRef* refs, size_t n) override {
-    if (attribution_ != nullptr) {
-      for (size_t i = 0; i < n; ++i) process(refs[i]);
-      return;
-    }
-    // Unattributed replay classifies each outcome into a small local
-    // histogram and folds it into the stats once per batch — the per-kind
-    // counter update becomes an indexed increment instead of a branchy
-    // switch in the per-reference loop.
-    u64 kinds[5] = {};
-    u64 invalidations = 0, upgrades = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const MemRef& r = refs[i];
-      AccessOutcome o =
-          cache_.access(r.proc, r.addr, r.size, r.type == RefType::kWrite);
-      ++kinds[static_cast<size_t>(o.kind)];
-      invalidations += static_cast<u64>(o.invalidated);
-      upgrades += o.upgrade ? 1 : 0;
-    }
-    stats_.refs += n;
-    stats_.hits += kinds[static_cast<size_t>(MissKind::kHit)];
-    stats_.cold += kinds[static_cast<size_t>(MissKind::kCold)];
-    stats_.replacement += kinds[static_cast<size_t>(MissKind::kReplacement)];
-    stats_.true_sharing +=
-        kinds[static_cast<size_t>(MissKind::kTrueSharing)];
-    stats_.false_sharing +=
-        kinds[static_cast<size_t>(MissKind::kFalseSharing)];
-    stats_.invalidations += invalidations;
-    stats_.upgrades += upgrades;
-  }
-  const MissStats& stats() const { return stats_; }
-  const CacheParams& params() const { return cache_.params(); }
-  /// Per-datum stats, string-keyed (empty unless an AddressMap was
-  /// supplied).  Built from the dense counters on each call.
-  std::map<std::string, MissStats> by_datum() const;
-  /// The dense per-datum counters (AddressMap order; last slot is
-  /// "<other>").  Empty unless an AddressMap was supplied.
-  const std::vector<MissStats>& datum_stats() const { return datum_stats_; }
-
- private:
-  void process(const MemRef& ref) {
-    AccessOutcome o = cache_.access(ref.proc, ref.addr, ref.size,
-                                    ref.type == RefType::kWrite);
-    stats_.add(o);
-    if (attribution_ != nullptr) {
-      int i = attribution_->index_of(ref.addr);
-      datum_stats_[i >= 0 ? static_cast<size_t>(i)
-                          : datum_stats_.size() - 1]
-          .add(o);
-    }
-  }
-
-  CoherentCache cache_;
-  const AddressMap* attribution_;
-  MissStats stats_;
-  std::vector<MissStats> datum_stats_;
-};
 
 }  // namespace fsopt

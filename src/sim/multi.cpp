@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -29,6 +30,56 @@ bool plane_shareable(const CacheParams& p) {
   if (!is_pow2(p.cache_bytes / p.block_size)) return false;
   return p.total_bytes > 0;
 }
+
+/// One stream replayed into any number of configuration planes at once
+/// (replay_multi runs one per shard).  Feed it references in trace
+/// order, then read the per-plane stats.
+class MultiCacheSim {
+ public:
+  /// One plane per entry of `params`.  The params may differ in any
+  /// field (the planes are fully independent simulations); a block-size
+  /// sweep passes params identical up to block_size.
+  MultiCacheSim(const std::vector<CacheParams>& params,
+                const AddressMap* attribution);
+
+  void on_batch(const MemRef* refs, size_t n);
+
+  /// Process one reference through every plane and report each plane's
+  /// outcome in `out` (planes() entries) WITHOUT counting it into
+  /// stats()/datum_stats().  State advances, and conflict edges are
+  /// recorded, exactly as for a counted reference.  A sharded
+  /// replay_multi uses this for the pieces of region-spanning
+  /// references, whose per-plane outcomes must be merged across shards
+  /// before the reference is counted once.
+  void access_reported(const MemRef& ref, AccessOutcome* out);
+
+  size_t planes() const { return stats_.size(); }
+  const MissStats& stats(size_t plane) const { return stats_[plane]; }
+  /// Dense per-datum counters of one plane (AddressMap order plus the
+  /// trailing "<other>" slot); empty unless attribution was supplied.
+  const std::vector<MissStats>& datum_stats(size_t plane) const {
+    return datum_stats_[plane];
+  }
+
+  /// Attach per-plane conflict collectors (planes() entries, nullptr to
+  /// leave a plane uncollected): every false-sharing miss on a collected
+  /// plane also records its word-granularity conflict edges.  Never
+  /// changes outcomes or counters; no collectors (the default) leaves
+  /// the replay paths untouched.
+  void set_conflict_collectors(const std::vector<ConflictCollector*>& colls);
+
+  /// Interface of the shared bitmask engine (implemented, and selected
+  /// by machine width, below).
+  struct SharedPlanes;
+
+ private:
+  std::unique_ptr<SharedPlanes> shared_;
+  /// Planes the shared engine cannot express, as (plane index, sim).
+  std::vector<std::pair<size_t, CoherentCache>> fallback_;
+  const AddressMap* attribution_;
+  std::vector<MissStats> stats_;                     // [plane]
+  std::vector<std::vector<MissStats>> datum_stats_;  // [plane][slot]
+};
 
 }  // namespace
 
@@ -638,8 +689,6 @@ MultiCacheSim::MultiCacheSim(const std::vector<CacheParams>& params,
                                     datum_stats_, attribution_ != nullptr);
 }
 
-MultiCacheSim::~MultiCacheSim() = default;
-
 void MultiCacheSim::on_batch(const MemRef* refs, size_t n) {
   if (shared_ != nullptr) shared_->run_batch(refs, n, attribution_);
   for (auto& [idx, cache] : fallback_) {
@@ -781,7 +830,6 @@ class ShardFilter final : public TraceSink {
         shards_(shards),
         k_(k) {}
 
-  void on_ref(const MemRef& ref) override { on_batch(&ref, 1); }
   void on_batch(const MemRef* refs, size_t n) override {
     if (shards_ == 1) {
       sim_.on_batch(refs, n);

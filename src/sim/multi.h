@@ -1,7 +1,7 @@
 // Single-pass multi-configuration replay.
 //
 // A block-size sweep replays the same reference stream once per cache
-// configuration.  MultiCacheSim walks the stream exactly once and
+// configuration.  replay_multi walks the stream exactly once and
 // simulates every requested configuration (*plane*) simultaneously —
 // and, unlike N independent replays, it can *share* every piece of
 // simulator state that does not depend on the block size:
@@ -53,7 +53,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,74 +70,22 @@ struct MultiReplayResult {
   std::vector<std::map<std::string, MissStats>> by_datum;
 };
 
-/// TraceSink replaying one stream into any number of configuration
-/// planes at once.  Feed it references (in trace order), then read the
-/// per-plane stats.
-class MultiCacheSim : public TraceSink {
- public:
-  /// One plane per entry of `params`.  The params may differ in any
-  /// field (the planes are fully independent simulations); a block-size
-  /// sweep passes params identical up to block_size.
-  explicit MultiCacheSim(const std::vector<CacheParams>& params,
-                         const AddressMap* attribution = nullptr);
-  ~MultiCacheSim() override;
-
-  void on_ref(const MemRef& ref) override { on_batch(&ref, 1); }
-  void on_batch(const MemRef* refs, size_t n) override;
-
-  /// Process one reference through every plane and report each plane's
-  /// outcome in `out` (planes() entries) WITHOUT counting it into
-  /// stats()/datum_stats().  State advances, and conflict edges are
-  /// recorded, exactly as for a counted reference.  A sharded
-  /// replay_multi uses this for the pieces of region-spanning
-  /// references, whose per-plane outcomes must be merged across shards
-  /// before the reference is counted once.
-  void access_reported(const MemRef& ref, AccessOutcome* out);
-
-  size_t planes() const { return stats_.size(); }
-  const MissStats& stats(size_t plane) const { return stats_[plane]; }
-  /// Dense per-datum counters of one plane (AddressMap order plus the
-  /// trailing "<other>" slot); empty unless attribution was supplied.
-  const std::vector<MissStats>& datum_stats(size_t plane) const {
-    return datum_stats_[plane];
-  }
-
-  /// Attach per-plane conflict collectors (planes() entries, nullptr to
-  /// leave a plane uncollected): every false-sharing miss on a collected
-  /// plane also records its word-granularity conflict edges.  Never
-  /// changes outcomes or counters; no collectors (the default) leaves
-  /// the replay paths untouched.
-  void set_conflict_collectors(const std::vector<ConflictCollector*>& colls);
-
-  /// Interface of the shared bitmask engine (implemented, and selected
-  /// by machine width, in sim/multi.cpp).
-  struct SharedPlanes;
-
- private:
-  std::unique_ptr<SharedPlanes> shared_;
-  /// Planes the shared engine cannot express, as (plane index, sim).
-  std::vector<std::pair<size_t, CoherentCache>> fallback_;
-  const AddressMap* attribution_;
-  std::vector<MissStats> stats_;                     // [plane]
-  std::vector<std::vector<MissStats>> datum_stats_;  // [plane][slot]
-};
-
 // ---------------------------------------------------------------------------
 // The replay entry point: region shards × the multi-plane walk.
 //
 // Region sharding and the single-pass multi-plane walk compose.  Shard k
 // of K keeps the references whose *region* r = addr / region_bytes (the
 // largest plane block, a power of two that every other block divides)
-// has r % K == k, a shift and a mask for a power-of-two K, and runs
-// one MultiCacheSim over ALL planes on just that sub-stream.  Each shard
-// decodes the whole compressed trace and filters it as it goes, so no
-// partition is ever built and the K decodes run side by side.  The
+// has r % K == k, a shift and a mask for a power-of-two K, and walks
+// ALL planes at once over just that sub-stream.  Each shard decodes the
+// whole compressed trace and filters it as it goes, so no partition is
+// ever built and the K decodes run side by side.  The
 // result is bit-identical to one whole walk (K = 1): regions nest every
 // plane's blocks, so per-block directory and classifier state never
 // straddles shards, and a shard count dividing every plane's
 // cache_bytes / region keeps LRU sets shard-pure too.  Region-spanning
-// references are replayed piecewise via access_reported and merged
-// across shards with the same severity/OR/sum rules the unsharded
+// references are replayed piecewise, each shard its own pieces, and
+// merged across shards with the same severity/OR/sum rules the unsharded
 // simulator applies inline.  Conflict graphs shard as well: a false-
 // sharing edge lies inside one block, so the shards' graphs cover
 // disjoint lines and their union is the whole graph.

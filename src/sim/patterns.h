@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "sim/cache.h"
+#include "trace/trace.h"
 
 namespace fsopt {
 
@@ -117,7 +118,6 @@ class PatternCollector : public TraceSink {
   /// nprocs and cache_bytes for the capacity judgement.
   PatternCollector(const AddressMap* map, const CacheParams& params);
 
-  void on_ref(const MemRef& ref) override { record(ref); }
   void on_batch(const MemRef* refs, size_t n) override {
     for (size_t i = 0; i < n; ++i) record(refs[i]);
   }

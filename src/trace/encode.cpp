@@ -207,7 +207,7 @@ TraceEncoder::TraceEncoder(size_t chunk_refs)
   std::memset(last_addr_, 0, sizeof(last_addr_));
 }
 
-void TraceEncoder::append(const MemRef* refs, size_t n) {
+void TraceEncoder::on_batch(const MemRef* refs, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     const MemRef& r = refs[i];
     FSOPT_CHECK(static_cast<size_t>(r.proc) < kMaxProcs,
@@ -246,9 +246,10 @@ EncodedTrace TraceEncoder::take() {
   return done;
 }
 
-EncodedTrace encode_trace(const TraceBuffer& trace, size_t chunk_refs) {
+EncodedTrace encode_trace(const std::vector<MemRef>& refs,
+                          size_t chunk_refs) {
   TraceEncoder enc(chunk_refs);
-  trace.replay(enc);
+  enc.on_batch(refs.data(), refs.size());
   return enc.take();
 }
 

@@ -122,14 +122,16 @@ class EncodedTrace {
 };
 
 /// Streaming encoder: feed it references (it is a TraceSink), then
-/// take() the finished EncodedTrace.  Chunk capacity matches
-/// TraceBuffer's default so encoded and raw replays batch identically.
+/// take() the finished EncodedTrace.
 class TraceEncoder : public TraceSink {
  public:
-  explicit TraceEncoder(size_t chunk_refs = TraceBuffer::kDefaultChunkRefs);
+  /// References per chunk.  The default keeps a decoded chunk around
+  /// 1 MiB of MemRefs; tests shrink it to exercise chunk boundaries.
+  static constexpr size_t kDefaultChunkRefs = 1 << 16;
 
-  void on_ref(const MemRef& ref) override { append(&ref, 1); }
-  void on_batch(const MemRef* refs, size_t n) override { append(refs, n); }
+  explicit TraceEncoder(size_t chunk_refs = kDefaultChunkRefs);
+
+  void on_batch(const MemRef* refs, size_t n) override;
 
   u64 size() const { return size_; }
 
@@ -142,8 +144,6 @@ class TraceEncoder : public TraceSink {
   static constexpr size_t kMaxProcs = 64;
 
  private:
-  void append(const MemRef* refs, size_t n);
-
   std::vector<EncodedChunk> chunks_;
   u64 size_ = 0;
   EncodedChunk cur_;
@@ -151,9 +151,10 @@ class TraceEncoder : public TraceSink {
   i64 last_addr_[kMaxProcs];
 };
 
-/// Encode an already-recorded raw trace.
-EncodedTrace encode_trace(const TraceBuffer& trace,
-                          size_t chunk_refs = TraceBuffer::kDefaultChunkRefs);
+/// Encode an already-recorded raw stream.
+EncodedTrace encode_trace(
+    const std::vector<MemRef>& refs,
+    size_t chunk_refs = TraceEncoder::kDefaultChunkRefs);
 
 /// References per replay sub-batch handed to the sink: small enough that
 /// a decoded sub-batch (a whole chunk is 1 MB of MemRefs) is still

@@ -58,14 +58,14 @@ std::map<DatumKey, std::vector<const AccessRecord*>> dominant_phase_writes(
   return writes_by_datum;
 }
 
-TransformSet decide_transforms(const SharingReport& report,
-                               const ProgramSummary& sum, i64 block_size,
-                               const DecisionOptions& opt) {
+TransformPlan decide_transforms(const SharingReport& report,
+                                const ProgramSummary& sum, i64 block_size,
+                                const DecisionOptions& opt) {
   // Gather write records per datum for partition-shape detection.
   std::map<DatumKey, std::vector<const AccessRecord*>> writes_by_datum =
       dominant_phase_writes(report, sum);
 
-  TransformSet out;
+  TransformPlan out;
   out.planner = "static";
   out.block_size = block_size;
 

@@ -40,10 +40,10 @@ struct DecisionOptions {
 /// transformations target (the driver threads CompileOptions::block_size
 /// through — there is exactly one block-size knob).  The returned plan has
 /// planner = "static" and carries `block_size`.
-TransformSet decide_transforms(const SharingReport& report,
-                               const ProgramSummary& summary,
-                               i64 block_size,
-                               const DecisionOptions& options = {});
+TransformPlan decide_transforms(const SharingReport& report,
+                                const ProgramSummary& summary,
+                                i64 block_size,
+                                const DecisionOptions& options = {});
 
 /// Dominant-phase write records per datum — the evidence
 /// detect_partition_shape consumes.  Only the dominant phase's records

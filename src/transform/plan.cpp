@@ -28,7 +28,7 @@ struct PendingSplit {
 
 }  // namespace
 
-LayoutPlan build_layout(const Program& prog, const TransformSet& transforms,
+LayoutPlan build_layout(const Program& prog, const TransformPlan& transforms,
                         i64 block_size) {
   const i64 B = block_size;
   // Every compile path (--block, --plan-in, the planners) lays out here,

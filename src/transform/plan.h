@@ -13,10 +13,10 @@ namespace fsopt {
 /// to (the KSR2's is 128 bytes; the simulation study sweeps 4-256) — the
 /// driver threads CompileOptions::block_size through, deliberately with
 /// no default so a forgotten call site cannot desynchronize the knob.
-/// With an empty TransformSet this degenerates to identity_layout().
+/// With an empty TransformPlan this degenerates to identity_layout().
 /// Throws InternalError naming the size when `block_size` is not a
 /// positive multiple of the 4-byte word.
-LayoutPlan build_layout(const Program& prog, const TransformSet& transforms,
+LayoutPlan build_layout(const Program& prog, const TransformPlan& transforms,
                         i64 block_size);
 
 }  // namespace fsopt

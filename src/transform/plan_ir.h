@@ -111,11 +111,6 @@ struct TransformPlan {
   bool operator==(const TransformPlan&) const = default;
 };
 
-/// The decision layer predates the IR; every consumer of "a set of
-/// transformation decisions" (layout, rewriters, the driver) was written
-/// against this name.
-using TransformSet = TransformPlan;
-
 // ---------------------------------------------------------------------------
 // Serialization.  Datums are keyed by symbol/field *name* (stable across
 // compiles of the same source; ids are resolved against `prog` on import),

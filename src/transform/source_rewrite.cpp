@@ -1,5 +1,6 @@
 #include "transform/source_rewrite.h"
 
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -34,7 +35,7 @@ i64 padded_extent(i64 elems, i64 elem_size, i64 block) {
 
 class SourceRewriter {
  public:
-  SourceRewriter(const Program& prog, const TransformSet& transforms,
+  SourceRewriter(const Program& prog, const TransformPlan& transforms,
                  i64 block)
       : prog_(prog), transforms_(transforms), block_(block) {}
 
@@ -532,9 +533,16 @@ class SourceRewriter {
         os_ << e.int_value;
         return;
       case ExprKind::kRealLit: {
-        std::ostringstream tmp;
-        tmp << e.real_value;
-        std::string s = tmp.str();
+        // The fewest significant digits, from the stream's default 6 up
+        // to 17, that read back as the same double.
+        std::string s;
+        for (int digits = 6; digits <= 17; ++digits) {
+          std::ostringstream tmp;
+          tmp.precision(digits);
+          tmp << e.real_value;
+          s = tmp.str();
+          if (std::strtod(s.c_str(), nullptr) == e.real_value) break;
+        }
         if (s.find('.') == std::string::npos &&
             s.find('e') == std::string::npos)
           s += ".0";
@@ -581,7 +589,7 @@ class SourceRewriter {
   }
 
   const Program& prog_;
-  const TransformSet& transforms_;
+  const TransformPlan& transforms_;
   i64 block_;
   std::map<std::pair<int, int>, Rule> rules_;
   std::map<const StructType*, std::set<int>> extracted_;
@@ -594,7 +602,7 @@ class SourceRewriter {
 }  // namespace
 
 SourceRewriteResult rewrite_to_source(const Program& prog,
-                                      const TransformSet& transforms,
+                                      const TransformPlan& transforms,
                                       i64 block_size) {
   SourceRewriter rw(prog, transforms, block_size);
   return rw.run();

@@ -42,7 +42,7 @@ struct SourceRewriteResult {
 };
 
 SourceRewriteResult rewrite_to_source(const Program& prog,
-                                      const TransformSet& transforms,
+                                      const TransformPlan& transforms,
                                       i64 block_size);
 
 }  // namespace fsopt

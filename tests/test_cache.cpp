@@ -6,6 +6,7 @@
 #include <string>
 
 #include "baseline_cache.h"
+#include "reference_sim.h"
 
 namespace fsopt {
 namespace {
@@ -248,25 +249,27 @@ TEST(Cache, GeometryWithoutASetIsRejectedBeforeSizing) {
   EXPECT_NO_THROW(CoherentCache(params(4, 4, 4)));  // one word, one set
 }
 
-TEST(CacheSim, SplitRefCountsOnce) {
+TEST(ReferenceSim, SplitRefCountsOnce) {
   // An 8B ref on 4B blocks is two block transactions but ONE reference
   // in the stats — same contract as the sharded replay path.
-  CacheSim sim(params(2, /*block=*/4));
-  sim.on_ref({0, 8, 0, RefType::kRead});
+  benchx::ReferenceSim sim(params(2, /*block=*/4));
+  const MemRef ref{0, 8, 0, RefType::kRead};
+  sim.on_batch(&ref, 1);
   EXPECT_EQ(sim.stats().refs, 1u);
   EXPECT_EQ(sim.stats().cold, 1u);
-  sim.on_ref({0, 8, 0, RefType::kRead});
+  sim.on_batch(&ref, 1);
   EXPECT_EQ(sim.stats().refs, 2u);
   EXPECT_EQ(sim.stats().hits, 1u);
   EXPECT_EQ(sim.stats().misses() + sim.stats().hits, 2u);
 }
 
-TEST(CacheSim, StatsAccumulate) {
-  CacheSim sim(params(2));
-  sim.on_ref({0, 4, 0, RefType::kRead});
-  sim.on_ref({0, 4, 0, RefType::kRead});
-  sim.on_ref({0, 4, 1, RefType::kWrite});
-  sim.on_ref({0, 4, 0, RefType::kRead});
+TEST(ReferenceSim, StatsAccumulate) {
+  benchx::ReferenceSim sim(params(2));
+  const std::vector<MemRef> refs = {{0, 4, 0, RefType::kRead},
+                                    {0, 4, 0, RefType::kRead},
+                                    {0, 4, 1, RefType::kWrite},
+                                    {0, 4, 0, RefType::kRead}};
+  sim.on_batch(refs.data(), refs.size());
   const MissStats& s = sim.stats();
   EXPECT_EQ(s.refs, 4u);
   EXPECT_EQ(s.cold, 2u);
@@ -276,14 +279,15 @@ TEST(CacheSim, StatsAccumulate) {
   EXPECT_DOUBLE_EQ(s.miss_rate(), 0.75);
 }
 
-TEST(CacheSim, PerDatumAttribution) {
+TEST(ReferenceSim, PerDatumAttribution) {
   AddressMap am;
   am.add(0, 64, "a");
   am.add(64, 128, "b");
-  CacheSim sim(params(2), &am);
-  sim.on_ref({0, 4, 0, RefType::kRead});
-  sim.on_ref({80, 4, 0, RefType::kRead});
-  sim.on_ref({80, 4, 1, RefType::kWrite});
+  benchx::ReferenceSim sim(params(2), &am);
+  const std::vector<MemRef> refs = {{0, 4, 0, RefType::kRead},
+                                    {80, 4, 0, RefType::kRead},
+                                    {80, 4, 1, RefType::kWrite}};
+  sim.on_batch(refs.data(), refs.size());
   ASSERT_EQ(sim.by_datum().count("a"), 1u);
   ASSERT_EQ(sim.by_datum().count("b"), 1u);
   EXPECT_EQ(sim.by_datum().at("a").refs, 1u);
@@ -351,7 +355,8 @@ class CacheInvariants : public ::testing::TestWithParam<i64> {};
 
 TEST_P(CacheInvariants, CountsArePartition) {
   i64 block = GetParam();
-  CacheSim sim(params(4, block, 2048, 1 << 14));
+  benchx::ReferenceSim sim(params(4, block, 2048, 1 << 14));
+  std::vector<MemRef> refs;
   u64 s = 12345;
   auto next = [&s]() {
     s = s * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -365,8 +370,9 @@ TEST_P(CacheInvariants, CountsArePartition) {
     r.size = next() % 2 == 0 ? 4 : 8;
     if (r.size == 8) r.addr &= ~i64{7};
     r.type = next() % 3 == 0 ? RefType::kWrite : RefType::kRead;
-    sim.on_ref(r);
+    refs.push_back(r);
   }
+  sim.on_batch(refs.data(), refs.size());
   const MissStats& st = sim.stats();
   EXPECT_EQ(st.refs, 20000u);
   EXPECT_EQ(st.hits + st.misses(), st.refs);

@@ -10,6 +10,7 @@
 #include "analysis/sideeffect.h"
 #include "driver/experiment.h"
 #include "lang/sema.h"
+#include "semantic_safety.h"
 #include "support/json.h"
 #include "transform/planner.h"
 
@@ -108,13 +109,12 @@ TEST(ConflictGraph, EngineAndCoherentCacheRecordThePartsVictimWord) {
   // not the reference's (byte 4, in block 0).  Plane 0 runs on the
   // bitmask engine; plane 1's three sets are not a power of two, so a
   // private CoherentCache simulates it.  Both must give the same graph.
-  TraceBuffer raw;
-  raw.on_ref({4, 8, 1, RefType::kRead});
-  raw.on_ref({12, 4, 0, RefType::kWrite});
-  raw.on_ref({4, 8, 1, RefType::kRead});
+  const std::vector<MemRef> refs = {{4, 8, 1, RefType::kRead},
+                                    {12, 4, 0, RefType::kWrite},
+                                    {4, 8, 1, RefType::kRead}};
   const std::vector<CacheParams> params = {{2, 32, 8, 64}, {2, 24, 8, 64}};
   std::vector<ConflictGraph> graphs;
-  replay_multi(encode_trace(raw), params, nullptr, 1, &graphs);
+  replay_multi(encode_trace(refs), params, nullptr, 1, &graphs);
   ASSERT_EQ(graphs.size(), 2u);
   ASSERT_EQ(graphs[1].lines.size(), 1u);
   EXPECT_EQ(graphs[1].lines[0].line, 1);
@@ -290,6 +290,25 @@ TEST(GraphRepair, EliminatesAdjacentWordPingPong) {
   // The 256-byte stride separates the words at every swept size.
   for (const auto& [b, stats] : rr.iterations.back().sweep)
     EXPECT_EQ(stats.false_sharing, 0u) << "block " << b;
+}
+
+// The graph loop's intra-pad keeps the program's meaning: kPingPong is
+// race-free (each process owns cnt[pid] and its own hot elements), so
+// under the final plan every global must end as it does unplanned.
+TEST(SemanticSafety, GraphLoopIntraPadKeepsEveryGlobal) {
+  CompileOptions base = base_options(true);
+  base.decision.min_weight_fraction = 0.2;
+  RepairLoopOptions opt = graph_only_options();
+  opt.sweep_blocks = {32, 64, 128};
+  const TransformPlan plan = repair_loop(kPingPong, base, opt).final_plan();
+  ASSERT_TRUE(std::any_of(plan.decisions.begin(), plan.decisions.end(),
+                          [](const TransformDecision& d) {
+                            return d.kind == TransformKind::kIntraPad;
+                          }));
+  CompileOptions with_plan = base;
+  with_plan.plan = std::make_shared<TransformPlan>(plan);
+  expect_same_final_globals(compile_source(kPingPong, base_options(false)),
+                            compile_source(kPingPong, with_plan));
 }
 
 TEST(GraphRepair, SplitsHotColdStructHalves) {

@@ -11,7 +11,7 @@ struct Ctx {
   std::unique_ptr<Program> prog;
   ProgramSummary summary;
   SharingReport report;
-  TransformSet transforms;
+  TransformPlan transforms;
 };
 
 Ctx decide(std::string_view src, i64 nprocs = 8, DecisionOptions opt = {}) {

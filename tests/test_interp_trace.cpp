@@ -85,9 +85,10 @@ TEST(Bytecode, RuntimeRegionFollowsGlobals) {
 
 TEST(Trace, CountingSink) {
   CountingSink s;
-  s.on_ref({0, 4, 0, RefType::kRead});
-  s.on_ref({4, 4, 0, RefType::kWrite});
-  s.on_ref({8, 8, 1, RefType::kWrite});
+  const std::vector<MemRef> refs = {{0, 4, 0, RefType::kRead},
+                                    {4, 4, 0, RefType::kWrite},
+                                    {8, 8, 1, RefType::kWrite}};
+  s.on_batch(refs.data(), refs.size());
   EXPECT_EQ(s.total(), 3u);
   EXPECT_EQ(s.writes(), 2u);
   EXPECT_EQ(s.reads(), 1u);
@@ -95,33 +96,15 @@ TEST(Trace, CountingSink) {
 
 TEST(Trace, VectorSinkPreservesOrderAndFields) {
   VectorSink s;
-  s.on_ref({16, 8, 3, RefType::kWrite});
-  s.on_ref({0, 4, 1, RefType::kRead});
+  const std::vector<MemRef> refs = {{16, 8, 3, RefType::kWrite},
+                                    {0, 4, 1, RefType::kRead}};
+  s.on_batch(refs.data(), refs.size());
   ASSERT_EQ(s.refs().size(), 2u);
   EXPECT_EQ(s.refs()[0].addr, 16);
   EXPECT_EQ(s.refs()[0].size, 8);
   EXPECT_EQ(s.refs()[0].proc, 3);
   EXPECT_EQ(s.refs()[0].type, RefType::kWrite);
   EXPECT_EQ(s.refs()[1].type, RefType::kRead);
-}
-
-TEST(Trace, MultiSinkFansOut) {
-  CountingSink a;
-  CountingSink b;
-  MultiSink m;
-  m.add(&a);
-  m.add(&b);
-  m.on_ref({0, 4, 0, RefType::kRead});
-  EXPECT_EQ(a.total(), 1u);
-  EXPECT_EQ(b.total(), 1u);
-}
-
-TEST(Trace, CallbackSink) {
-  int count = 0;
-  CallbackSink s([&](const MemRef&) { ++count; });
-  s.on_ref({0, 4, 0, RefType::kRead});
-  s.on_ref({0, 4, 0, RefType::kRead});
-  EXPECT_EQ(count, 2);
 }
 
 TEST(Stats, MeanAndGeomean) {

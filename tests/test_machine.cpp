@@ -427,25 +427,24 @@ TEST(MachineGolden, StreamsAndKsrCyclesMatchCapturedValues) {
     o.optimize = g.optimize;
     Compiled c = compile_source(w.natural, o);
     u64 h = 1469598103934665603ull;
-    u64 n = 0;
     auto mix = [&h](u64 v) {
       for (int i = 0; i < 8; ++i) {
         h ^= (v >> (8 * i)) & 0xff;
         h *= 1099511628211ull;
       }
     };
-    CallbackSink sink([&](const MemRef& r) {
+    VectorSink sink;
+    run_program(c, &sink);
+    for (const MemRef& r : sink.refs()) {
       mix(static_cast<u64>(r.addr));
       mix(r.size);
       mix(r.proc);
       mix(static_cast<u64>(r.type));
-      ++n;
-    });
-    run_program(c, &sink);
+    }
     TimingResult t = run_ksr(c);
     const std::string what =
         std::string(g.workload) + (g.optimize ? "/C" : "/N");
-    EXPECT_EQ(n, g.refs) << what;
+    EXPECT_EQ(sink.refs().size(), g.refs) << what;
     EXPECT_EQ(h, g.stream_hash) << what;
     EXPECT_EQ(t.cycles, g.ksr_cycles) << what;
     EXPECT_EQ(t.instructions, g.instructions) << what;

@@ -1,13 +1,15 @@
 // Differential suite for single-pass multi-configuration replay
 // (sim/multi.h): replay_multi must be bit-identical — aggregate stats
-// and per-datum attribution — to independent per-configuration CacheSim
-// replays (the reference model), for every cell of the full workload
-// matrix, across block sizes, and for any thread count / plane grouping.
+// and per-datum attribution — to independent per-configuration replays
+// of the reference model (bench/reference_sim.h, one CoherentCache each),
+// for every cell of the full workload matrix, across block sizes, and for
+// any thread count / plane grouping.
 #include "sim/multi.h"
 
 #include <gtest/gtest.h>
 
 #include "driver/experiment.h"
+#include "reference_sim.h"
 
 namespace fsopt {
 namespace {
@@ -20,15 +22,9 @@ std::vector<CacheParams> sweep_params(i64 nprocs, i64 total,
   return out;
 }
 
-TraceBuffer make_trace(const std::vector<MemRef>& refs) {
-  TraceBuffer t;
-  t.on_batch(refs.data(), refs.size());
-  return t;
-}
-
 TEST(MultiReplay, MatchesIndependentSimsOnSyntheticStream) {
   // A little false-sharing ping-pong plus private strides; every plane
-  // must agree with a dedicated CacheSim fed the same stream.
+  // must agree with a dedicated reference model fed the same stream.
   std::vector<MemRef> refs;
   for (int i = 0; i < 2000; ++i) {
     u8 proc = static_cast<u8>(i % 4);
@@ -37,15 +33,14 @@ TEST(MultiReplay, MatchesIndependentSimsOnSyntheticStream) {
     refs.push_back({1024 + proc * 256 + (i % 32) * 8, 8, proc,
                     RefType::kRead});
   }
-  TraceBuffer raw = make_trace(refs);
   std::vector<CacheParams> params =
       sweep_params(4, 1 << 16, {4, 16, 64, 256}, /*l1=*/2048);
 
-  MultiReplayResult multi = replay_multi(encode_trace(raw), params);
+  MultiReplayResult multi = replay_multi(encode_trace(refs), params);
   ASSERT_EQ(multi.stats.size(), params.size());
   for (size_t p = 0; p < params.size(); ++p) {
-    CacheSim solo(params[p]);
-    raw.replay(solo);
+    benchx::ReferenceSim solo(params[p]);
+    solo.on_batch(refs.data(), refs.size());
     EXPECT_EQ(multi.stats[p], solo.stats())
         << "block=" << params[p].block_size;
   }
@@ -57,11 +52,10 @@ TEST(MultiReplay, ChunkBoundariesNeverChangeResults) {
     refs.push_back({(i * 52) % 4096, static_cast<u8>(i % 2 ? 8 : 4),
                     static_cast<u8>(i % 3),
                     i % 5 == 0 ? RefType::kWrite : RefType::kRead});
-  TraceBuffer raw = make_trace(refs);
   std::vector<CacheParams> params = sweep_params(3, 1 << 13, {4, 32, 128});
-  MultiReplayResult a = replay_multi(encode_trace(raw), params);
+  MultiReplayResult a = replay_multi(encode_trace(refs), params);
   MultiReplayResult b =
-      replay_multi(encode_trace(raw, /*chunk_refs=*/128), params);
+      replay_multi(encode_trace(refs, /*chunk_refs=*/128), params);
   EXPECT_EQ(a.stats, b.stats);
 }
 
@@ -71,7 +65,7 @@ TEST(MultiReplay, ThreadCountNeverChangesResults) {
   for (int i = 0; i < 5000; ++i)
     refs.push_back({(i * 36) % 8192, 4, static_cast<u8>(i % 8),
                     i % 4 == 0 ? RefType::kWrite : RefType::kRead});
-  EncodedTrace enc = encode_trace(make_trace(refs));
+  EncodedTrace enc = encode_trace(refs);
   std::vector<CacheParams> params =
       sweep_params(8, 1 << 13, {4, 8, 16, 32, 64, 128, 256});
   MultiReplayResult serial = replay_multi(enc, params, nullptr, 1);
@@ -94,13 +88,12 @@ TEST(MultiReplay, SplitRefClassesDivergePerPlaneCorrectly) {
       {8, 4, 0, RefType::kWrite},  // P0 writes word 8
       {4, 8, 1, RefType::kRead},   // mixed re-read
   };
-  TraceBuffer raw = make_trace(refs);
   std::vector<CacheParams> params = sweep_params(2, 1 << 10, {4, 8, 64});
-  MultiReplayResult multi = replay_multi(encode_trace(raw), params);
+  MultiReplayResult multi = replay_multi(encode_trace(refs), params);
 
   for (size_t p = 0; p < params.size(); ++p) {
-    CacheSim solo(params[p]);
-    raw.replay(solo);
+    benchx::ReferenceSim solo(params[p]);
+    solo.on_batch(refs.data(), refs.size());
     EXPECT_EQ(multi.stats[p], solo.stats())
         << "block=" << params[p].block_size;
   }
@@ -124,13 +117,37 @@ TEST(MultiReplay, PerDatumAttributionMatchesSoloSim) {
                     i % 2 ? RefType::kWrite : RefType::kRead});
     refs.push_back({64 + (i * 24) % 4000, 4, proc, RefType::kRead});
   }
-  TraceBuffer raw = make_trace(refs);
   std::vector<CacheParams> params = sweep_params(4, 1 << 13, {16, 64});
-  MultiReplayResult multi = replay_multi(encode_trace(raw), params, &am);
+  MultiReplayResult multi = replay_multi(encode_trace(refs), params, &am);
   ASSERT_EQ(multi.by_datum.size(), params.size());
   for (size_t p = 0; p < params.size(); ++p) {
-    CacheSim solo(params[p], &am);
-    raw.replay(solo);
+    benchx::ReferenceSim solo(params[p], &am);
+    solo.on_batch(refs.data(), refs.size());
+    EXPECT_EQ(multi.by_datum[p], solo.by_datum())
+        << "block=" << params[p].block_size;
+  }
+}
+
+TEST(MultiReplay, UnmappedAddressesAttributeToOther) {
+  // Every workload's AddressMap covers all it references, so only a
+  // hand-built stream reaches the trailing "<other>" slot.
+  AddressMap am;
+  am.add(0, 64, "mapped");
+  std::vector<MemRef> refs;
+  for (int i = 0; i < 400; ++i) {
+    u8 proc = static_cast<u8>(i % 2);
+    refs.push_back({(i % 16) * 4, 4, proc,
+                    i % 3 == 0 ? RefType::kWrite : RefType::kRead});
+    refs.push_back({128 + (i % 64) * 4, 4, proc,
+                    i % 5 == 0 ? RefType::kWrite : RefType::kRead});
+  }
+  std::vector<CacheParams> params =
+      sweep_params(2, 1 << 10, {16, 64}, /*l1=*/512);
+  MultiReplayResult multi = replay_multi(encode_trace(refs), params, &am);
+  for (size_t p = 0; p < params.size(); ++p) {
+    benchx::ReferenceSim solo(params[p], &am);
+    solo.on_batch(refs.data(), refs.size());
+    EXPECT_EQ(multi.by_datum[p].count("<other>"), 1u);
     EXPECT_EQ(multi.by_datum[p], solo.by_datum())
         << "block=" << params[p].block_size;
   }
@@ -140,11 +157,11 @@ TEST(MultiReplay, PerDatumAttributionMatchesSoloSim) {
 //
 // Every cell of the paper's experiment matrix (ten workloads x {N,C}
 // plus the programmer-optimized versions): single-pass multi-plane
-// replay of the cell's recorded trace must equal a dedicated CacheSim
-// per plane at every block size, on aggregate stats AND per-datum
+// replay of the cell's recorded trace must equal a dedicated reference
+// model per plane at every block size, on aggregate stats AND per-datum
 // attribution.
 
-TEST(MultiReplayMatrix, BitIdenticalToPerPlaneCacheSimAcrossAllCells) {
+TEST(MultiReplayMatrix, BitIdenticalToPerPlaneReferenceAcrossAllCells) {
   std::vector<CompileJob> jobs = workload_matrix_jobs();
   ASSERT_EQ(jobs.size(), 29u);  // 10 N + 10 C + 9 P
   std::vector<Compiled> cells;
@@ -165,7 +182,7 @@ TEST(MultiReplayMatrix, BitIdenticalToPerPlaneCacheSimAcrossAllCells) {
     MultiReplayResult multi = replay_multi(trace, params, &am);
 
     for (size_t p = 0; p < params.size(); ++p) {
-      CacheSim solo(params[p], &am);
+      benchx::ReferenceSim solo(params[p], &am);
       trace.replay(solo);
       EXPECT_EQ(multi.stats[p], solo.stats())
           << label << " block=" << params[p].block_size;

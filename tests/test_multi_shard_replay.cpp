@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/experiment.h"
+#include "reference_sim.h"
 #include "workloads/workloads.h"
 
 namespace fsopt {
@@ -20,13 +21,6 @@ std::vector<CacheParams> sweep_params(i64 nprocs, i64 total,
   std::vector<CacheParams> out;
   for (i64 b : blocks) out.push_back({nprocs, l1, b, total});
   return out;
-}
-
-EncodedTrace encoded(const std::vector<MemRef>& refs,
-                     size_t chunk_refs = TraceBuffer::kDefaultChunkRefs) {
-  TraceBuffer t;
-  t.on_batch(refs.data(), refs.size());
-  return encode_trace(t, chunk_refs);
 }
 
 TEST(MultiShardPlan, RegionIsLargestBlockAndShardsDivideEveryPlane) {
@@ -60,7 +54,7 @@ TEST(MultiShardReplay, SyntheticStreamMatchesSerialForEveryShardCount) {
     if (i % 7 == 0)
       refs.push_back({252 + (i % 5) * 256, 8, proc, RefType::kWrite});
   }
-  EncodedTrace enc = encoded(refs);
+  EncodedTrace enc = encode_trace(refs);
   AddressMap am;
   am.add(0, 64, "hot");
   am.add(64, 1 << 14, "cold");
@@ -87,9 +81,9 @@ TEST(MultiShardReplay, ChunkBoundariesNeverChangeResults) {
                     i % 5 == 0 ? RefType::kWrite : RefType::kRead});
   std::vector<CacheParams> params = sweep_params(3, 1 << 13, {4, 32, 128});
   ASSERT_EQ(multi_shard_plan(params, 4).shards, 4);
-  MultiReplayResult a = replay_multi(encoded(refs), params, nullptr, 4);
+  MultiReplayResult a = replay_multi(encode_trace(refs), params, nullptr, 4);
   MultiReplayResult b =
-      replay_multi(encoded(refs, /*chunk_refs=*/128), params, nullptr, 4);
+      replay_multi(encode_trace(refs, /*chunk_refs=*/128), params, nullptr, 4);
   EXPECT_EQ(a.stats, b.stats);
 }
 
@@ -100,7 +94,7 @@ TEST(MultiShardReplay, ThreadCountNeverChangesResults) {
                     i % 4 == 0 ? RefType::kWrite : RefType::kRead});
   std::vector<CacheParams> params =
       sweep_params(8, 1 << 13, {4, 8, 16, 32, 64, 128, 256});
-  const EncodedTrace enc = encoded(refs);
+  const EncodedTrace enc = encode_trace(refs);
   MultiReplayResult one = replay_multi(enc, params, nullptr, 1);
   for (int threads : {2, 3, 8}) {
     MultiReplayResult many = replay_multi(enc, params, nullptr, threads);
@@ -146,11 +140,11 @@ TEST(MultiShardReplay, StudyShardsLargeTracesExactly) {
   }
 }
 
-TEST(MultiShardReplay, StudyOfNonNestingSweepMatchesPerPlaneCacheSim) {
+TEST(MultiShardReplay, StudyOfNonNestingSweepMatchesPerPlaneReference) {
   // {48, 64} B: 48 does not divide the 64 B region, so this sweep
   // cannot shard (`fsoptc --miss 48,64`).  Four threads walk it once,
   // and every plane — the non-power-of-two one simulated by a private
-  // CoherentCache — must equal a dedicated CacheSim, attribution
+  // CoherentCache — must equal a dedicated reference model, attribution
   // included.
   FmmStudy f;
   ASSERT_GE(f.trace.size(), u64{1} << 16);
@@ -158,7 +152,8 @@ TEST(MultiShardReplay, StudyOfNonNestingSweepMatchesPerPlaneCacheSim) {
   TraceStudyResult st =
       replay_trace_study(f.trace, f.c, blocks, 32 * 1024, &f.am, 4);
   for (i64 b : blocks) {
-    CacheSim solo({f.c.nprocs(), 32 * 1024, b, f.c.code.total_bytes}, &f.am);
+    const CacheParams p{f.c.nprocs(), 32 * 1024, b, f.c.code.total_bytes};
+    benchx::ReferenceSim solo(p, &f.am);
     f.trace.replay(solo);
     EXPECT_EQ(st.at(b), solo.stats()) << "block=" << b;
     EXPECT_EQ(st.by_datum.at(b), solo.by_datum()) << "block=" << b;
@@ -169,7 +164,7 @@ TEST(MultiShardReplay, FallbackPlanesShardExactly) {
   // Associative and word-invalidate planes leave the bitmask engine for a
   // private CoherentCache inside each shard's walk (the §6 hardware
   // comparison replays them so).  At every thread count, each plane must
-  // equal a dedicated CacheSim, attribution included.
+  // equal a dedicated reference model, attribution included.
   FmmStudy f;
   const i64 total = f.c.code.total_bytes;
   std::vector<CacheParams> params;
@@ -178,7 +173,7 @@ TEST(MultiShardReplay, FallbackPlanesShardExactly) {
   params.push_back({f.c.nprocs(), 32 * 1024, 128, total, 1, true});
   params.push_back({f.c.nprocs(), 32 * 1024, 16, total, 4, true});
   ASSERT_EQ(multi_shard_plan(params, 8).shards, 8);
-  std::vector<CacheSim> solo;
+  std::vector<benchx::ReferenceSim> solo;
   for (const CacheParams& p : params) {
     solo.emplace_back(p, &f.am);
     f.trace.replay(solo.back());
@@ -200,9 +195,9 @@ TEST(MultiShardReplay, FallbackPlanesShardExactly) {
 // plus the programmer-optimized versions): the sharded replay must equal
 // one whole walk at every block size and shard count, on aggregate
 // stats and per-datum attribution (test_multi_replay.cpp pins the whole
-// walk to a dedicated CacheSim per plane on the same matrix), and on the
-// ten C cells a conflict-collecting study must give the same stats,
-// attribution and conflict graphs at every thread count.
+// walk to a dedicated reference model per plane on the same matrix), and
+// on the ten C cells a conflict-collecting study must give the same
+// stats, attribution and conflict graphs at every thread count.
 
 TEST(MultiShardReplayMatrix, BitIdenticalAcrossAllCellsAndShardCounts) {
   std::vector<CompileJob> jobs = workload_matrix_jobs();

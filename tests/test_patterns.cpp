@@ -9,6 +9,7 @@
 
 #include "analysis/diagnose.h"
 #include "driver/experiment.h"
+#include "reference_sim.h"
 #include "support/json.h"
 #include "workloads/workloads.h"
 
@@ -22,8 +23,8 @@ MemRef write_ref(i64 addr, int proc) {
   return {addr, 4, static_cast<u8>(proc), RefType::kWrite};
 }
 
-/// Feed a hand-built stream to a real CacheSim (for the attributed miss
-/// classes) and to a PatternCollector; return the labeled summaries.
+/// Feed a hand-built stream to the reference model (for the attributed
+/// miss classes) and to a PatternCollector; return the labeled summaries.
 struct Harness {
   AddressMap map;
   CacheParams params;
@@ -34,7 +35,7 @@ struct Harness {
 
   std::vector<DatumPattern> run(const std::vector<MemRef>& refs,
                                 const PatternThresholds& t = {}) {
-    CacheSim sim(params, &map);
+    benchx::ReferenceSim sim(params, &map);
     sim.on_batch(refs.data(), refs.size());
     PatternCollector pc(&map, params);
     pc.on_batch(refs.data(), refs.size());

@@ -17,7 +17,7 @@ struct Ctx {
   std::unique_ptr<Program> prog;
   ProgramSummary summary;
   SharingReport report;
-  TransformSet transforms;
+  TransformPlan transforms;
 };
 
 Ctx analyze(std::string_view src, i64 nprocs = 8, DecisionOptions opt = {}) {

@@ -64,6 +64,22 @@ TEST(IdentityRewrite, RealLiteralsKeepDecimalPoint) {
   EXPECT_NE(printed.find("2.0"), std::string::npos) << printed;
 }
 
+TEST(IdentityRewrite, RealLiteralsKeepEveryDigit) {
+  // A literal that needs more than six significant digits keeps them all
+  // (0.1234567 once printed as 0.123457); one that reads back from six,
+  // such as 0.1 or 100000.0, prints as before.
+  auto p = check(
+      "param NPROCS = 1; real r; real s; real t;"
+      "void main(int pid) { r = 0.1234567; s = 100000.0; t = 0.1; }");
+  std::string printed = print(*p);
+  EXPECT_NE(printed.find("r = 0.1234567;"), std::string::npos) << printed;
+  EXPECT_NE(printed.find("s = 100000.0;"), std::string::npos) << printed;
+  EXPECT_NE(printed.find("t = 0.1;"), std::string::npos) << printed;
+  Compiled c = compile_source(printed, {});
+  auto m = run_program(c);
+  EXPECT_EQ(m->load_real(c.address_of("r", "", {})), 0.1234567);
+}
+
 TEST(IdentityRewrite, StructsAndLocksRendered) {
   auto p = check(
       "param NPROCS = 2; struct S { int a; real b[3]; };"

@@ -92,9 +92,7 @@ TEST(AddressRelocation, RelocatedViewSharesChunksAndRelocatesEveryDecodePath) {
   for (int i = 0; i < 1000; ++i)
     raw.push_back(ref(4 * ((i * 7) % kWords), (i % 5 == 0) ? 8 : 4,
                       static_cast<u8>(i % 6), i % 3 == 0));
-  TraceBuffer buf;
-  buf.on_batch(raw.data(), raw.size());
-  EncodedTrace enc = encode_trace(buf, 96);
+  EncodedTrace enc = encode_trace(raw, 96);
   ASSERT_GT(enc.chunk_count(), 2u);
 
   auto rel = std::make_shared<AddressRelocation>();

@@ -25,6 +25,7 @@
 #include "lang/sema.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "semantic_safety.h"
 #include "support/json.h"
 #include "workloads/workloads.h"
 
@@ -721,6 +722,34 @@ TEST(FieldReorder, GraphPlannerEmitsSeparatingPermutation) {
   EXPECT_EQ(d3->kind, TransformKind::kHotColdSplit);
 }
 
+
+// The intra-datum kinds keep the program's meaning: kReorder is race-free
+// (processes 0 and 4 write disjoint fields), so under the graph planner's
+// field reorder (64 B) and hot/cold split (256 B) every global must end
+// as it does unplanned.
+TEST(SemanticSafety, FieldReorderAndHotColdSplitKeepEveryGlobal) {
+  Ctx c = analyze(kReorder, 8);
+  const GlobalSym* g = c.prog->find_global("g");
+  ASSERT_NE(g, nullptr);
+  TransformPlan empty;
+  ConflictProfile prof = reorder_conflicts();
+  CompileOptions base;
+  base.overrides = {{"NPROCS", 8}};
+  const Compiled natural = compile_source(kReorder, base);
+  for (const auto& [block, kind] :
+       {std::pair{i64{64}, TransformKind::kFieldReorder},
+        std::pair{i64{256}, TransformKind::kHotColdSplit}}) {
+    PlannerInputs in{c.report, c.summary, {}, block, nullptr, &empty, &prof};
+    const TransformPlan plan = GraphPlanner().plan(in);
+    const TransformDecision* d = plan.find({g->id, -1});
+    ASSERT_NE(d, nullptr) << block;
+    ASSERT_EQ(d->kind, kind) << block;
+    CompileOptions with_plan = base;
+    with_plan.block_size = block;
+    with_plan.plan = std::make_shared<TransformPlan>(plan);
+    expect_same_final_globals(natural, compile_source(kReorder, with_plan));
+  }
+}
 TEST(FieldReorder, JsonRoundTripAndReinjectionIdentity) {
   Ctx c = analyze(kReorder, 8);
   TransformPlan empty;

@@ -8,16 +8,11 @@
 // test_trace_codec.cpp.
 #include <gtest/gtest.h>
 
+#include "reference_sim.h"
 #include "sim/multi.h"
 
 namespace fsopt {
 namespace {
-
-EncodedTrace encoded(const std::vector<MemRef>& refs) {
-  TraceBuffer t;
-  t.on_batch(refs.data(), refs.size());
-  return encode_trace(t);
-}
 
 AddressMap two_data() {
   AddressMap am;
@@ -51,7 +46,7 @@ TEST(ShardedReplay, SplitsRegionSpanningRefs) {
   };
   const std::vector<CacheParams> params = {{4, 1024, 4, 1024}};
   ASSERT_EQ(multi_shard_plan(params, 2).region_bytes, 4);
-  expect_matches_serial(encoded(refs), params, 2);
+  expect_matches_serial(encode_trace(refs), params, 2);
 }
 
 TEST(ShardedReplay, NonPowerOfTwoGeometryStaysAtOneShard) {
@@ -66,7 +61,7 @@ TEST(ShardedReplay, NonPowerOfTwoGeometryStaysAtOneShard) {
     refs.push_back({(i * 28) % 960, 4, proc, type});
     refs.push_back({20 + 24 * (i % 40), 8, proc, type});
   }
-  const EncodedTrace t = encoded(refs);
+  const EncodedTrace t = encode_trace(refs);
   // A 24-byte region (blocks {8, 24}) is not a power of two: one shard,
   // though 1536 / 24 regions per cache would divide by two.
   const std::vector<CacheParams> region24 = {{4, 1536, 8, 1024},
@@ -88,17 +83,17 @@ TEST(ShardedReplay, NonPowerOfTwoGeometryStaysAtOneShard) {
 
 TEST(ShardedReplay, SingleShardTakesEverything) {
   // One shard keeps every reference, spanning ones whole, and equals a
-  // dedicated CacheSim per plane.
-  const EncodedTrace t = encoded({{0, 4, 0, RefType::kRead},
+  // dedicated reference model per plane.
+  const EncodedTrace t = encode_trace({{0, 4, 0, RefType::kRead},
                                   {4, 8, 1, RefType::kWrite},
                                   {500, 4, 2, RefType::kRead},
                                   {4, 8, 0, RefType::kRead}});
   const AddressMap am = two_data();
-  const auto expect_matches_cache_sim =
+  const auto expect_matches_reference =
       [&](const std::vector<CacheParams>& params, int threads) {
         const MultiReplayResult multi = replay_multi(t, params, &am, threads);
         for (size_t p = 0; p < params.size(); ++p) {
-          CacheSim solo(params[p], &am);
+          benchx::ReferenceSim solo(params[p], &am);
           t.replay(solo);
           EXPECT_EQ(multi.stats[p], solo.stats())
               << "block=" << params[p].block_size;
@@ -106,13 +101,13 @@ TEST(ShardedReplay, SingleShardTakesEverything) {
               << "block=" << params[p].block_size;
         }
       };
-  expect_matches_cache_sim({{4, 1024, 4, 1024}}, 1);
+  expect_matches_reference({{4, 1024, 4, 1024}}, 1);
   // A geometry the region cannot nest ({48, 64} B) stays at one shard
   // whatever the thread count.
   const std::vector<CacheParams> odd = {{4, 48 * 16, 48, 1024},
                                         {4, 1024, 64, 1024}};
   EXPECT_EQ(multi_shard_plan(odd, 4).shards, 1);
-  expect_matches_cache_sim(odd, 4);
+  expect_matches_reference(odd, 4);
 }
 
 }  // namespace

@@ -140,12 +140,6 @@ int fuzz_iters() {
 
 // --- helpers ---------------------------------------------------------
 
-TraceBuffer to_buffer(const std::vector<MemRef>& refs) {
-  TraceBuffer t;
-  t.on_batch(refs.data(), refs.size());
-  return t;
-}
-
 std::vector<MemRef> decode_all(const EncodedTrace& t) {
   VectorSink sink;
   t.replay(sink);
@@ -167,7 +161,7 @@ std::vector<MemRef> folded(std::vector<MemRef> refs) {
 // --- directed cases --------------------------------------------------
 
 TEST(TraceCodec, EmptyTrace) {
-  EncodedTrace t = encode_trace(TraceBuffer{});
+  EncodedTrace t = encode_trace({});
   EXPECT_TRUE(t.empty());
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.chunk_count(), 0u);
@@ -177,7 +171,7 @@ TEST(TraceCodec, EmptyTrace) {
 
 TEST(TraceCodec, SingleRef) {
   std::vector<MemRef> one = {make_ref(12345, 8, 63, true)};
-  EncodedTrace t = encode_trace(to_buffer(one));
+  EncodedTrace t = encode_trace(one);
   EXPECT_EQ(t.size(), 1u);
   EXPECT_EQ(t.chunk_count(), 1u);
   EXPECT_EQ(decode_all(t), one);
@@ -188,7 +182,7 @@ TEST(TraceCodec, ChunkCapacityOne) {
   // address is stored as a delta from 0.
   Rng rng(7);
   std::vector<MemRef> refs = gen_uniform(rng, 37);
-  EncodedTrace t = encode_trace(to_buffer(refs), /*chunk_refs=*/1);
+  EncodedTrace t = encode_trace(refs, /*chunk_refs=*/1);
   EXPECT_EQ(t.chunk_count(), refs.size());
   EXPECT_EQ(decode_all(t), refs);
 }
@@ -196,10 +190,10 @@ TEST(TraceCodec, ChunkCapacityOne) {
 TEST(TraceCodec, RejectsUnsupportedRefs) {
   TraceEncoder enc;
   MemRef bad_proc = make_ref(0, 4, 64, false);  // kMaxProcs == 64
-  EXPECT_THROW(enc.on_ref(bad_proc), InternalError);
+  EXPECT_THROW(enc.on_batch(&bad_proc, 1), InternalError);
   TraceEncoder enc2;
   MemRef bad_size = make_ref(0, 2, 0, false);
-  EXPECT_THROW(enc2.on_ref(bad_size), InternalError);
+  EXPECT_THROW(enc2.on_batch(&bad_size, 1), InternalError);
 }
 
 TEST(TraceCodec, StreamingMatchesBulk) {
@@ -209,7 +203,7 @@ TEST(TraceCodec, StreamingMatchesBulk) {
   std::vector<MemRef> refs = gen_monotone(rng, 5000);
 
   TraceEncoder one_by_one(/*chunk_refs=*/256);
-  for (const MemRef& r : refs) one_by_one.on_ref(r);
+  for (const MemRef& r : refs) one_by_one.on_batch(&r, 1);
 
   TraceEncoder batched(/*chunk_refs=*/256);
   for (size_t i = 0; i < refs.size();) {
@@ -247,7 +241,7 @@ TEST(TraceCodec, MetaColumnIsOneBytePerReference) {
   std::vector<MemRef> refs;
   for (int i = 0; i < 10000; ++i)
     refs.push_back(make_ref(4 * i, 4, 3, i % 2 != 0));
-  EncodedTrace t = encode_trace(to_buffer(refs), /*chunk_refs=*/4096);
+  EncodedTrace t = encode_trace(refs, /*chunk_refs=*/4096);
   EXPECT_LE(t.memory_bytes(),
             2 * refs.size() + t.chunk_count() * (sizeof(EncodedChunk) + 10));
   EXPECT_EQ(decode_all(t), refs);
@@ -258,7 +252,7 @@ TEST(TraceCodec, CompressesFriendlyStreams) {
   // 16 bytes/ref; this pins the "compressed" in compressed traces.
   Rng rng(13);
   std::vector<MemRef> refs = gen_monotone(rng, 1 << 16);
-  EncodedTrace t = encode_trace(to_buffer(refs));
+  EncodedTrace t = encode_trace(refs);
   EXPECT_LT(t.bytes_per_ref(), 16.0 / 3.0);  // >= 3x smaller than raw
 }
 
@@ -268,7 +262,8 @@ class TraceCodecFuzz : public ::testing::TestWithParam<Pattern> {};
 
 TEST_P(TraceCodecFuzz, RoundTripsAtEveryChunkSize) {
   const Pattern& pat = GetParam();
-  const size_t chunk_sizes[] = {1, 3, 64, 1000, TraceBuffer::kDefaultChunkRefs};
+  const size_t chunk_sizes[] = {1, 3, 64, 1000,
+                                TraceEncoder::kDefaultChunkRefs};
   int iters = fuzz_iters();
   for (int iter = 0; iter < iters; ++iter) {
     // Seed derived from (pattern, iteration) — fixed matrix, no time().
@@ -278,7 +273,7 @@ TEST_P(TraceCodecFuzz, RoundTripsAtEveryChunkSize) {
     std::vector<MemRef> refs = pat.gen(rng, n);
 
     for (size_t chunk : chunk_sizes) {
-      EncodedTrace t = encode_trace(to_buffer(refs), chunk);
+      EncodedTrace t = encode_trace(refs, chunk);
       ASSERT_EQ(t.size(), refs.size())
           << pat.name << " iter=" << iter << " chunk=" << chunk;
       ASSERT_EQ(decode_all(t), refs)
@@ -293,7 +288,7 @@ TEST_P(TraceCodecFuzz, ChunksDecodeIndependently) {
   for (int iter = 0; iter < iters; ++iter) {
     Rng rng(0xc0dec * (iter + 1) + (&pat - kPatterns));
     std::vector<MemRef> refs = pat.gen(rng, 1 + rng.below(10000));
-    EncodedTrace t = encode_trace(to_buffer(refs), /*chunk_refs=*/512);
+    EncodedTrace t = encode_trace(refs, /*chunk_refs=*/512);
 
     // Decode chunks in reverse order into isolated buffers; stitching
     // them back together must reproduce the stream, proving no decode
@@ -332,9 +327,8 @@ TEST_P(TraceCodecFuzz, ShardedReplayIgnoresChunkBoundaries) {
     std::vector<MemRef> refs = folded(pat.gen(rng, 1 + rng.below(4000)));
     i64 nprocs = 1;
     for (const MemRef& r : refs) nprocs = std::max<i64>(nprocs, r.proc + 1);
-    TraceBuffer raw = to_buffer(refs);
-    EncodedTrace small = encode_trace(raw, /*chunk_refs=*/256);
-    EncodedTrace whole = encode_trace(raw, refs.size());
+    EncodedTrace small = encode_trace(refs, /*chunk_refs=*/256);
+    EncodedTrace whole = encode_trace(refs, refs.size());
     AddressMap am;
     am.add(0, kSimBytes / 4, "low");
     am.add(kSimBytes / 4, kSimBytes, "high");

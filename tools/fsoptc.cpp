@@ -414,7 +414,7 @@ int main(int argc, char** argv) {
       }
       c = run_back(front, cli.options);
       if (cli.plan_diff) {
-        TransformSet staticplan = decide_transforms(
+        TransformPlan staticplan = decide_transforms(
             c.report, c.summary, cli.options.block_size, cli.options.decision);
         std::printf("--- plan diff (static -> active) ---\n%s",
                     plan_diff(staticplan, c.transforms)
