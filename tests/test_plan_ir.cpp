@@ -1,7 +1,8 @@
 // Transform-plan IR: JSON round-trip identity, plan_diff goldens,
 // StaticPlanner equivalence with the retained reference path across the
-// full workload matrix, and repair-loop convergence on a synthetic
-// workload whose residual false sharing the static heuristics miss.
+// full workload matrix, repair-loop convergence on a synthetic workload
+// whose residual false sharing the static heuristics miss, and the
+// profile and graph loops' final plans for all ten workloads.
 #include "transform/plan_ir.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "driver/experiment.h"
 #include "lang/sema.h"
 #include "transform/planner.h"
+#include "workloads/workloads.h"
 
 namespace fsopt {
 namespace {
@@ -396,6 +398,55 @@ TEST(RepairLoop, ProfileEntriesSortedByDamage) {
   const FalseSharingProfile::Entry* e = prof.find("cnt");
   ASSERT_NE(e, nullptr);
   EXPECT_GT(e->fs_misses, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// All ten workloads repaired as `fsoptc --workload W --planner P` does
+// (C compile at 128 B; the graph loop sweeps {32, 64, 128, 256}): the
+// final plan's JSON document, hashed with 64-bit FNV-1a.  Any change to
+// the profile or graph planner's rules moves one of these; moving those
+// rules between files must not.  The mp3d, pthor and topopt profile
+// loops add nothing and end on the static plan.
+// ---------------------------------------------------------------------------
+
+TEST(RepairGolden, ProfileAndGraphPlansTenWorkloads) {
+  static const std::pair<const char*, std::pair<u64, u64>> kGolden[] = {
+      // {workload, {profile, graph}}
+      {"maxflow", {0x08d41d4d56fb49a2ull, 0x31019018179558cbull}},
+      {"pverify", {0xf0e33b1b830ea249ull, 0xff797ec0dff8cc08ull}},
+      {"topopt", {0x7f7ba50e3426b5bfull, 0x73363a294561d3bcull}},
+      {"fmm", {0x540c2b2d8b1d8d8bull, 0xd9ffb1bf15436c29ull}},
+      {"radiosity", {0x6bf2d2607d92cd85ull, 0x83e64bfa36f1b2f2ull}},
+      {"raytrace", {0x763b22b52e533c7dull, 0xa8883e0abfcb4678ull}},
+      {"locusroute", {0xd12f57c2935a4013ull, 0xff222500af1d4f2full}},
+      {"mp3d", {0xb96f4919119ebb89ull, 0x27a5bf20e548e51cull}},
+      {"pthor", {0xda6a48de1b0d7438ull, 0xf2983fc63d0daf4eull}},
+      {"water", {0x3af19cf423bf1aa7ull, 0x5a56351bc6f180fcull}},
+  };
+  auto plan_hash = [](const workloads::Workload& w, const char* planner) {
+    CompileOptions base;
+    base.overrides = w.sim_overrides;
+    base.overrides["NPROCS"] = w.fig3_procs;
+    base.block_size = 128;
+    RepairLoopOptions rl;
+    rl.block_size = 128;
+    rl.planner_name = planner;
+    rl.threads = 4;
+    RepairResult rr = repair_loop(w.natural, base, rl);
+    const std::string doc =
+        plan_to_json(rr.final_plan(), *rr.final_compiled.prog);
+    u64 h = 14695981039346656037ull;
+    for (unsigned char ch : doc) {
+      h ^= ch;
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  for (const auto& [name, want] : kGolden) {
+    const workloads::Workload& w = workloads::get(name);
+    EXPECT_EQ(plan_hash(w, "profile"), want.first) << name << " profile";
+    EXPECT_EQ(plan_hash(w, "graph"), want.second) << name << " graph";
+  }
 }
 
 }  // namespace
