@@ -5,7 +5,7 @@
 // C versions keep residual false sharing.  The repair loop
 // (driver/experiment.h) closes that gap with measurement: replay the
 // C(static) binary with per-datum attribution, feed the false-sharing
-// profile to ProfilePlanner, recompile with the extended plan, and verify
+// profile to profile_plan, recompile with the extended plan, and verify
 // the misses actually disappeared — iterating to a fixed point.  The
 // graph planner goes one level deeper: it collects the word-granularity
 // conflict graph and adds intra-datum repairs (barrier striding, hot/cold

@@ -10,16 +10,8 @@ namespace fsopt {
 
 namespace {
 
-TransformKind transform_kind_from_name(const std::string& name) {
-  for (TransformKind k :
-       {TransformKind::kNone, TransformKind::kGroupTranspose,
-        TransformKind::kIndirection, TransformKind::kPadAlign,
-        TransformKind::kLockPad, TransformKind::kFieldReorder,
-        TransformKind::kHotColdSplit, TransformKind::kIntraPad}) {
-    if (name == transform_name(k)) return k;
-  }
-  throw InternalError("diagnosis: unknown transform kind '" + name + "'");
-}
+/// L1 capacity of the diagnostic replay.
+constexpr i64 kL1Bytes = 32 * 1024;
 
 /// "g.f" -> "g" (symbol-level planner decisions cover every field).
 std::string base_symbol(const std::string& name) {
@@ -57,8 +49,8 @@ DiagnosisReport diagnose(const Compiled& c, std::string workload,
   rep.workload = std::move(workload);
   rep.nprocs = c.nprocs();
   rep.block_size = opt.block_size;
-  rep.l1_bytes = opt.l1_bytes;
-  rep.planner = opt.planner;
+  rep.l1_bytes = kL1Bytes;
+  rep.planner = "graph";
 
   // One recording, walked twice: the trace study the repair loop and the
   // search run (per-datum attribution plus the word-granularity conflict
@@ -69,10 +61,10 @@ DiagnosisReport diagnose(const Compiled& c, std::string workload,
   rep.refs = trace.size();
 
   TraceStudyResult study =
-      replay_trace_study(trace, c, {opt.block_size}, opt.l1_bytes, &map, 0,
+      replay_trace_study(trace, c, {opt.block_size}, kL1Bytes, &map, 0,
                          /*collect_conflicts=*/true);
   rep.totals = study.at(opt.block_size);
-  PatternCollector patterns(&map, CacheParams{c.nprocs(), opt.l1_bytes,
+  PatternCollector patterns(&map, CacheParams{c.nprocs(), kL1Bytes,
                                               opt.block_size,
                                               c.code.total_bytes});
   trace.replay(patterns);
@@ -81,15 +73,12 @@ DiagnosisReport diagnose(const Compiled& c, std::string workload,
   ConflictProfile conflict_profile =
       build_conflict_profile(study, opt.block_size, map);
 
-  // What would the planner do?  Base the plan on the compile's own
+  // What would the graph planner do?  Base the plan on the compile's own
   // transforms so already-applied repairs are visible (and not
   // re-recommended as heuristics against data they already fixed).
-  std::unique_ptr<Planner> planner = make_planner(opt.planner);
-  PlannerInputs inputs{c.report,        c.summary,
-                       c.options.decision, opt.block_size,
-                       &fs_profile,     &c.transforms,
-                       &conflict_profile};
-  TransformPlan plan = planner->plan(inputs);
+  TransformPlan plan = graph_plan({c.report, c.summary, c.options.decision,
+                                   opt.block_size, &fs_profile,
+                                   &c.transforms, &conflict_profile});
 
   // Decision lookup by address-map spelling: field-specific names first
   // ("g.f"), symbol-level decisions under the bare symbol ("g").
@@ -108,7 +97,7 @@ DiagnosisReport diagnose(const Compiled& c, std::string workload,
   };
 
   for (DatumPattern& p :
-       patterns.patterns(study.by_datum.at(opt.block_size), opt.thresholds)) {
+       patterns.patterns(study.by_datum.at(opt.block_size))) {
     DatumDiagnosis d;
     d.name = p.name;
     d.pattern = p.label;
@@ -237,48 +226,6 @@ void write_stats(json::Writer& w, const MissStats& s) {
   w.end_object();
 }
 
-const json::Value& require(const json::Value& obj, const char* key) {
-  FSOPT_CHECK(obj.is_object(), "diagnosis JSON: expected an object");
-  const json::Value* v = obj.get(key);
-  FSOPT_CHECK(v != nullptr,
-              std::string("diagnosis JSON: missing key '") + key + "'");
-  return *v;
-}
-
-u64 get_u64(const json::Value& obj, const char* key) {
-  const json::Value& v = require(obj, key);
-  FSOPT_CHECK(v.is_number(), std::string("diagnosis JSON: '") + key +
-                                 "' must be a number");
-  return static_cast<u64>(v.as_number());
-}
-
-double get_double(const json::Value& obj, const char* key) {
-  const json::Value& v = require(obj, key);
-  FSOPT_CHECK(v.is_number(), std::string("diagnosis JSON: '") + key +
-                                 "' must be a number");
-  return v.as_number();
-}
-
-std::string get_string(const json::Value& obj, const char* key) {
-  const json::Value& v = require(obj, key);
-  FSOPT_CHECK(v.is_string(), std::string("diagnosis JSON: '") + key +
-                                 "' must be a string");
-  return v.as_string();
-}
-
-MissStats read_stats(const json::Value& obj) {
-  MissStats s;
-  s.refs = get_u64(obj, "refs");
-  s.hits = get_u64(obj, "hits");
-  s.cold = get_u64(obj, "cold");
-  s.replacement = get_u64(obj, "replacement");
-  s.true_sharing = get_u64(obj, "true_sharing");
-  s.false_sharing = get_u64(obj, "false_sharing");
-  s.upgrades = get_u64(obj, "upgrades");
-  s.invalidations = get_u64(obj, "invalidations");
-  return s;
-}
-
 }  // namespace
 
 std::string diagnosis_to_json(const DiagnosisReport& report, int indent) {
@@ -314,8 +261,7 @@ std::string diagnosis_to_json(const DiagnosisReport& report, int indent) {
     w.key("mean_run").value(e.mean_run);
     w.key("pingpong_share").value(e.pingpong_share);
     w.key("footprint").value(e.footprint);
-    // Reuse sketch trimmed to the last occupied bucket (trimming is
-    // idempotent, so the JSON round trip stays byte-exact).
+    // Reuse sketch trimmed to the last occupied bucket.
     size_t last = 0;
     for (size_t i = 0; i < e.reuse.size(); ++i)
       if (e.reuse[i] != 0) last = i + 1;
@@ -339,75 +285,6 @@ std::string diagnosis_to_json(const DiagnosisReport& report, int indent) {
   w.end_array();
   w.end_object();
   return out;
-}
-
-DiagnosisReport diagnosis_from_json(std::string_view json) {
-  std::optional<json::Value> doc = json::parse(json);
-  FSOPT_CHECK(doc.has_value(), "diagnosis JSON: malformed document");
-  const json::Value& root = *doc;
-  FSOPT_CHECK(get_u64(root, "diagnosis_version") == 1,
-              "diagnosis JSON: unsupported diagnosis_version");
-
-  DiagnosisReport rep;
-  rep.workload = get_string(root, "workload");
-  rep.nprocs = static_cast<i64>(get_u64(root, "nprocs"));
-  rep.block_size = static_cast<i64>(get_u64(root, "block_size"));
-  rep.l1_bytes = static_cast<i64>(get_u64(root, "l1_bytes"));
-  rep.refs = get_u64(root, "refs");
-  rep.planner = get_string(root, "planner");
-  rep.totals = read_stats(require(root, "totals"));
-
-  const json::Value& datums = require(root, "datums");
-  FSOPT_CHECK(datums.is_array(), "diagnosis JSON: 'datums' must be an array");
-  for (const json::Value& dv : datums.items()) {
-    DatumDiagnosis d;
-    d.name = get_string(dv, "name");
-    d.pattern = pattern_from_name(get_string(dv, "pattern"));
-    d.conflict_weight = get_u64(dv, "conflict_weight");
-    d.stats = read_stats(require(dv, "stats"));
-
-    const json::Value& ev = require(dv, "evidence");
-    d.evidence.name = d.name;
-    d.evidence.label = d.pattern;
-    d.evidence.reads = get_u64(ev, "reads");
-    d.evidence.writes = get_u64(ev, "writes");
-    d.evidence.readers = static_cast<int>(get_u64(ev, "readers"));
-    d.evidence.writers = static_cast<int>(get_u64(ev, "writers"));
-    d.evidence.dominant_stride =
-        static_cast<i64>(get_double(ev, "dominant_stride"));
-    d.evidence.stride_share = get_double(ev, "stride_share");
-    d.evidence.handoffs = get_u64(ev, "handoffs");
-    d.evidence.mean_run = get_double(ev, "mean_run");
-    d.evidence.pingpong_share = get_double(ev, "pingpong_share");
-    d.evidence.footprint = static_cast<i64>(get_double(ev, "footprint"));
-    const json::Value& reuse = require(ev, "reuse");
-    FSOPT_CHECK(reuse.is_array(),
-                "diagnosis JSON: 'reuse' must be an array");
-    for (const json::Value& b : reuse.items())
-      d.evidence.reuse.push_back(static_cast<u64>(b.as_number()));
-    d.evidence.stats = d.stats;
-
-    const json::Value& recs = require(dv, "recommendations");
-    FSOPT_CHECK(recs.is_array(),
-                "diagnosis JSON: 'recommendations' must be an array");
-    for (const json::Value& rv : recs.items()) {
-      Recommendation r;
-      r.action = get_string(rv, "action");
-      r.kind = transform_kind_from_name(get_string(rv, "transform"));
-      r.score = get_double(rv, "score");
-      const json::Value& fp = require(rv, "from_planner");
-      FSOPT_CHECK(fp.is_bool(),
-                  "diagnosis JSON: 'from_planner' must be a bool");
-      r.from_planner = fp.as_bool();
-      r.why = get_string(rv, "why");
-      d.recommendations.push_back(std::move(r));
-    }
-    FSOPT_CHECK(!d.recommendations.empty(),
-                "diagnosis JSON: datum '" + d.name +
-                    "' has no recommendations");
-    rep.datums.push_back(std::move(d));
-  }
-  return rep;
 }
 
 std::string render_diagnosis(const DiagnosisReport& report) {

@@ -4,13 +4,12 @@
 //   * the simulator's miss-class breakdown (sim/cache.h MissStats),
 //   * the access-pattern taxonomy label and its evidence (sim/patterns.h),
 //   * the intra-datum conflict-graph weight (sim/attribution.h),
-//   * and what a planner would *do* about it (transform/planner.h),
+//   * and what the graph planner would *do* about it (transform/planner.h),
 //
 // distilled into a ranked recommendation per datum (pad / reorder /
 // split / stride / none), each with the evidence it rests on.  The report
-// round-trips through JSON (diagnosis_to_json / diagnosis_from_json) so
-// `fsoptc --diagnose=json` output can be archived, diffed
-// (tools/fsopt_diff) and consumed by CI.
+// serializes to JSON (diagnosis_to_json) so `fsoptc --diagnose=json`
+// output can be archived, diffed (tools/fsopt_diff) and consumed by CI.
 //
 // This is a *diagnosis*, not a plan: recommendations name transformation
 // categories, and when one is backed by an actual planner decision it
@@ -62,11 +61,6 @@ struct DiagnoseOptions {
   /// Coherence-unit size of the diagnostic replay (and of the consulted
   /// planner's plan).
   i64 block_size = 128;
-  i64 l1_bytes = 32 * 1024;
-  /// Which planner's judgement backs the planner-sourced recommendations
-  /// ("static", "profile" or "graph").
-  std::string planner = "graph";
-  PatternThresholds thresholds;
   /// Take the compile's trace from this cache (driver/experiment.h) —
   /// after a repair loop or search on the same program that is a
   /// relocation, not a recording.  Null = record it.
@@ -89,21 +83,17 @@ struct DiagnosisReport {
 };
 
 /// Diagnose one compiled workload: record its trace once, replay it at
-/// `opt.block_size` with attribution and conflict collection
-/// (replay_trace_study), summarize the same stream's access patterns,
-/// run `opt.planner` over the measured profiles (with the compile's own
-/// plan as base), and merge everything per datum.
+/// `opt.block_size` with a 32 KiB L1 and attribution and conflict
+/// collection (replay_trace_study), summarize the same stream's access
+/// patterns with the default PatternThresholds, run the graph planner
+/// over the measured profiles (with the compile's own plan as base), and
+/// merge everything per datum.
 DiagnosisReport diagnose(const Compiled& c, std::string workload,
                          const DiagnoseOptions& opt = {});
 
 /// Serialize (schema "diagnosis_version": 1).  Deterministic; the
-/// document parses under json::parse and `to_json(from_json(d))` is
-/// byte-identical to `d` for documents this writer produced.
+/// document parses under json::parse.
 std::string diagnosis_to_json(const DiagnosisReport& report, int indent = 2);
-
-/// Parse a document written by diagnosis_to_json.  Throws InternalError
-/// naming the offending field on malformed documents.
-DiagnosisReport diagnosis_from_json(std::string_view json);
 
 /// Human-readable rendering (`fsoptc --diagnose`).
 std::string render_diagnosis(const DiagnosisReport& report);

@@ -350,14 +350,6 @@ RepairResult repair_loop_with(const FrontHalf& front,
     return t;
   };
 
-  GraphPlannerOptions gopt = opt.graph;
-  gopt.profile = opt.planner;
-  ProfilePlanner profile_planner(opt.planner);
-  GraphPlanner graph_planner(gopt);
-  const Planner& planner =
-      graph ? static_cast<const Planner&>(graph_planner)
-            : static_cast<const Planner&>(profile_planner);
-
   static obs::Counter& loops = obs::metric_counter("repair.loops");
   static obs::Counter& iterations = obs::metric_counter("repair.iterations");
   static obs::Counter& rollbacks = obs::metric_counter("repair.rollbacks");
@@ -374,7 +366,8 @@ RepairResult repair_loop_with(const FrontHalf& front,
       conflicts = build_conflict_profile(study, opt.block_size, am);
       in.conflicts = &conflicts;
     }
-    TransformPlan next = planner.plan(in);
+    TransformPlan next =
+        graph ? graph_plan(in, opt.planner) : profile_plan(in, opt.planner);
     PlanDiff diff = plan_diff(prev, next);
     if (diff.empty()) {
       out.converged = true;

@@ -143,17 +143,17 @@ class TraceCache {
 // repair loop feeds that measurement back:
 //
 //   compile C(static) -> trace -> replay with attribution ->
-//   build_fs_profile -> ProfilePlanner extends the plan -> recompile ->
+//   build_fs_profile -> profile_plan extends the plan -> recompile ->
 //   re-trace -> verify the attributed misses actually disappeared,
 //
-// iterating until the plan reaches a fixed point (ProfilePlanner only
+// iterating until the plan reaches a fixed point (profile_plan only
 // ever adds decisions, so the loop converges) or max_iterations.  The
 // re-trace is a relocation of the baseline recording whenever the new
 // plan keeps the baseline's shape (RepairLoopOptions::traces).
 // ---------------------------------------------------------------------------
 
 /// Distill one block size's per-datum attribution into the name-keyed
-/// profile ProfilePlanner consumes.  Throws InternalError if the study
+/// profile profile_plan consumes.  Throws InternalError if the study
 /// carries no attribution for `block_size`.
 FalseSharingProfile build_fs_profile(const TraceStudyResult& study,
                                      i64 block_size);
@@ -188,6 +188,7 @@ struct RepairLoopOptions {
   i64 block_size = 128;
   /// Upper bound on profile->replan->reverify rounds.
   int max_iterations = 3;
+  /// Options of the profile pass (graph_plan runs one first).
   ProfilePlannerOptions planner;
   /// Which planner drives the loop: "profile" (the historical behavior)
   /// or "graph" (conflict-graph-guided intra-datum repair; collects the
@@ -195,9 +196,6 @@ struct RepairLoopOptions {
   /// the whole block-size sweep, rolling back a candidate that regresses
   /// any swept size).
   std::string planner_name = "profile";
-  /// Graph-planner knobs (its embedded profile pass is taken from
-  /// `planner` above, not from graph.profile).
-  GraphPlannerOptions graph;
   /// Block sizes candidate plans are scored across.  Empty = just
   /// {block_size} for the profile planner (the historical behavior) and
   /// {32, 64, 128, 256} for the graph planner.  `block_size` is always

@@ -3,7 +3,6 @@
 #include "cfg/cfg.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
-#include "transform/planner.h"
 
 namespace fsopt {
 
@@ -110,10 +109,9 @@ PassManager build_back() {
       ctx.transforms = *ctx.options.plan;
       count(span, "injected", 1);
     } else if (ctx.options.optimize) {
-      StaticPlanner planner;
-      ctx.transforms = planner.plan({ctx.report, ctx.summary,
-                                     ctx.options.decision,
-                                     ctx.options.block_size});
+      ctx.transforms = decide_transforms(ctx.report, ctx.summary,
+                                         ctx.options.block_size,
+                                         ctx.options.decision);
     }
     count(span, "decisions",
           static_cast<i64>(ctx.transforms.decisions.size()));

@@ -19,18 +19,6 @@ const char* pattern_name(AccessPattern p) {
   return "?";
 }
 
-AccessPattern pattern_from_name(std::string_view name) {
-  for (AccessPattern p :
-       {AccessPattern::kNone, AccessPattern::kStrided, AccessPattern::kPingPong,
-        AccessPattern::kMigratory, AccessPattern::kProducerConsumer,
-        AccessPattern::kReadShared, AccessPattern::kThrashingCapacity,
-        AccessPattern::kConflict}) {
-    if (name == pattern_name(p)) return p;
-  }
-  throw InternalError("unknown access-pattern name '" + std::string(name) +
-                      "'");
-}
-
 PatternCollector::PatternCollector(const AddressMap* map,
                                    const CacheParams& params)
     : map_(map), params_(params) {

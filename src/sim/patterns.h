@@ -50,8 +50,6 @@ enum class AccessPattern : u8 {
 
 /// Taxonomy spelling ("strided", "ping-pong", ... "thrashing(capacity)").
 const char* pattern_name(AccessPattern p);
-/// Inverse of pattern_name; throws InternalError on unknown spellings.
-AccessPattern pattern_from_name(std::string_view name);
 
 /// Reuse-distance sketch resolution: log2 buckets of the gap (in
 /// references to the whole trace) between consecutive touches of one

@@ -1,8 +1,7 @@
 // §3.3 transformation heuristics: given the sharing classification of each
 // datum, decide which of the four transformations (if any) to apply.
 // The decisions are returned as a TransformPlan (transform/plan_ir.h);
-// StaticPlanner (transform/planner.h) is the Planner-interface wrapper
-// around this function.
+// the measured planners (transform/planner.h) start from this plan.
 #pragma once
 
 #include <map>
@@ -54,8 +53,8 @@ std::map<DatumKey, std::vector<const AccessRecord*>> dominant_phase_writes(
 /// Detect how per-process sections of dimension `dim` map onto pids.
 /// Returns nullopt if neither a blocked nor an interleaved pattern fits
 /// (the partitioning exists but has no linear layout axis).  Shared with
-/// ProfilePlanner, which must answer the same question for data the
-/// static weights missed.
+/// partition_move (transform/planner.h), which must answer the same
+/// question for data the static weights missed.
 std::optional<std::pair<PartitionShape, i64>> detect_partition_shape(
     const std::vector<const AccessRecord*>& writes,
     const ProgramSummary& summary, const DatumKey& key, int dim);

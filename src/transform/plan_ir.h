@@ -10,9 +10,9 @@
 //   - diffable: plan_diff reports per-datum added/removed/changed
 //     decisions with *structured* reasons (machine-comparable, rendered to
 //     text for reports) instead of free-form strings;
-//   - plannable: any Planner (transform/planner.h) — the paper's static
-//     heuristics or the profile-guided repair loop — produces the same IR,
-//     so downstream layers cannot tell planners apart.
+//   - plannable: every planner — the paper's static heuristics, the
+//     profile and graph planners (transform/planner.h) and the search —
+//     produces the same IR, so downstream layers cannot tell them apart.
 #pragma once
 
 #include "analysis/report.h"

@@ -1,29 +1,32 @@
-// Pluggable planners: everything that can produce a TransformPlan.
+// Measured planners: plan functions that refine a base plan with what a
+// trace-driven simulation measured.
 //
-// The paper's §3.3 heuristics were the repo's only decision-maker; the
-// Planner interface makes them one implementation among several so the
-// driver, tools and repair loop are written against "a planner" rather
-// than "the static heuristics".  Two implementations ship:
+// The paper's §3.3 heuristics (decide_transforms, transform/decision.h)
+// decide from static access weights alone; the pipeline's plan pass calls
+// them directly.  Two refinements start from a base plan (normally the
+// static one) and only ever add decisions to it:
 //
-//   StaticPlanner   — the §3.3 heuristics (transform/decision.h),
-//                     behavior-preserving: its plan is bit-identical to
-//                     decide_transforms.
-//   ProfilePlanner  — starts from a base plan (normally the static one)
-//                     and adds decisions for data a false-sharing
-//                     *profile* shows the static weights missed.  The
-//                     profile is per-datum attributed miss counts from a
-//                     trace-driven simulation (driver/experiment.h
-//                     build_fs_profile); this layer only sees the plain
-//                     name-keyed numbers, keeping transform/ independent
-//                     of sim/ and driver/.
-//   GraphPlanner    — the profile pass plus intra-datum repair driven by
-//                     the word-granularity conflict graph
-//                     (ConflictProfile): partitions each datum's
-//                     conflicting words by processor affinity and
-//                     splits/pads the parts into separate coherence units.
+//   profile_plan — decisions for data a false-sharing *profile* shows the
+//                  static weights missed.  The profile is per-datum
+//                  attributed miss counts from a trace-driven simulation
+//                  (driver/experiment.h build_fs_profile); this layer only
+//                  sees the plain name-keyed numbers, keeping transform/
+//                  independent of sim/ and driver/.
+//   graph_plan   — the profile pass plus intra-datum repair driven by the
+//                  word-granularity conflict graph (ConflictProfile):
+//                  partitions each datum's conflicting words by processor
+//                  affinity and splits/pads the parts into separate
+//                  coherence units.
 //
-// The repair loop (driver/experiment.h repair_loop) alternates
-// ProfilePlanner with re-simulation until the plan reaches a fixed point.
+// The plan-space search (transform/search.h) proposes the same per-datum
+// moves without the greedy thresholds.  The rules both need are defined
+// once, in the move builder declared at the end of this header: the
+// collision rule, name resolution, the struct moves (with the word and
+// field owners and the offset-to-field lookup behind them) and the
+// per-process partition move.
+//
+// The repair loop (driver/experiment.h repair_loop) alternates a planner
+// with re-simulation until the plan reaches a fixed point.
 #pragma once
 
 #include "transform/decision.h"
@@ -79,7 +82,7 @@ struct ConflictProfile {
 
 /// Everything a planner may consult.  `profile` is null for planners that
 /// do not use one; `base` (when non-null) is the plan to refine rather
-/// than starting from scratch; `conflicts` feeds the graph planner.
+/// than the static plan; `conflicts` feeds the graph planner.
 struct PlannerInputs {
   const SharingReport& report;
   const ProgramSummary& summary;
@@ -88,21 +91,6 @@ struct PlannerInputs {
   const FalseSharingProfile* profile = nullptr;
   const TransformPlan* base = nullptr;
   const ConflictProfile* conflicts = nullptr;
-};
-
-class Planner {
- public:
-  virtual ~Planner() = default;
-  /// The name stamped into TransformPlan::planner.
-  virtual const char* name() const = 0;
-  virtual TransformPlan plan(const PlannerInputs& in) const = 0;
-};
-
-/// The §3.3 heuristics.  Ignores `profile` and `base`.
-class StaticPlanner : public Planner {
- public:
-  const char* name() const override { return "static"; }
-  TransformPlan plan(const PlannerInputs& in) const override;
 };
 
 struct ProfilePlannerOptions {
@@ -118,66 +106,94 @@ struct ProfilePlannerOptions {
   i64 pad_footprint_limit = 256 * 1024;
 };
 
-/// Profile-guided repair: extends `base` (or the static plan when no base
-/// is given) with decisions for the data the profile shows still falsely
-/// sharing.  Per datum: locks get lock-pad; per-process writes with a
-/// detectable partition shape get group&transpose / indirection; anything
-/// else gets pad & align within the (looser) footprint budget.  Existing
-/// decisions are never modified or removed — the repair loop converges
-/// because each iteration can only add.
-class ProfilePlanner : public Planner {
- public:
-  explicit ProfilePlanner(ProfilePlannerOptions opt = {}) : opt_(opt) {}
-  const char* name() const override { return "profile"; }
-  TransformPlan plan(const PlannerInputs& in) const override;
+/// Profile-guided repair: extends `in.base` (or the static plan when no
+/// base is given) with decisions for the data the profile shows still
+/// falsely sharing.  Per datum: locks get lock-pad; per-process writes
+/// with a detectable partition shape get group&transpose / indirection;
+/// anything else gets pad & align within the (looser) footprint budget.
+/// Existing decisions are never modified or removed — the repair loop
+/// converges because each iteration can only add.  Stamped "profile".
+TransformPlan profile_plan(const PlannerInputs& in,
+                           const ProfilePlannerOptions& opt = {});
 
- private:
-  ProfilePlannerOptions opt_;
+/// Conflict-graph-guided repair: runs profile_plan with `opt`, then
+/// partitions each conflicting datum's words by processor affinity (as
+/// StructMoves describes) and, when the partition explains at least half
+/// of the datum's conflict weight, separates the parts — a field
+/// permutation or kHotColdSplit for struct fields, a 256-byte kIntraPad
+/// for array words and for the interpreter's central barrier
+/// ("<barrier>", which has no DatumClass and is invisible to the profile
+/// pass).  A datum qualifies with at least 2% of the graph's weight and a
+/// weight of 16.  Existing decisions are never modified or removed, so
+/// the repair loop still converges.  Stamped "graph".
+TransformPlan graph_plan(const PlannerInputs& in,
+                         const ProfilePlannerOptions& opt = {});
+
+// ---------------------------------------------------------------------------
+// The per-datum move builder shared by the planners and the search.
+// ---------------------------------------------------------------------------
+
+/// True when decisions for `a` and `b` would collide in the layout
+/// engine: the same datum, or one is the whole symbol and the other any
+/// of its fields (a symbol-level pad/group decision overrides the
+/// rebuilt-struct path, silently dropping field decisions — never stack
+/// them).
+bool datums_collide(const DatumKey& a, const DatumKey& b);
+
+/// True when `plan` holds a decision colliding with one for `key`.
+bool plan_covers(const TransformPlan& plan, const DatumKey& key);
+
+/// A profile or conflict entry name resolved to the datum its decisions
+/// target.  `dc` is the sharing report's class of that name, when it has
+/// one.  A struct symbol maps as one address range while the report
+/// classifies its accesses per field, so a symbol-level entry may have no
+/// class and resolves to the global ({sym, -1}).  The barrier resolves to
+/// its pseudo-datum with neither a class nor a global.
+struct PlanDatum {
+  DatumKey key;
+  const DatumClass* dc = nullptr;
+  const GlobalSym* gs = nullptr;  // null only for the barrier
+
+  /// Elements the datum spans: the class's extents, else the global's
+  /// element count.  Not for the barrier.
+  i64 elements() const;
 };
 
-struct GraphPlannerOptions {
-  /// Options for the composed profile pass the graph planner runs first.
-  ProfilePlannerOptions profile;
-  /// A datum must carry at least this share of the whole graph's edge
-  /// weight to receive an intra-datum decision...
-  double min_weight_fraction = 0.02;
-  /// ... and at least this much absolute edge weight.
-  u64 min_weight = 16;
-  /// An affinity partition must explain at least this share of the
-  /// datum's conflict weight (cross-owner edges) to be worth acting on.
-  double min_cut_fraction = 0.5;
-  /// Byte stride for intra-datum padding.  Separated words must land in
-  /// distinct coherence units at *every* swept block size, so this
-  /// defaults to the largest block of the standard sweep, not the plan's
-  /// own block size.
-  i64 pad_stride = 256;
-  /// Prefer a free field permutation over hot/cold splitting when
-  /// re-packing the fields by affinity class provably separates every
-  /// cross-class pair into distinct coherence units at the target block
-  /// size (kFieldReorder costs no footprint and no indirection region).
-  bool try_field_reorder = true;
+/// Nullopt when `name` is neither the barrier nor a program global.
+std::optional<PlanDatum> resolve_datum(const PlannerInputs& in,
+                                       const std::string& name);
+
+/// The intra-datum moves for a symbol-level struct datum's conflict
+/// entry.  Each conflicting word (byte offset) is owned by the processor
+/// with the most incident edge weight, ties to the lowest processor id
+/// (the partition graph_plan's cut is measured on).
+struct StructMoves {
+  /// kHotColdSplit of every field a conflicting word falls in.
+  TransformDecision split;
+  /// kFieldReorder grouping the fields by owner, in ascending processor
+  /// order with cold fields last, stable within a class.
+  TransformDecision reorder;
+  /// Per field: the processor with the most conflict weight on the
+  /// field's words (ties to the lowest), -1 for a cold field.
+  std::vector<int> field_owner;
+  /// Distinct processors owning a conflicting word.
+  size_t word_classes = 0;
 };
 
-/// Conflict-graph-guided repair: runs the profile pass, then partitions
-/// each conflicting datum's words by processor affinity (greedy: every
-/// word goes to the processor with the most edge weight on it) and, when
-/// the partition explains enough of the conflict weight, separates the
-/// parts — kHotColdSplit for struct fields, kIntraPad for array words and
-/// for the interpreter's central barrier ("<barrier>", which has no
-/// DatumClass and is invisible to the profile pass).  Existing decisions
-/// are never modified or removed, so the repair loop still converges.
-class GraphPlanner : public Planner {
- public:
-  explicit GraphPlanner(GraphPlannerOptions opt = {}) : opt_(opt) {}
-  const char* name() const override { return "graph"; }
-  TransformPlan plan(const PlannerInputs& in) const override;
+/// Nullopt when the entry has no words or one falls in struct padding.
+std::optional<StructMoves> struct_moves(const PlanDatum& d,
+                                        const ConflictProfile::Entry& e,
+                                        const DecisionReason& reason);
 
- private:
-  GraphPlannerOptions opt_;
-};
-
-/// Planner registry for the CLI: "static", "profile" or "graph" (with
-/// default options).  Throws InternalError on unknown names.
-std::unique_ptr<Planner> make_planner(const std::string& name);
+/// The locality-restoring move for per-process writes with a detectable
+/// linear partition axis (§3.3's admissibility minus the weight
+/// threshold a measurement has already disproven): indirection for a
+/// field whose pid dimension is a field dimension, group&transpose for a
+/// whole symbol.  Nullopt otherwise — a field-level group&transpose needs
+/// whole-struct consensus a profile cannot grant.  `writes` are the
+/// datum's dominant-phase writes (dominant_phase_writes).
+std::optional<TransformDecision> partition_move(
+    const DatumClass& dc, const std::vector<const AccessRecord*>& writes,
+    const ProgramSummary& summary, const DecisionReason& reason);
 
 }  // namespace fsopt

@@ -1,7 +1,6 @@
 #include "transform/search.h"
 
 #include <algorithm>
-#include <climits>
 #include <optional>
 #include <set>
 
@@ -17,28 +16,13 @@ TransformPlan apply_search_move(const TransformPlan& plan,
   TransformPlan out;
   out.planner = plan.planner;
   out.block_size = plan.block_size;
-  for (const TransformDecision& d : plan.decisions) {
-    bool collides = d.datum.sym == move.datum.sym &&
-                    (d.datum.field < 0 || move.datum.field < 0 ||
-                     d.datum.field == move.datum.field);
-    if (!collides) out.decisions.push_back(d);
-  }
+  for (const TransformDecision& d : plan.decisions)
+    if (!datums_collide(d.datum, move.datum)) out.decisions.push_back(d);
   if (move.kind != TransformKind::kNone) out.decisions.push_back(move);
   return out;
 }
 
 namespace {
-
-/// Same collision rule as apply_search_move's removal: does `plan` hold a
-/// decision that would be displaced by a move on `key`?
-bool covers(const TransformPlan& plan, const DatumKey& key) {
-  for (const TransformDecision& d : plan.decisions) {
-    if (d.datum.sym != key.sym) continue;
-    if (d.datum.field < 0 || key.field < 0 || d.datum.field == key.field)
-      return true;
-  }
-  return false;
-}
 
 /// Layout-relevant canonical key of a plan (reason and decision order
 /// excluded), for deduplicating candidates that different move sequences
@@ -63,29 +47,6 @@ std::string plan_key(const TransformPlan& p) {
     key += ";";
   }
   return key;
-}
-
-/// Greedy processor-affinity ownership of a conflict entry's words (the
-/// same rule as GraphPlanner's cut): each word goes to the processor
-/// with the most incident edge weight, ties to the lowest processor.
-std::map<i64, int> word_owners(const ConflictProfile::Entry& e) {
-  std::map<i64, std::map<int, u64>> weight;
-  for (const ConflictProfile::Pair& p : e.pairs) {
-    weight[p.writer_off][p.writer_proc] += p.weight;
-    weight[p.victim_off][p.victim_proc] += p.weight;
-  }
-  std::map<i64, int> owner;
-  for (const auto& [off, procs] : weight) {
-    int best = -1;
-    u64 best_w = 0;
-    for (const auto& [proc, w] : procs)
-      if (best < 0 || w > best_w) {
-        best = proc;
-        best_w = w;
-      }
-    owner[off] = best;
-  }
-  return owner;
 }
 
 /// Conservative estimate of the shared-heap growth a move costs, in
@@ -130,7 +91,6 @@ DomainBuildResult build_domains(const PlannerInputs& in,
   constexpr i64 kStrides[] = {64, 256};
 
   DomainBuildResult out;
-  std::set<DatumKey> seen;
   std::map<DatumKey, std::vector<const AccessRecord*>> writes_by_datum =
       dominant_phase_writes(in.report, in.summary);
 
@@ -160,139 +120,48 @@ DomainBuildResult build_domains(const PlannerInputs& in,
                                           : ReasonCode::kProfileFalseSharing;
     reason.fs_misses = src.weight;
 
+    std::optional<PlanDatum> d = resolve_datum(in, src.name);
+    if (!d.has_value()) continue;
+    const DatumClass* dc = d->dc;
+    const GlobalSym* gs = d->gs;
     SearchDomain dom;
     dom.name = src.name;
+    dom.datum = d->key;
+    // A move whose growth estimate alone exceeds the footprint budget is
+    // node-infeasible: pruned.
+    auto offer = [&](TransformDecision m) {
+      if (move_growth(m, gs, in.block_size) <= budget.footprint_limit)
+        dom.moves.push_back(std::move(m));
+      else
+        ++out.pruned;
+    };
 
-    // Resolve the name to a datum the same way GraphPlanner does: the
-    // DatumClass when the sharing report has one, the symbol-level
-    // global otherwise, the pseudo-datum for the barrier.
-    const GlobalSym* gs = nullptr;
-    const DatumClass* dc = nullptr;
-    if (src.name == kBarrierName) {
-      dom.datum = {kBarrierSym, -1};
+    if (gs == nullptr) {  // the barrier
       for (i64 stride : kStrides)
         dom.moves.push_back({dom.datum, TransformKind::kIntraPad, -1,
                              PartitionShape::kBlocked, stride, reason, {}});
-    } else {
-      for (const DatumClass& d : in.report.data)
-        if (d.name == src.name) dc = &d;
-      if (dc != nullptr) {
-        gs = in.summary.datum_sym(dc->datum);
-        dom.datum = dc->datum;
-      } else {
-        gs = in.summary.prog->find_global(src.name);
-        dom.datum = gs != nullptr ? DatumKey{gs->id, -1} : DatumKey{};
-      }
-      if (gs == nullptr) continue;
-    }
-
-    if (gs != nullptr && dc != nullptr && dc->is_lock) {
+    } else if (dc != nullptr && dc->is_lock) {
       dom.moves.push_back({dom.datum, TransformKind::kLockPad, -1,
                            PartitionShape::kBlocked, 1, reason, {}});
-    } else if (gs != nullptr) {
-      i64 elems = 1;
-      if (dc != nullptr)
-        for (i64 ext : dc->extents) elems *= ext;
-      else
-        elems = gs->elem_count();
-
+    } else {
       // Struct symbols at symbol level: the intra-datum repairs.
       if (gs->elem.is_struct && dom.datum.field < 0 &&
           src.conflict != nullptr) {
-        const StructType& st = *gs->elem.strct;
-        std::map<i64, int> owner = word_owners(*src.conflict);
-        std::set<int> hot;
-        std::set<int> owners;
-        bool mapped = true;
-        for (const auto& [off, proc] : owner) {
-          i64 rel = off % gs->elem.byte_size();
-          int fi = -1;
-          for (size_t f = 0; f < st.fields.size(); ++f)
-            if (rel >= st.fields[f].offset &&
-                rel < st.fields[f].offset + st.fields[f].byte_size())
-              fi = static_cast<int>(f);
-          if (fi < 0) {
-            mapped = false;
-            break;
-          }
-          hot.insert(fi);
-          owners.insert(proc);
-        }
-        if (mapped && !hot.empty()) {
-          TransformDecision split{dom.datum, TransformKind::kHotColdSplit,
-                                  -1, PartitionShape::kBlocked, 1, reason, {}};
-          split.fields.assign(hot.begin(), hot.end());
-          if (move_growth(split, gs, in.block_size) <=
-              budget.footprint_limit)
-            dom.moves.push_back(std::move(split));
-          else
-            ++out.pruned;
+        if (std::optional<StructMoves> m =
+                struct_moves(*d, *src.conflict, reason)) {
+          offer(std::move(m->split));
           // A pure permutation costs no footprint; propose it whenever
           // at least two affinity classes exist and let the replay judge
           // whether it separates them.
-          if (owners.size() >= 2 && st.fields.size() >= 2) {
-            std::map<int, std::map<int, u64>> field_weight;
-            for (const ConflictProfile::Pair& p : src.conflict->pairs) {
-              auto field_of = [&](i64 off) {
-                i64 rel = off % gs->elem.byte_size();
-                for (size_t f = 0; f < st.fields.size(); ++f)
-                  if (rel >= st.fields[f].offset &&
-                      rel < st.fields[f].offset + st.fields[f].byte_size())
-                    return static_cast<int>(f);
-                return -1;
-              };
-              if (int fi = field_of(p.writer_off); fi >= 0)
-                field_weight[fi][p.writer_proc] += p.weight;
-              if (int fi = field_of(p.victim_off); fi >= 0)
-                field_weight[fi][p.victim_proc] += p.weight;
-            }
-            std::vector<int> perm(st.fields.size());
-            for (size_t f = 0; f < perm.size(); ++f)
-              perm[f] = static_cast<int>(f);
-            auto owner_class = [&](int fi) {
-              auto it = field_weight.find(fi);
-              if (it == field_weight.end()) return INT_MAX;  // cold: last
-              int best = -1;
-              u64 best_w = 0;
-              for (const auto& [proc, w] : it->second)
-                if (best < 0 || w > best_w) {
-                  best = proc;
-                  best_w = w;
-                }
-              return best;
-            };
-            std::stable_sort(perm.begin(), perm.end(), [&](int a, int b) {
-              return owner_class(a) < owner_class(b);
-            });
-            TransformDecision reorder{dom.datum,
-                                      TransformKind::kFieldReorder, -1,
-                                      PartitionShape::kBlocked, 1, reason,
-                                      {}};
-            reorder.fields = std::move(perm);
-            dom.moves.push_back(std::move(reorder));
-          }
+          if (m->word_classes >= 2 && gs->elem.strct->fields.size() >= 2)
+            dom.moves.push_back(std::move(m->reorder));
         }
       }
 
-      // Per-process writes with a detectable linear partition axis: the
-      // locality-restoring transforms, same admissibility as the
-      // profile planner.
-      if (dc != nullptr && dc->writes == Pattern::kPerProcess &&
-          dc->writer_count >= 2 && dc->pid_dim >= 0) {
-        auto shape =
-            detect_partition_shape(writes_by_datum[dc->datum], in.summary,
-                                   dc->datum, dc->pid_dim);
-        if (shape.has_value()) {
-          if (dc->pid_dim_is_field_dim && dc->datum.field >= 0)
-            dom.moves.push_back({dom.datum, TransformKind::kIndirection,
-                                 dc->pid_dim, shape->first, shape->second,
-                                 reason, {}});
-          else if (dc->datum.field < 0)
-            dom.moves.push_back({dom.datum, TransformKind::kGroupTranspose,
-                                 dc->pid_dim, shape->first, shape->second,
-                                 reason, {}});
-        }
-      }
+      if (dc != nullptr)
+        if (std::optional<TransformDecision> m = partition_move(
+                *dc, writes_by_datum[dc->datum], in.summary, reason))
+          dom.moves.push_back(std::move(*m));
 
       // Intra-datum element strides.  A stride below the element size
       // would overlap elements — alignment-infeasible, pruned.
@@ -302,32 +171,22 @@ DomainBuildResult build_domains(const PlannerInputs& in,
                              dom.datum.field)].byte_size()
                        : gs->elem.byte_size();
         for (i64 stride : kStrides) {
-          if (stride < unit) {
+          if (stride < unit)
             ++out.pruned;
-            continue;
-          }
-          TransformDecision pad{dom.datum, TransformKind::kIntraPad, -1,
-                                PartitionShape::kBlocked, stride, reason, {}};
-          if (move_growth(pad, gs, in.block_size) <= budget.footprint_limit)
-            dom.moves.push_back(std::move(pad));
           else
-            ++out.pruned;
+            offer({dom.datum, TransformKind::kIntraPad, -1,
+                   PartitionShape::kBlocked, stride, reason, {}});
         }
       }
 
       // Whole-datum isolation.
-      TransformDecision pad{dom.datum, TransformKind::kPadAlign, -1,
-                            PartitionShape::kBlocked, 1, reason, {}};
-      if (move_growth(pad, gs, in.block_size) <= budget.footprint_limit)
-        dom.moves.push_back(std::move(pad));
-      else
-        ++out.pruned;
-      (void)elems;
+      offer({dom.datum, TransformKind::kPadAlign, -1,
+             PartitionShape::kBlocked, 1, reason, {}});
     }
 
     // Exploring *removal* of the seed's decision trades false sharing
     // back for footprint/locality — the low-loss end of the frontier.
-    if (in.base != nullptr && covers(*in.base, dom.datum))
+    if (in.base != nullptr && plan_covers(*in.base, dom.datum))
       dom.moves.push_back({dom.datum, TransformKind::kNone, -1,
                            PartitionShape::kBlocked, 1, reason, {}});
 
@@ -343,11 +202,6 @@ std::vector<SearchDomain> SearchPlanner::domains(
   return build_domains(in, budget_).domains;
 }
 
-TransformPlan SearchPlanner::plan(const PlannerInputs& in) const {
-  SearchResult r = search(in);
-  return r.best().plan;
-}
-
 SearchResult SearchPlanner::search(const PlannerInputs& in) const {
   FSOPT_CHECK(static_cast<bool>(evaluate_),
               "SearchPlanner requires a PlanEvaluator");
@@ -358,13 +212,24 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
 
   // The seed: the plan the search must never lose to.  Its evaluation is
   // the baseline the spatial-locality axis is measured against.
-  TransformPlan seed =
-      in.base != nullptr ? *in.base : GraphPlanner().plan(in);
-  seed.planner = name();
+  TransformPlan seed = in.base != nullptr ? *in.base : graph_plan(in);
+  seed.planner = "search";
   seed.block_size = in.block_size;
 
   std::set<std::string> seen;
   std::optional<PlanScore> baseline;  // the seed's score, set after [0]
+
+  // Candidate order, for the beam, the winners and the frontier:
+  // lexicographic (fs_total, spatial_loss, generation index), so every
+  // choice is unique and deterministic.
+  auto better = [&out](size_t a, size_t b) {
+    const SearchCandidate& ca = out.evaluated[a];
+    const SearchCandidate& cb = out.evaluated[b];
+    if (ca.fs_total != cb.fs_total) return ca.fs_total < cb.fs_total;
+    if (ca.spatial_loss != cb.spatial_loss)
+      return ca.spatial_loss < cb.spatial_loss;
+    return ca.order < cb.order;
+  };
 
   // Candidates admitted for the next batch, with the counters as they
   // stood right after each admission (what the zero-loss exit restores).
@@ -502,16 +367,7 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
     } else if (!domains.empty()) {
       // Beam search: each round expands every beam plan by every single
       // feasible move, in deterministic (beam, domain, move) order, as
-      // one batch, then keeps the lexicographically best `beam_width`
-      // candidates.
-      auto better = [&](size_t a, size_t b) {
-        const SearchCandidate& ca = out.evaluated[a];
-        const SearchCandidate& cb = out.evaluated[b];
-        if (ca.fs_total != cb.fs_total) return ca.fs_total < cb.fs_total;
-        if (ca.spatial_loss != cb.spatial_loss)
-          return ca.spatial_loss < cb.spatial_loss;
-        return ca.order < cb.order;
-      };
+      // one batch, then keeps the `beam_width` best candidates.
       // Summed move growth per evaluated candidate, for the running
       // footprint constraint as assignments compose.
       std::vector<i64> growth_acc = {0};
@@ -551,20 +407,10 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
     }
   }
 
-  // Winners.  Ties break by (secondary axis, generation index) so the
-  // result is unique and deterministic.
-  auto better_overall = [&](size_t a, size_t b) {
-    const SearchCandidate& ca = out.evaluated[a];
-    const SearchCandidate& cb = out.evaluated[b];
-    if (ca.fs_total != cb.fs_total) return ca.fs_total < cb.fs_total;
-    if (ca.spatial_loss != cb.spatial_loss)
-      return ca.spatial_loss < cb.spatial_loss;
-    return ca.order < cb.order;
-  };
-  // The overall winner must weakly dominate the seed at *every* swept
-  // size: an fs_total argmin alone could trade one block size up while
-  // the sum goes down, and the contract is "never worse than the seed
-  // plan at any swept size" (the seed itself always qualifies).
+  // Winners.  The overall winner must weakly dominate the seed at *every*
+  // swept size: an fs_total argmin alone could trade one block size up
+  // while the sum goes down, and the contract is "never worse than the
+  // seed plan at any swept size" (the seed itself always qualifies).
   auto dominates_seed = [&](size_t i) {
     for (const auto& [b, v] : out.evaluated[0].score.fs) {
       auto it = out.evaluated[i].score.fs.find(b);
@@ -575,7 +421,7 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
   };
   out.best_overall = 0;
   for (size_t i = 1; i < out.evaluated.size(); ++i)
-    if (dominates_seed(i) && better_overall(i, out.best_overall))
+    if (dominates_seed(i) && better(i, out.best_overall))
       out.best_overall = i;
   for (i64 b : blocks_) {
     size_t best = 0;
@@ -599,7 +445,7 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
   // secondary axis.
   std::vector<size_t> order(out.evaluated.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), better_overall);
+  std::sort(order.begin(), order.end(), better);
   u64 best_loss = 0;
   bool first = true;
   for (size_t i : order) {

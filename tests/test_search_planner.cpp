@@ -281,12 +281,12 @@ TEST(SearchOracle, NeverWorseThanGraphPlannerSeed) {
   budget.max_replays = 60;
   SearchPlanner planner(budget, h.blocks, h.evaluator());
   PlannerInputs in = h.inputs();
-  in.base = nullptr;  // seed from GraphPlanner over the same inputs
+  in.base = nullptr;  // seed from graph_plan over the same inputs
 
   SearchResult r = planner.search(in);
   PlannerInputs gin = h.inputs();
   gin.base = nullptr;
-  PlanScore graph_score = h.evaluator()({GraphPlanner().plan(gin)})[0];
+  PlanScore graph_score = h.evaluator()({graph_plan(gin)})[0];
   for (i64 b : h.blocks)
     EXPECT_LE(r.best().score.fs.at(b), graph_score.fs.at(b))
         << "block " << b;
@@ -692,9 +692,8 @@ TEST(FieldReorder, GraphPlannerEmitsSeparatingPermutation) {
   ASSERT_NE(g, nullptr);
   TransformPlan empty;
   ConflictProfile prof = reorder_conflicts();
-  GraphPlanner planner;
   PlannerInputs in{c.report, c.summary, {}, 64, nullptr, &empty, &prof};
-  TransformPlan plan = planner.plan(in);
+  TransformPlan plan = graph_plan(in);
 
   const TransformDecision* d = plan.find({g->id, -1});
   ASSERT_NE(d, nullptr);
@@ -708,18 +707,10 @@ TEST(FieldReorder, GraphPlannerEmitsSeparatingPermutation) {
   // the planner must fall back to the hot/cold split instead.
   PlannerInputs big = in;
   big.block_size = 256;
-  TransformPlan big_plan = planner.plan(big);
+  TransformPlan big_plan = graph_plan(big);
   const TransformDecision* d2 = big_plan.find({g->id, -1});
   ASSERT_NE(d2, nullptr);
   EXPECT_EQ(d2->kind, TransformKind::kHotColdSplit);
-
-  // Disabling the knob suppresses emission outright.
-  GraphPlannerOptions no_reorder;
-  no_reorder.try_field_reorder = false;
-  TransformPlan split_plan = GraphPlanner(no_reorder).plan(in);
-  const TransformDecision* d3 = split_plan.find({g->id, -1});
-  ASSERT_NE(d3, nullptr);
-  EXPECT_EQ(d3->kind, TransformKind::kHotColdSplit);
 }
 
 
@@ -740,7 +731,7 @@ TEST(SemanticSafety, FieldReorderAndHotColdSplitKeepEveryGlobal) {
        {std::pair{i64{64}, TransformKind::kFieldReorder},
         std::pair{i64{256}, TransformKind::kHotColdSplit}}) {
     PlannerInputs in{c.report, c.summary, {}, block, nullptr, &empty, &prof};
-    const TransformPlan plan = GraphPlanner().plan(in);
+    const TransformPlan plan = graph_plan(in);
     const TransformDecision* d = plan.find({g->id, -1});
     ASSERT_NE(d, nullptr) << block;
     ASSERT_EQ(d->kind, kind) << block;
@@ -754,9 +745,8 @@ TEST(FieldReorder, JsonRoundTripAndReinjectionIdentity) {
   Ctx c = analyze(kReorder, 8);
   TransformPlan empty;
   ConflictProfile prof = reorder_conflicts();
-  GraphPlanner planner;
   PlannerInputs in{c.report, c.summary, {}, 64, nullptr, &empty, &prof};
-  TransformPlan plan = planner.plan(in);
+  TransformPlan plan = graph_plan(in);
   ASSERT_NE(plan.find({c.prog->find_global("g")->id, -1}), nullptr);
 
   // Round-trip: serialize -> parse -> serialize is byte-equal and the
