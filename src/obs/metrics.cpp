@@ -138,12 +138,6 @@ void set_metrics_path(std::string path) {
   set_metrics_enabled(true);
 }
 
-std::string metrics_path() {
-  MetricsRegistry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  return r.path;
-}
-
 Counter& metric_counter(std::string_view name, MetricLabels labels) {
   Instrument& in =
       find_or_register(name, std::move(labels), MetricKind::kCounter);

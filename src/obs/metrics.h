@@ -56,7 +56,6 @@ void set_metrics_enabled(bool on);
 /// hook once) and start accumulating now.  ".json" suffix selects JSON,
 /// anything else the Prometheus text exposition.  Empty cancels.
 void set_metrics_path(std::string path);
-std::string metrics_path();
 
 /// Label set attached to an instrument ({"workload","fmm"}, ...).  Order
 /// is preserved as registered; (name, labels) identifies an instrument.

@@ -122,12 +122,6 @@ void set_trace_path(std::string path) {
   set_enabled(true);
 }
 
-std::string trace_path() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  return r.path;
-}
-
 void set_summary(bool on) {
   {
     Registry& r = registry();
@@ -137,12 +131,6 @@ void set_summary(bool on) {
   }
   register_exit_hook();
   set_enabled(true);
-}
-
-bool summary_requested() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  return r.summary;
 }
 
 void mark_partial(std::string_view reason) {

@@ -56,12 +56,10 @@ void set_enabled(bool on);
 /// Write a Chrome trace to `path` at process exit (registers the exit
 /// hook once) and start recording now.  An empty path cancels the write.
 void set_trace_path(std::string path);
-std::string trace_path();
 
 /// Print the human-readable summary (render_summary) to stderr at process
 /// exit, and start recording now.
 void set_summary(bool on);
-bool summary_requested();
 
 /// Mark this process's observability data as incomplete: the run is
 /// exiting early (e.g. fsoptc on a CompileError) and the exit dumps —

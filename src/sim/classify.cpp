@@ -62,12 +62,4 @@ void MissClassifier::enable_word_tracking() {
                     0);
 }
 
-bool MissClassifier::words_valid(int proc, i64 addr, i64 size) const {
-  FSOPT_CHECK(word_tracking_, "word tracking not enabled");
-  i64 b = checked_block(addr, size);
-  i64 base = b * block_size_;
-  return words_valid_at(proc, b, (addr - base) / 4,
-                        (addr + size - 1 - base) / 4);
-}
-
 }  // namespace fsopt

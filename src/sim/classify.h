@@ -49,9 +49,6 @@ class MissClassifier {
   /// Per-word visibility tracking, used by the word-invalidate hardware
   /// ablation (valid bits per word rather than per block).
   void enable_word_tracking();
-  /// True when every word of [addr, addr+size) is still valid for `proc`
-  /// (not remotely written since `proc` last saw it).
-  bool words_valid(int proc, i64 addr, i64 size) const;
 
   i64 block_of(i64 addr) const {
     return block_shift_ >= 0 ? addr >> block_shift_ : addr / block_size_;
