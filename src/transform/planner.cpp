@@ -22,7 +22,7 @@ const ConflictProfile::Entry* ConflictProfile::find(
 }
 
 // ---------------------------------------------------------------------------
-// The move builder.
+// The per-datum move rules.
 // ---------------------------------------------------------------------------
 
 bool datums_collide(const DatumKey& a, const DatumKey& b) {

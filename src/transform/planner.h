@@ -20,7 +20,7 @@
 //
 // The plan-space search (transform/search.h) proposes the same per-datum
 // moves without the greedy thresholds.  The rules both need are defined
-// once, in the move builder declared at the end of this header: the
+// once, in the move rules declared at the end of this header: the
 // collision rule, name resolution, the struct moves (with the word and
 // field owners and the offset-to-field lookup behind them) and the
 // per-process partition move.
@@ -130,7 +130,7 @@ TransformPlan graph_plan(const PlannerInputs& in,
                          const ProfilePlannerOptions& opt = {});
 
 // ---------------------------------------------------------------------------
-// The per-datum move builder shared by the planners and the search.
+// The per-datum move rules shared by the planners and the search.
 // ---------------------------------------------------------------------------
 
 /// True when decisions for `a` and `b` would collide in the layout

@@ -8,7 +8,7 @@
 // *searched* against measured miss counts, in the spirit of Chen &
 // Kandemir's constraint-network memory-layout formulation: candidate
 // moves are the existing decision kinds applied per datum, built by the
-// planners' move builder (transform/planner.h), pruned by
+// planners' move rules (transform/planner.h), pruned by
 // constraint propagation (decisions that cannot coexist, a footprint
 // budget, alignment feasibility), explored by beam search — or, when the
 // pruned space fits the replay budget, enumerated exhaustively, which is
