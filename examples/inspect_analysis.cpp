@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
   for (const LocalSym* v : c.summary.pdvs.pdvs)
     std::printf("  %s%s\n", v->name.c_str(),
                 v == c.summary.pdvs.pid ? "  (the pid parameter)" : "");
-  std::printf("  decidable branch divergences in main: %zu\n\n",
-              c.summary.percf.divergences.size());
+  std::printf("\n");
 
   std::printf("--- stage 2: barrier phases ---\n");
   std::printf("  %d phases, %zu phase-graph edges\n\n",

@@ -67,77 +67,4 @@ std::optional<PidSet> pids_satisfying(const Expr& cond, const PdvResult& pdvs,
   return out;
 }
 
-namespace {
-
-class Walker {
- public:
-  Walker(const Program& prog, const PdvResult& pdvs, PerProcessCf& out)
-      : prog_(prog), pdvs_(pdvs), out_(out) {}
-
-  void walk(const Stmt& s, PidSet live) {
-    out_.executed_by[&s] = live;
-    switch (s.kind) {
-      case StmtKind::kBlock:
-        for (const auto& c : s.stmts) walk(*c, live);
-        return;
-      case StmtKind::kIf: {
-        auto then_pids = pids_satisfying(*s.cond, pdvs_, prog_.nprocs);
-        if (then_pids.has_value()) {
-          PidSet t = *then_pids & live;
-          PidSet e = then_pids->complement(prog_.nprocs) & live;
-          out_.divergences.push_back({&s, t, e});
-          walk(*s.then_block, t);
-          if (s.else_block) walk(*s.else_block, e);
-        } else {
-          walk(*s.then_block, live);
-          if (s.else_block) walk(*s.else_block, live);
-        }
-        return;
-      }
-      case StmtKind::kWhile:
-        walk(*s.body, live);
-        return;
-      case StmtKind::kFor: {
-        walk(*s.init_stmt, live);
-        // A pid-dependent trip count can exclude processes from the body
-        // entirely (e.g. `for (i = pid; i < k; ...)` executes nothing when
-        // pid >= k for the first test); we keep the conservative full set.
-        walk(*s.step_stmt, live);
-        walk(*s.body, live);
-        return;
-      }
-      default:
-        return;
-    }
-  }
-
- private:
-  const Program& prog_;
-  const PdvResult& pdvs_;
-  PerProcessCf& out_;
-};
-
-}  // namespace
-
-PerProcessCf analyze_per_process_cf(const Program& prog,
-                                    const PdvResult& pdvs) {
-  PerProcessCf out;
-  if (prog.main == nullptr || prog.main->body == nullptr) return out;
-  Walker w(prog, pdvs, out);
-  w.walk(*prog.main->body, PidSet::all(prog.nprocs));
-  return out;
-}
-
-std::vector<PidSet> annotate_cfg(const Cfg& cfg, const PerProcessCf& cf,
-                                 i64 nprocs) {
-  std::vector<PidSet> out(cfg.nodes().size(), PidSet::all(nprocs));
-  for (const auto& node : cfg.nodes()) {
-    if (node->stmt == nullptr) continue;
-    auto it = cf.executed_by.find(node->stmt);
-    if (it != cf.executed_by.end())
-      out[static_cast<size_t>(node->id)] = it->second;
-  }
-  return out;
-}
-
 }  // namespace fsopt

@@ -1,17 +1,16 @@
-// Stage 1b: per-process control-flow analysis.
+// Stage 1b: per-process control flow.
 //
-// Determines, for each statement of main, the set of processes that can
-// execute it, by deciding branch conditions that are functions of the PDV
-// (e.g. `if (pid == 0)`, `if (pid % 2 == 1)`).  Conditions that depend on
-// shared data or unknown locals are undecidable: both branches are assumed
-// executable by all incoming processes.
+// Decides branch conditions that are functions of the PDV (e.g.
+// `if (pid == 0)`, `if (pid % 2 == 1)`) for every process.  The side-effect
+// walk (analysis/sideeffect.h) calls pids_satisfying at each `if` of main
+// and narrows the pids of the records each side produces, so the set of
+// processes that execute a statement of main lives in its records' pids.
+// Conditions that depend on shared data or unknown locals are undecidable:
+// both branches are assumed executable by all incoming processes.
 #pragma once
-
-#include <map>
 
 #include "analysis/pdv.h"
 #include "analysis/pidset.h"
-#include "cfg/cfg.h"
 
 namespace fsopt {
 
@@ -29,34 +28,5 @@ std::optional<i64> eval_for_pid(const Expr& e, const PdvResult& pdvs,
 std::optional<PidSet> pids_satisfying(const Expr& cond, const PdvResult& pdvs,
                                       i64 nprocs,
                                       const AffineEnv* env = nullptr);
-
-/// Result of the per-process control-flow analysis over main.
-struct PerProcessCf {
-  /// For every statement (recursively) in main: which processes can reach
-  /// and execute it.  Statements of other functions are not included (they
-  /// execute on behalf of whichever processes reach their call sites).
-  std::map<const Stmt*, PidSet> executed_by;
-  /// Branches of main whose condition was pid-decidable.
-  struct Divergence {
-    const Stmt* stmt = nullptr;
-    PidSet then_pids;
-    PidSet else_pids;
-  };
-  std::vector<Divergence> divergences;
-
-  PidSet pids_for(const Stmt& s, i64 nprocs) const {
-    auto it = executed_by.find(&s);
-    return it != executed_by.end() ? it->second : PidSet::all(nprocs);
-  }
-};
-
-PerProcessCf analyze_per_process_cf(const Program& prog,
-                                    const PdvResult& pdvs);
-
-/// Annotate a CFG of main with the per-process execution sets: returns a
-/// vector indexed by CFG node id.  Entry/exit and undecidable nodes carry
-/// the full set.
-std::vector<PidSet> annotate_cfg(const Cfg& cfg, const PerProcessCf& cf,
-                                 i64 nprocs);
 
 }  // namespace fsopt

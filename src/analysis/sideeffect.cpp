@@ -1,8 +1,11 @@
 #include "analysis/sideeffect.h"
 
+#include <optional>
 #include <set>
 
+#include "analysis/perprocess.h"
 #include "cfg/callgraph.h"
+#include "obs/obs.h"
 
 namespace fsopt {
 
@@ -394,10 +397,10 @@ class SummaryWalker {
   int phase_ = 0;
 };
 
-}  // namespace
-
+/// Stage 3: the bottom-up per-function summaries and the translated
+/// main-level records, into `out`, which already carries the pdvs and
+/// phases.
 void summarize_side_effects(const CallGraph& cg, ProgramSummary& out) {
-  FSOPT_CHECK(out.prog != nullptr, "summarize_side_effects before stages 1-2");
   const Program& prog = *out.prog;
   out.func_summaries.assign(prog.funcs.size(), FuncSummary{});
   for (const FuncDecl* fn : cg.bottom_up()) {
@@ -414,15 +417,41 @@ void summarize_side_effects(const CallGraph& cg, ProgramSummary& out) {
   }
 }
 
+}  // namespace
+
 ProgramSummary analyze_program(const Program& prog) {
   ProgramSummary out;
   out.prog = &prog;
   out.nprocs = prog.nprocs;
-  CallGraph cg(prog);
-  out.pdvs = analyze_pdvs(prog, cg);
-  out.phases = analyze_phases(prog);
-  out.percf = analyze_per_process_cf(prog, out.pdvs);
-  summarize_side_effects(cg, out);
+  std::optional<CallGraph> cg;
+  {
+    obs::Span span("pass", "callgraph");
+    cg.emplace(prog);
+    span.arg("call_sites", static_cast<double>(cg->sites().size()));
+  }
+  {
+    obs::Span span("pass", "pdv");
+    out.pdvs = analyze_pdvs(prog, *cg);
+    span.arg("pdvs", static_cast<double>(out.pdvs.pdvs.size()));
+  }
+  {
+    obs::Span span("pass", "phases");
+    out.phases = analyze_phases(prog);
+    span.arg("phases", static_cast<double>(out.phases.phase_count));
+    span.arg("suspicious_barriers",
+             static_cast<double>(out.phases.suspicious_barriers.size()));
+  }
+  {
+    obs::Span span("pass", "sideeffects");
+    summarize_side_effects(*cg, out);
+    span.arg("records", static_cast<double>(out.records.size()));
+    if (span.active()) {
+      size_t merged = 0;
+      for (const FuncSummary& fs : out.func_summaries)
+        merged += fs.records.size();
+      span.arg("rsds_merged", static_cast<double>(merged));
+    }
+  }
   return out;
 }
 

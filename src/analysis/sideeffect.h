@@ -15,7 +15,6 @@
 #include <compare>
 
 #include "analysis/pdv.h"
-#include "analysis/perprocess.h"
 #include "analysis/phases.h"
 #include "analysis/pidset.h"
 #include "rsd/rsd.h"
@@ -61,7 +60,6 @@ struct ProgramSummary {
   i64 nprocs = 1;
   PdvResult pdvs;
   PhaseInfo phases;
-  PerProcessCf percf;
   /// Fully translated records at main level.
   std::vector<AccessRecord> records;
   /// Raw per-function summaries (by function id), useful for reporting.
@@ -79,14 +77,9 @@ inline constexpr double kUnknownForTrips = 10.0;
 inline constexpr double kUnknownWhileTrips = 16.0;
 inline constexpr double kUnknownBranchProb = 0.5;
 
-/// Run stages 1-3 on a sema-checked program.
+/// Run the analysis stages on a sema-checked program, in their one order:
+/// callgraph, pdv, phases, sideeffects.  Each runs inside a `pass` obs span
+/// named after it that carries its domain counters (driver/pipeline.h).
 ProgramSummary analyze_program(const Program& prog);
-
-/// Stage 3 alone, for staged pipelines (driver/pipeline.h): computes the
-/// bottom-up per-function summaries and the translated main-level records
-/// into `out`, which must already carry prog/nprocs/pdvs/phases (stages
-/// 1-2 results).  analyze_program is equivalent to running the stages in
-/// order and then this.
-void summarize_side_effects(const CallGraph& cg, ProgramSummary& out);
 
 }  // namespace fsopt

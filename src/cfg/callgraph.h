@@ -1,8 +1,9 @@
 // Call graph construction and bottom-up (reverse topological) ordering.
 //
-// The paper's interprocedural stages (per-process control flow, summary
-// side effects) process functions bottom-up over an acyclic call graph,
-// translating callee summaries into caller context at each call site.
+// The paper's interprocedural stages (PDV detection, summary side
+// effects) walk the call sites and process functions bottom-up over an
+// acyclic call graph, translating callee summaries into caller context at
+// each call site.
 #pragma once
 
 #include <functional>

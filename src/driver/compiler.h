@@ -48,6 +48,8 @@ class Compiled {
   LayoutPlan layout;
   CodeImage code;
   CompileOptions options;
+  /// The front end's warnings and notes (FrontHalf::warnings).
+  std::vector<Diagnostic> warnings;
 
   i64 nprocs() const { return prog->nprocs; }
 
@@ -61,9 +63,9 @@ class Compiled {
                             const std::string& field) const;
 };
 
-/// Full pipeline.  Throws CompileError on invalid programs.  Runs the pass
-/// pipeline of driver/pipeline.h; with tracing on (obs/obs.h) each pass
-/// records a `pass` span carrying its domain counters.
+/// Full pipeline.  Throws CompileError on invalid programs.  Runs the front
+/// and back halves of driver/pipeline.h; with tracing on (obs/obs.h) each
+/// stage records a `pass` span carrying its domain counters.
 Compiled compile_source(std::string_view source,
                         const CompileOptions& options = {});
 

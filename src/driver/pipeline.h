@@ -1,14 +1,15 @@
-// The compile path as an explicit pass pipeline.
+// The compile path, stage by stage.
 //
-// compile_source (driver/compiler.h) used to run the paper's system as one
-// opaque monolith.  Here every stage — lex/parse, sema, callgraph, PDV
-// detection, per-process control flow, non-concurrency phases, RSD side
-// effects, sharing report, transformation decisions, layout, bytecode — is
-// a named Pass over a shared PassContext.  The PassManager opens one
-// `pass` obs span (obs/obs.h) around every pass, and the pass attaches its
-// domain counters (functions, pdvs, decisions, instructions, ...) to that
-// span.  The span is the only per-pass record: with tracing off it is
-// inert, and `--trace-out` / `--trace-summary` carry and aggregate it.
+// Every stage — lex/parse, sema, callgraph, PDV detection, non-concurrency
+// phases, RSD side effects, sharing report, transformation decisions,
+// layout, bytecode — runs inside one `pass` obs span (obs/obs.h) named
+// after it and attaches its domain counters (functions, pdvs, decisions,
+// instructions, ...) to that span.  run_front opens the parse and sema
+// spans, analyze_program (analysis/sideeffect.h) the four analysis
+// stages', and run_back the rest.  The span is the only per-pass record:
+// with tracing off it is inert, and `--trace-out` / `--trace-summary`
+// carry and aggregate it.  A counter that costs more than reading a size
+// is computed only when `span.active()`.
 //
 // The pipeline is split into a *front* half (parse + sema, a function of
 // (source, param overrides) only) and a *back* half (everything after,
@@ -22,66 +23,15 @@
 // the tests diff the pipeline against it on every workload-matrix cell.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string_view>
 
 #include "driver/compiler.h"
-#include "obs/obs.h"
 
 namespace fsopt {
 
-/// Everything the passes read and write.  Earlier passes fill the slots
-/// later passes consume; after the last pass the context holds a complete
-/// Compiled.
-struct PassContext {
-  // Inputs.
-  std::string_view source;
-  CompileOptions options;
-
-  // Front half products.
-  DiagnosticEngine diags;
-  std::shared_ptr<Program> prog;
-
-  // Back half products, in pass order.
-  std::unique_ptr<CallGraph> callgraph;
-  ProgramSummary summary;
-  SharingReport report;
-  TransformPlan transforms;
-  LayoutPlan layout;
-  CodeImage code;
-};
-
-/// One named stage.  `run` must be a pure function of the context slots it
-/// reads (no hidden state), so concurrent back halves over one shared
-/// front produce identical products.  It receives its own `pass` span and
-/// attaches domain counters with `span.arg`; a counter that costs more
-/// than reading a size is computed only when `span.active()`.
-struct Pass {
-  std::string name;
-  std::function<void(PassContext&, obs::Span&)> run;
-};
-
-/// An ordered list of passes, each run inside its own `pass` span.
-class PassManager {
- public:
-  PassManager& add(std::string name,
-                   std::function<void(PassContext&, obs::Span&)> fn);
-
-  /// Run every pass in order on `ctx`, each inside an obs::Span of
-  /// category "pass" named after it.
-  void run(PassContext& ctx) const;
-
-  std::vector<std::string> pass_names() const;
-
- private:
-  std::vector<Pass> passes_;
-};
-
-/// The two halves of the compile pipeline (built once, immutable).
-const PassManager& front_pipeline();  // parse, sema
-const PassManager& back_pipeline();   // callgraph ... codegen
-/// Pass names of the full pipeline, front + back, in execution order.
+/// Pass names of the full pipeline, front + back, in execution order: the
+/// `pass` spans one traced compile records.
 std::vector<std::string> compile_pass_names();
 
 /// A parsed and sema-checked program.  The Program is treated as
@@ -89,6 +39,8 @@ std::vector<std::string> compile_pass_names();
 /// back-half runs.
 struct FrontHalf {
   std::shared_ptr<Program> prog;
+  /// The front end's warnings and notes (a front with errors throws).
+  std::vector<Diagnostic> warnings;
 };
 
 /// Run the front half.  Throws CompileError on invalid programs.

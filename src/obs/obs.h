@@ -1,8 +1,8 @@
 // Runtime tracing: spans and thread attribution.
 //
 // The one per-event instrumentation surface of the tree: compile passes
-// (driver/pipeline.h opens a `pass` span around each and the pass
-// attaches its domain counters), parallel_for_each workers, trace
+// (each stage of driver/pipeline.h runs in a `pass` span carrying its
+// domain counters), parallel_for_each workers, trace
 // recording, replays, the search and the sweeps.  Every instrumented site
 // creates an RAII Span; spans land in per-thread buffers and are
 // exported as Chrome trace-event JSON (obs/trace_writer.h) loadable in

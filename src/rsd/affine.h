@@ -80,8 +80,6 @@ class AffineEnv {
   /// disagree become invalid.
   void join(const AffineEnv& other);
 
-  const std::map<const LocalSym*, Affine>& bindings() const { return env_; }
-
  private:
   std::map<const LocalSym*, Affine> env_;
 };

@@ -297,14 +297,11 @@ class Value {
   };
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
-  bool as_bool() const { return flag_; }
   double as_number() const { return num_; }
   i64 as_i64() const { return static_cast<i64>(num_); }
   const std::string& as_string() const { return str_; }

@@ -1,8 +1,7 @@
-#include "cfg/cfg.h"
+#include "cfg/callgraph.h"
 
 #include <gtest/gtest.h>
 
-#include "cfg/callgraph.h"
 #include "lang/sema.h"
 
 namespace fsopt {
@@ -11,97 +10,6 @@ namespace {
 std::unique_ptr<Program> check(std::string_view src) {
   DiagnosticEngine diags;
   return parse_and_check(src, diags, {});
-}
-
-TEST(Cfg, StraightLine) {
-  auto p = check(
-      "param NPROCS = 1; int x;"
-      "void main(int pid) { x = 1; x = 2; x = 3; }");
-  Cfg cfg(*p->main);
-  // entry, exit, 3 assigns
-  EXPECT_EQ(cfg.nodes().size(), 5u);
-  auto order = cfg.rpo();
-  EXPECT_TRUE(order.front()->is_entry);
-  EXPECT_TRUE(order.back()->is_exit);
-}
-
-TEST(Cfg, IfCreatesDiamond) {
-  auto p = check(
-      "param NPROCS = 2; int x;"
-      "void main(int pid) { if (pid == 0) { x = 1; } else { x = 2; } "
-      "x = 3; }");
-  Cfg cfg(*p->main);
-  const Stmt& ifstmt = *p->main->body->stmts[0];
-  CfgNode* cond = cfg.node_for(ifstmt);
-  ASSERT_NE(cond, nullptr);
-  EXPECT_EQ(cond->succs.size(), 2u);
-  const Stmt& final_assign = *p->main->body->stmts[1];
-  CfgNode* join = cfg.node_for(final_assign);
-  ASSERT_NE(join, nullptr);
-  EXPECT_EQ(join->preds.size(), 2u);
-}
-
-TEST(Cfg, IfWithoutElseFallsThrough) {
-  auto p = check(
-      "param NPROCS = 2; int x;"
-      "void main(int pid) { if (pid == 0) { x = 1; } x = 2; }");
-  Cfg cfg(*p->main);
-  CfgNode* cond = cfg.node_for(*p->main->body->stmts[0]);
-  EXPECT_EQ(cond->succs.size(), 2u);  // then-branch + fallthrough
-}
-
-TEST(Cfg, WhileHasBackEdge) {
-  auto p = check(
-      "param NPROCS = 1; int x;"
-      "void main(int pid) { int i; i = 0;"
-      "  while (i < 3) { i = i + 1; } x = 1; }");
-  Cfg cfg(*p->main);
-  const Stmt* wh = nullptr;
-  for_each_stmt(*p->main->body, [&](const Stmt& s) {
-    if (s.kind == StmtKind::kWhile) wh = &s;
-  });
-  CfgNode* cond = cfg.node_for(*wh);
-  ASSERT_NE(cond, nullptr);
-  bool has_back_edge = false;
-  for (CfgNode* s : cond->succs)
-    for (CfgNode* ss : s->succs)
-      if (ss == cond) has_back_edge = true;
-  EXPECT_TRUE(has_back_edge);
-}
-
-TEST(Cfg, ForLoopDepthAnnotation) {
-  auto p = check(
-      "param NPROCS = 1; int a[4][4];"
-      "void main(int pid) { int i; int j;"
-      "  for (i = 0; i < 4; i = i + 1) {"
-      "    for (j = 0; j < 4; j = j + 1) { a[i][j] = 0; } } }");
-  Cfg cfg(*p->main);
-  const Stmt* inner_assign = nullptr;
-  for_each_stmt(*p->main->body, [&](const Stmt& s) {
-    if (s.kind == StmtKind::kAssign && s.target->kind == ExprKind::kIndex)
-      inner_assign = &s;
-  });
-  ASSERT_NE(inner_assign, nullptr);
-  EXPECT_EQ(cfg.node_for(*inner_assign)->loop_depth, 2);
-}
-
-TEST(Cfg, ReturnJumpsToExit) {
-  auto p = check(
-      "param NPROCS = 1;"
-      "int f(int x) { if (x > 0) { return 1; } return 2; }"
-      "void main(int pid) { int y; y = f(1); }");
-  Cfg cfg(*p->find_func("f"));
-  EXPECT_EQ(cfg.exit().preds.size(), 2u);  // both returns
-}
-
-TEST(Cfg, RpoVisitsAllReachableNodes) {
-  auto p = check(
-      "param NPROCS = 2; int x;"
-      "void main(int pid) { int i;"
-      "  for (i = 0; i < 4; i = i + 1) { if (pid == 0) { x = i; } } }");
-  Cfg cfg(*p->main);
-  auto order = cfg.rpo();
-  EXPECT_EQ(order.size(), cfg.nodes().size());
 }
 
 TEST(CallGraph, SitesAndCallees) {

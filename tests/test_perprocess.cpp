@@ -93,63 +93,6 @@ TEST(PerProcess, DerivedPdvInCondition) {
   EXPECT_EQ(*s, PidSet::single(2));
 }
 
-TEST(PerProcess, StatementAnnotation) {
-  Ctx c = make(
-      "param NPROCS = 4; int g; int h;"
-      "void main(int pid) {"
-      "  if (pid == 0) { g = 1; } else { h = 2; }"
-      "}",
-      4);
-  PerProcessCf cf = analyze_per_process_cf(*c.prog, c.pdvs);
-  ASSERT_EQ(cf.divergences.size(), 1u);
-  EXPECT_EQ(cf.divergences[0].then_pids, PidSet::single(0));
-  EXPECT_EQ(cf.divergences[0].else_pids.count(), 3);
-
-  const Stmt* gassign = nullptr;
-  const Stmt* hassign = nullptr;
-  for_each_stmt(*c.prog->main->body, [&](const Stmt& s) {
-    if (s.kind != StmtKind::kAssign) return;
-    if (s.target->name == "g") gassign = &s;
-    if (s.target->name == "h") hassign = &s;
-  });
-  EXPECT_EQ(cf.pids_for(*gassign, 4), PidSet::single(0));
-  EXPECT_EQ(cf.pids_for(*hassign, 4).count(), 3);
-}
-
-TEST(PerProcess, NestedDivergence) {
-  Ctx c = make(
-      "param NPROCS = 8; int g;"
-      "void main(int pid) {"
-      "  if (pid < 4) { if (pid % 2 == 0) { g = 1; } }"
-      "}",
-      8);
-  PerProcessCf cf = analyze_per_process_cf(*c.prog, c.pdvs);
-  const Stmt* gassign = nullptr;
-  for_each_stmt(*c.prog->main->body, [&](const Stmt& s) {
-    if (s.kind == StmtKind::kAssign) gassign = &s;
-  });
-  PidSet s = cf.pids_for(*gassign, 8);
-  EXPECT_EQ(s.count(), 2);  // pids 0 and 2
-  EXPECT_TRUE(s.test(0) && s.test(2));
-}
-
-TEST(PerProcess, AnnotateCfg) {
-  Ctx c = make(
-      "param NPROCS = 4; int g;"
-      "void main(int pid) { if (pid == 1) { g = 1; } }",
-      4);
-  PerProcessCf cf = analyze_per_process_cf(*c.prog, c.pdvs);
-  Cfg cfg(*c.prog->main);
-  auto sets = annotate_cfg(cfg, cf, 4);
-  const Stmt* gassign = nullptr;
-  for_each_stmt(*c.prog->main->body, [&](const Stmt& s) {
-    if (s.kind == StmtKind::kAssign) gassign = &s;
-  });
-  CfgNode* n = cfg.node_for(*gassign);
-  ASSERT_NE(n, nullptr);
-  EXPECT_EQ(sets[static_cast<size_t>(n->id)], PidSet::single(1));
-}
-
 // Parameterized over processor counts: complement invariants.
 class PidSetProperty : public ::testing::TestWithParam<i64> {};
 

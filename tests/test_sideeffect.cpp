@@ -157,6 +157,28 @@ TEST(SideEffect, GuardNarrowsPids) {
   EXPECT_DOUBLE_EQ(r->weight, 1.0);  // decidable branch: no 0.5 factor
 }
 
+TEST(SideEffect, ElseBranchTakesComplementPids) {
+  auto s = analyze(
+      "param NPROCS = 4; int g; int h;"
+      "void main(int pid) { if (pid == 0) { g = 1; } else { h = 2; } }");
+  const AccessRecord* g = find_record(s, "g", true);
+  const AccessRecord* h = find_record(s, "h", true);
+  ASSERT_NE(g, nullptr);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(g->pids.str(), "{0}");
+  EXPECT_EQ(h->pids.str(), "{1,2,3}");
+}
+
+TEST(SideEffect, NestedGuardsIntersectPids) {
+  auto s = analyze(
+      "param NPROCS = 8; int g;"
+      "void main(int pid) { if (pid < 4) { if (pid % 2 == 0) { g = 1; } } }",
+      8);
+  const AccessRecord* g = find_record(s, "g", true);
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->pids.str(), "{0,2}");
+}
+
 TEST(SideEffect, UndecidableBranchHalvesWeight) {
   auto s = analyze(
       "param NPROCS = 4; int x; int q;"

@@ -73,7 +73,8 @@
 //
 // Compile errors are reported one diagnostic per line to stderr as
 //   FILE:LINE:COL: error: MESSAGE
-// and exit with status 1.
+// and exit with status 1.  The front end's warnings are reported the same
+// way on every compile, successful ones included.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -271,6 +272,20 @@ std::string read_file(const std::string& path, const char* what) {
   return buf.str();
 }
 
+/// One diagnostic on stderr, compiler-style: FILE:LINE:COL: SEVERITY:
+/// MESSAGE, or FILE: SEVERITY: MESSAGE when it has no source location.
+void print_diagnostic(const std::string& file, const Diagnostic& d) {
+  const char* sev = d.severity == DiagSeverity::kError     ? "error"
+                    : d.severity == DiagSeverity::kWarning ? "warning"
+                                                           : "note";
+  if (d.loc.valid())
+    std::fprintf(stderr, "%s:%d:%d: %s: %s\n", file.c_str(), d.loc.line,
+                 d.loc.col, sev, d.message.c_str());
+  else
+    std::fprintf(stderr, "%s: %s: %s\n", file.c_str(), sev,
+                 d.message.c_str());
+}
+
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out) {
@@ -422,6 +437,7 @@ int main(int argc, char** argv) {
                         .c_str());
       }
     }
+    for (const Diagnostic& d : c.warnings) print_diagnostic(display_name, d);
     if (!cli.plan_out.empty())
       write_file(cli.plan_out, plan_to_json(c.transforms, *c.prog));
 
@@ -489,22 +505,10 @@ int main(int argc, char** argv) {
     // exited early instead of a completed one.
     obs::mark_partial("compile error");
     // One line per diagnostic, compiler-style, with the source location.
-    if (e.diagnostics.empty()) {
-      std::fprintf(stderr, "%s: error: %s\n", display_name.c_str(),
-                   e.what());
-    } else {
-      for (const Diagnostic& d : e.diagnostics) {
-        const char* sev = d.severity == DiagSeverity::kError     ? "error"
-                          : d.severity == DiagSeverity::kWarning ? "warning"
-                                                                 : "note";
-        if (d.loc.valid())
-          std::fprintf(stderr, "%s:%d:%d: %s: %s\n", display_name.c_str(),
-                       d.loc.line, d.loc.col, sev, d.message.c_str());
-        else
-          std::fprintf(stderr, "%s: %s: %s\n", display_name.c_str(), sev,
-                       d.message.c_str());
-      }
-    }
+    if (e.diagnostics.empty())
+      print_diagnostic(display_name, {DiagSeverity::kError, {}, e.what()});
+    for (const Diagnostic& d : e.diagnostics)
+      print_diagnostic(display_name, d);
     return 1;
   } catch (const InternalError& e) {
     obs::mark_partial("internal error");
